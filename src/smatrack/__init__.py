@@ -1,8 +1,7 @@
 """Sparse moving-average probability tracking over open-ended item
 streams, with bounded log-loss evaluation and synthetic generators."""
 
-from .predictors import Box, Dyal, Ema, Queues, TimestampQueues
+from .predictors import Box, Dyal, Ema, Queues
 from .sd_core import FcConfig, filter_cap
 
-__all__ = ["Box", "Dyal", "Ema", "Queues", "TimestampQueues",
-           "FcConfig", "filter_cap"]
+__all__ = ["Box", "Dyal", "Ema", "Queues", "FcConfig", "filter_cap"]

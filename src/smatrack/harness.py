@@ -20,23 +20,45 @@ class ConfigError(ValueError):
     pass
 
 
-PREDICTOR_KINDS = ("ema", "harmonic-ema", "queues", "ts-queues", "box", "dyal")
+# kind -> (parameter type, domain test, domain); ts-queues is another
+# name for queues, kept for existing rosters and result files.
+_PARAM_DOMAINS = {
+    "ema": (float, lambda v: 0.0 < v <= 1.0, "beta in (0, 1]"),
+    "harmonic-ema": (float, lambda v: 0.0 <= v <= 1.0, "beta_min in [0, 1]"),
+    "queues": (int, lambda v: v >= 1, "integer qcap >= 1"),
+    "ts-queues": (int, lambda v: v >= 1, "integer qcap >= 1"),
+    "box": (int, lambda v: v >= 1, "integer k >= 1"),
+    "dyal": (float, lambda v: 0.0 <= v <= 1.0, "beta_min in [0, 1]"),
+}
+PREDICTOR_KINDS = tuple(_PARAM_DOMAINS)
+
+
+def predictor_param(kind, param):
+    """The parameter of a kind:param predictor, parsed and checked;
+    ConfigError for an unknown kind or an out-of-domain value."""
+    if kind not in _PARAM_DOMAINS:
+        raise ConfigError("unknown predictor kind: %r" % (kind,))
+    parse, ok, domain = _PARAM_DOMAINS[kind]
+    try:
+        value = parse(param)
+    except (TypeError, ValueError):
+        value = None
+    if value is None or not ok(value):
+        raise ConfigError("method %s:%s: need %s" % (kind, param, domain))
+    return value
 
 
 def make_predictor(kind, param):
+    value = predictor_param(kind, param)
     if kind == "ema":
-        return predictors.Ema(beta=float(param))
+        return predictors.Ema(beta=value)
     if kind == "harmonic-ema":
-        return predictors.Ema(harmonic=True, beta_min=float(param))
-    if kind == "queues":
-        return predictors.Queues(qcap=int(param))
-    if kind == "ts-queues":
-        return predictors.TimestampQueues(qcap=int(param))
+        return predictors.Ema(harmonic=True, beta_min=value)
+    if kind in ("queues", "ts-queues"):
+        return predictors.Queues(qcap=value)
     if kind == "box":
-        return predictors.Box(k=int(param))
-    if kind == "dyal":
-        return predictors.Dyal(beta_min=float(param))
-    raise ConfigError("unknown predictor kind: %r" % (kind,))
+        return predictors.Box(k=value)
+    return predictors.Dyal(beta_min=value)
 
 
 @dataclass
@@ -168,7 +190,7 @@ def run_self_concat(obs, k, dyal):
 @dataclass
 class ExperimentSpec:
     kind: str                      # stationary-single | nonstat-single |
-                                   # multi-item | real-file | self-concat
+                                   # multi-item | real-file
     roster: list                   # of (label, predictor kind, param)
     out_dir: str = None
     n_seqs: int = 200
@@ -178,18 +200,21 @@ class ExperimentSpec:
     mode: str = "oscillate"        # nonstat-single
     gen: synth.GenConfig = None    # nonstat-single / multi-item
     eval_cfg: EvalConfig = field(default_factory=EvalConfig)
-    input_path: str = None         # real-file / self-concat
-    concat_k: int = 10
+    input_path: str = None         # real-file
 
     def __post_init__(self):
         kinds = ("stationary-single", "nonstat-single", "multi-item",
-                 "real-file", "self-concat")
+                 "real-file")
         if self.kind not in kinds:
             raise ConfigError("unknown experiment kind: %r" % (self.kind,))
-        for label, pkind, _param in self.roster:
-            if pkind not in PREDICTOR_KINDS:
-                raise ConfigError("roster entry %r: unknown predictor %r"
-                                  % (label, pkind))
+        if self.n_seqs < 1:
+            raise ConfigError("n_seqs must be >= 1, got %r" % (self.n_seqs,))
+        seen = set()
+        for label, pkind, param in self.roster:
+            if label in seen:
+                raise ConfigError("roster label %r appears twice" % (label,))
+            seen.add(label)
+            predictor_param(pkind, param)
 
 
 def ingest_sequence(path):

@@ -64,96 +64,64 @@ class Ema:
             self.beta = decay_rate(b, self.beta_min)
 
 
-class Queue:
-    """Bounded list of count cells for one item, newest (cell0) first.
-    Each cell holds 1 positive plus the negatives observed while it was
-    the newest cell."""
-
-    __slots__ = ("cells", "qcap")
-
-    def __init__(self, qcap=3):
-        self.cells = []
-        self.qcap = qcap
-
-    @property
-    def nc(self):
-        return len(self.cells)
-
-    def positive_update(self):
-        self.cells.insert(0, 1)
-        if len(self.cells) > self.qcap:
-            self.cells.pop()
-
-    def negative_update(self):
-        if self.cells:
-            self.cells[0] += 1
-
-    def get_count(self):
-        return sum(self.cells)
-
-    def get_pr(self):
-        if len(self.cells) <= 1:
-            return 0.0  # grace period
-        return (len(self.cells) - 1) / (self.get_count() - 1)
-
-    def get_pr_completed_only(self):
-        # Alternative estimate that ignores the partial cell0.
-        if len(self.cells) <= 2:
-            return 0.0
-        return (len(self.cells) - 2) / (sum(self.cells[1:]) - 1)
-
-
 class Queues:
-    """Per-item queues of count cells; PR read off as
-    (cells - 1) / (total count - 1). A heart-beat prune keeps the map
-    bounded: stale queues (cell0 count > s2) are dropped, and when the
-    map reaches 2*s1 entries it is cut back to the s1 freshest."""
+    """Per-item queues of clock stamps, newest first. The clock counts
+    updates, and an item's queue holds the clock values of its last qcap
+    observations. PR = (stamps - 1) / (clock - oldest stamp): the paper's
+    count-cell estimate (cells - 1) / (total count - 1), since the cells
+    would total clock - oldest + 1. A heart-beat prune keeps the map
+    bounded: queues whose newest stamp is s2 or more steps old are
+    dropped, and when the map reaches 2*s1 entries it is cut back to the
+    s1 freshest."""
 
-    def __init__(self, qcap=3, s1=100, s2=100000, prune_every=1000,
-                 completed_only=False):
+    def __init__(self, qcap=3, s1=100, s2=100000, prune_every=1000):
         self.qcap = qcap
         self.s1 = s1
         self.s2 = s2
         self.prune_every = prune_every
-        self.completed_only = completed_only
         self.q_map = {}
-        self.t = 0
+        self.clock = 0
 
     def get_params(self):
         return {"qcap": self.qcap, "s1": self.s1, "s2": self.s2}
 
-    def _pr(self, q):
-        return q.get_pr_completed_only() if self.completed_only else q.get_pr()
+    def pr_count(self, i):
+        """(PR, count) for item i, or (0.0, 0) if it has no queue. The
+        count is the steps since the oldest stamp, inclusive; PR is 0.0
+        while the queue holds a single stamp (grace period)."""
+        q = self.q_map.get(i)
+        if q is None:
+            return 0.0, 0
+        count = self.clock - q[-1] + 1
+        if len(q) <= 1:
+            return 0.0, count
+        return (len(q) - 1) / (count - 1), count
 
     def predict(self):
-        out = {}
-        for i, q in self.q_map.items():
-            pr = self._pr(q)
-            if pr > 0.0:
-                out[i] = pr
-        return out
+        # pr_count's PR for every item past its grace period, inlined:
+        # this runs over the whole map on every step.
+        c = self.clock
+        return {i: (len(q) - 1) / (c - q[-1])
+                for i, q in self.q_map.items() if len(q) > 1}
 
     def update(self, o):
-        if o not in self.q_map:
-            self.q_map[o] = Queue(self.qcap)
-        for i, q in self.q_map.items():
-            if i == o:
-                q.positive_update()
-            else:
-                q.negative_update()
-        self.t += 1
-        if self.prune_every and self.t % self.prune_every == 0:
+        self.clock += 1
+        q = self.q_map.setdefault(o, [])
+        q.insert(0, self.clock)
+        if len(q) > self.qcap:
+            q.pop()
+        if self.prune_every and self.clock % self.prune_every == 0:
             self.prune()
 
     def prune(self):
         """Returns the set of item ids dropped."""
         dropped = {i for i, q in self.q_map.items()
-                   if q.cells and q.cells[0] > self.s2}
+                   if self.clock - q[0] >= self.s2}
         for i in dropped:
             del self.q_map[i]
         if len(self.q_map) >= 2 * self.s1:
-            # Freshest first: smallest cell0 count, ties to smaller id.
-            keep = sorted(self.q_map, key=lambda i: (self.q_map[i].cells[0], i))
+            # Freshest first: newest stamp, ties to smaller id.
+            keep = sorted(self.q_map, key=lambda i: (-self.q_map[i][0], i))
             for i in keep[self.s1:]:
                 dropped.add(i)
                 del self.q_map[i]
@@ -179,53 +147,6 @@ class SingleCellMle:
             if i != o:
                 self.c_map[i] += 1
         self.c_map[o] = 1
-
-
-class TimestampQueues:
-    """Queues variant with O(1) updates: cells store the value of a
-    per-predictor clock instead of counts, and no negative updates are
-    needed. PR = (cells - 1) / (clock - oldest stamp), which matches the
-    plain Queues estimate step for step."""
-
-    REBASE_AT = 2 ** 62
-
-    def __init__(self, qcap=3):
-        self.qcap = qcap
-        self.clock = 0
-        self.q_map = {}  # item -> list of stamps, newest first
-
-    def get_params(self):
-        return {"qcap": self.qcap}
-
-    def pr(self, i):
-        q = self.q_map.get(i)
-        if q is None or len(q) <= 1:
-            return 0.0
-        return (len(q) - 1) / (self.clock - q[-1])
-
-    def predict(self):
-        out = {}
-        for i in self.q_map:
-            p = self.pr(i)
-            if p > 0.0:
-                out[i] = p
-        return out
-
-    def update(self, o):
-        self.clock += 1
-        q = self.q_map.setdefault(o, [])
-        q.insert(0, self.clock)
-        if len(q) > self.qcap:
-            q.pop()
-        if self.clock > self.REBASE_AT:
-            self._rebase()
-
-    def _rebase(self):
-        base = min(q[-1] for q in self.q_map.values())
-        self.clock -= base
-        for q in self.q_map.values():
-            for j in range(len(q)):
-                q[j] -= base
 
 
 class Box:
@@ -281,7 +202,6 @@ class Dyal:
         self.prune_every = prune_every
         self.ema_map = {}
         self.rate_map = {}
-        self.t = 0
 
     def get_params(self):
         return {"beta_min": self.beta_min, "qcap": self.queues.qcap,
@@ -290,20 +210,13 @@ class Dyal:
     def predict(self):
         return dict(self.ema_map)
 
-    def _q_info(self, i):
-        q = self.queues.q_map.get(i)
-        if q is None:
-            return 0.0, 0
-        return q.get_pr(), q.get_count()
-
     def _queue_rate(self, q_count):
         return min(1.0, max(1.0 / q_count, self.beta_min))
 
     def update(self, o):
-        q_pr, q_count = self._q_info(o)  # read before the queue update
+        q_pr, q_count = self.queues.pr_count(o)  # before the queue update
         self.queues.update(o)
-        self.t += 1
-        if self.prune_every and self.t % self.prune_every == 0:
+        if self.prune_every and self.queues.clock % self.prune_every == 0:
             for i in self.queues.prune():
                 self.ema_map.pop(i, None)
                 self.rate_map.pop(i, None)
@@ -341,7 +254,7 @@ class Dyal:
             if i == o:
                 used += self.ema_map[i]
                 continue
-            q_pr, q_count = self._q_info(i)
+            q_pr, q_count = self.queues.pr_count(i)
             if max(self.ema_map[i], q_pr) < self.p_min:
                 del self.ema_map[i]
                 del self.rate_map[i]

@@ -1,0 +1,68 @@
+"""Count-cell reference for smatrack.predictors.Queues.
+
+This is the paper's queue layout: per item, a list of count cells,
+newest (cell0) first, where each cell holds one positive plus the
+negatives observed while it was the newest cell. Every update touches
+every queue. The stamp-based Queues must match it exactly, prune
+included, so the tests compare the two step by step.
+"""
+
+
+class CountCellQueues:
+    def __init__(self, qcap=3, s1=100, s2=100000, prune_every=1000):
+        self.qcap = qcap
+        self.s1 = s1
+        self.s2 = s2
+        self.prune_every = prune_every
+        self.cells = {}
+        self.t = 0
+
+    def pr_count(self, i):
+        cells = self.cells.get(i)
+        if cells is None:
+            return 0.0, 0
+        count = sum(cells)
+        if len(cells) <= 1:
+            return 0.0, count
+        return (len(cells) - 1) / (count - 1), count
+
+    def predict(self):
+        out = {}
+        for i in self.cells:
+            pr = self.pr_count(i)[0]
+            if pr > 0.0:
+                out[i] = pr
+        return out
+
+    def update(self, o):
+        for i, cells in self.cells.items():
+            if i != o:
+                cells[0] += 1  # negative update
+        cells = self.cells.setdefault(o, [])
+        cells.insert(0, 1)  # positive update
+        del cells[self.qcap:]
+        self.t += 1
+        if self.prune_every and self.t % self.prune_every == 0:
+            self.prune()
+
+    def prune(self):
+        dropped = {i for i, cells in self.cells.items()
+                   if cells[0] > self.s2}
+        for i in dropped:
+            del self.cells[i]
+        if len(self.cells) >= 2 * self.s1:
+            # Freshest first: smallest cell0 count, ties to smaller id.
+            keep = sorted(self.cells, key=lambda i: (self.cells[i][0], i))
+            for i in keep[self.s1:]:
+                dropped.add(i)
+                del self.cells[i]
+        return dropped
+
+
+def matches(stamps, cells):
+    """True if a stamp-based Queues and a CountCellQueues hold the same
+    items with the same (PR, count) and the same prediction."""
+    return (set(stamps.q_map) == set(cells.cells)
+            and all(stamps.pr_count(i) == cells.pr_count(i)
+                    for i in cells.cells)
+            and stamps.predict() == cells.predict())

@@ -9,8 +9,8 @@ import pytest
 
 from smatrack.evaluation import deviates, logloss_rule_ns, sign_test
 from smatrack.harness import EvalConfig, ExperimentSpec, run_experiment
-from smatrack.predictors import (Box, Dyal, Ema, Queues, SingleCellMle,
-                                 TimestampQueues)
+from count_cell_queues import CountCellQueues, matches
+from smatrack.predictors import Box, Dyal, Ema, Queues, SingleCellMle
 from smatrack.sd_core import (FcConfig, allocated, distortion_threshold,
                               filter_cap)
 from smatrack.synth import GenConfig
@@ -209,15 +209,16 @@ def test_c8_exactness():
         if abs(e.weights.get(1, 0.0) - count / t) > 1e-12:
             ok_h = False
 
-    # timestamp queues == plain queues, exactly
+    # stamp queues == count-cell queues, exactly, pruning included
     ok_ts = True
     for _ in range(20):
-        plain = Queues(qcap=3, prune_every=None)
-        ts = TimestampQueues(qcap=3)
+        kw = dict(qcap=3, s1=3, s2=20, prune_every=7)
+        plain = CountCellQueues(**kw)
+        ts = Queues(**kw)
         for o in rng.integers(0, 8, size=2000).tolist():
             plain.update(o)
             ts.update(o)
-            if plain.predict() != ts.predict():
+            if not matches(ts, plain):
                 ok_ts = False
 
     # Box == brute-force window recount, exactly

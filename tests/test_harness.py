@@ -110,14 +110,34 @@ def test_prequential_multi_item_dev_metrics():
 def test_make_predictor_kinds():
     for kind, param in [("ema", "0.01"), ("harmonic-ema", "0.001"),
                         ("queues", "3"), ("ts-queues", "3"),
-                        ("box", "100"), ("dyal", "0.01")]:
+                        ("box", "100"), ("dyal", "0.01"),
+                        # domain edges
+                        ("ema", "1"), ("harmonic-ema", "0"),
+                        ("harmonic-ema", "1"), ("queues", "1"),
+                        ("ts-queues", "1"), ("box", "1"), ("dyal", "0"),
+                        ("dyal", "1")]:
         p = make_predictor(kind, param)
         assert p.predict() == {}
 
 
 def test_make_predictor_unknown():
-    with pytest.raises(ConfigError):
-        make_predictor("nope", "1")
+    for kind, param in [("nope", "1"), ("ema", "abc"), ("queues", "2.5"),
+                        ("queues", "0"), ("ts-queues", "0"), ("box", "0"),
+                        ("ema", "0"), ("ema", "1.5"), ("ema", "nan"),
+                        ("harmonic-ema", "-0.1"), ("harmonic-ema", "2"),
+                        ("dyal", "-1"), ("dyal", "1.5")]:
+        with pytest.raises(ConfigError):
+            make_predictor(kind, param)
+
+
+def test_ts_queues_state_bounded():
+    # an open vocabulary: most items are seen once, so without the prune
+    # the map would grow with the stream
+    p = make_predictor("ts-queues", "10")
+    rng = np.random.default_rng(16)
+    for t in range(20000):
+        p.update(int(rng.integers(0, 20)) if rng.random() < 0.5 else 100 + t)
+        assert len(p.q_map) < 2 * p.s1 + p.prune_every
 
 
 # --- conditional runs -------------------------------------------------------
@@ -247,13 +267,21 @@ def test_experiment_real_file(tmp_path):
 
 
 def test_experiment_rejects_bad_roster(tmp_path):
+    for roster in ([("x", "nope", "1")], [("x", "ema", "0")],
+                   [("ema:0.1", "ema", "0.1"), ("ema:0.1", "ema", "0.1")]):
+        with pytest.raises(ConfigError):
+            _small_spec(tmp_path, roster=roster)
+
+
+def test_experiment_rejects_no_sequences(tmp_path):
     with pytest.raises(ConfigError):
-        _small_spec(tmp_path, roster=[("x", "nope", "1")])
+        _small_spec(tmp_path, n_seqs=0)
 
 
 def test_experiment_rejects_bad_kind(tmp_path):
-    with pytest.raises(ConfigError):
-        _small_spec(tmp_path, kind="nope")
+    for kind in ("nope", "self-concat"):
+        with pytest.raises(ConfigError):
+            _small_spec(tmp_path, kind=kind)
 
 
 # --- trace helper -----------------------------------------------------------
@@ -330,12 +358,20 @@ def test_cli_exit_codes(tmp_path):
     import subprocess
     import sys
     env = dict(os.environ)
-    # config error: unknown method kind
-    r = subprocess.run([sys.executable, "-m", "smatrack.cli", "run",
-                        "--kind", "stationary-single", "--method", "bogus:1",
-                        "--out", str(tmp_path / "x")],
-                       capture_output=True, env=env)
-    assert r.returncode == 2
+    # config errors: unknown method kind, out-of-domain parameters, a
+    # duplicated label, no sequences; each is one line on stderr
+    for args in (["--method", "bogus:1"], ["--method", "ema:abc"],
+                 ["--method", "queues:0"], ["--method", "ema:0"],
+                 ["--method", "dyal:-1"],
+                 ["--method", "ema:0.1", "--method", "ema:0.1"],
+                 ["--method", "ema:0.1", "--method", "box:10",
+                  "--n-seqs", "0"]):
+        r = subprocess.run([sys.executable, "-m", "smatrack.cli", "run",
+                            "--kind", "stationary-single", *args,
+                            "--out", str(tmp_path / "x")],
+                           capture_output=True, env=env)
+        assert r.returncode == 2, args
+        assert len(r.stderr.decode().strip().splitlines()) == 1, args
     # runtime error: unreadable input file
     r = subprocess.run([sys.executable, "-m", "smatrack.cli",
                         "ingest-check", "/nonexistent/nope.txt"],

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from smatrack.predictors import (Box, Dyal, Ema, Queue, Queues,
-                                 SingleCellMle, TimestampQueues,
+from count_cell_queues import CountCellQueues, matches
+from smatrack.predictors import (Box, Dyal, Ema, Queues, SingleCellMle,
                                  binomial_significance, decay_rate)
 
 
@@ -97,52 +97,68 @@ def test_ema_expected_movement():
     assert abs(gap - (1 - beta) * (tp - p_hat)) <= 3 * se
 
 
-# --- Queue cells ------------------------------------------------------------
+# --- Queue stamps -----------------------------------------------------------
+# A queue holds the clock values of the item's last qcap observations,
+# newest first; its count is clock - oldest + 1, which is what the
+# paper's count cells sum to.
+
+def _queues_with(clock, q_map, **kw):
+    s = Queues(**kw)
+    s.clock = clock
+    s.q_map = q_map
+    return s
+
 
 def test_queue_positive_update_shifts():
-    q = Queue(3)
-    q.cells = [2]
-    q.positive_update()
-    assert q.cells == [1, 2]
+    s = Queues(qcap=3)
+    for o in [1, 0, 1]:
+        s.update(o)
+    assert s.q_map[1] == [3, 1]  # cells [1, 2]
+    assert s.pr_count(1) == (1 / 2, 3)
 
 
 def test_queue_positive_update_at_capacity():
-    q = Queue(3)
-    q.cells = [1, 1, 1]
-    q.positive_update()
-    assert q.cells == [1, 1, 1]
+    s = Queues(qcap=3)
+    for o in [1, 1, 1, 1]:
+        s.update(o)
+    assert s.q_map[1] == [4, 3, 2]  # cells [1, 1, 1]
+    assert s.pr_count(1) == (1.0, 3)
 
 
 def test_queue_fresh_positive():
-    q = Queue(3)
-    q.positive_update()
-    assert q.cells == [1]
+    s = Queues(qcap=3)
+    s.update(1)
+    assert s.q_map[1] == [1]  # cells [1]
+    assert s.pr_count(1) == (0.0, 1)
 
 
 def test_queue_negative_update():
-    q = Queue(3)
-    q.cells = [1]
-    q.negative_update()
-    assert q.cells == [2]
-    q.cells = [5, 1, 1]
-    q.negative_update()
-    assert q.cells == [6, 1, 1]
+    s = Queues(qcap=3)
+    s.update(1)
+    s.update(0)
+    assert s.q_map[1] == [1]  # cells [2]
+    assert s.pr_count(1) == (0.0, 2)
+    s = Queues(qcap=3)
+    for o in [1, 1, 1, 0, 0, 0, 0]:
+        s.update(o)
+    assert s.pr_count(1) == (2 / 6, 7)  # cells [5, 1, 1]
+    s.update(0)
+    assert s.q_map[1] == [3, 2, 1]  # stamps stay put
+    assert s.pr_count(1) == (2 / 7, 8)  # cells [6, 1, 1]
 
 
 def test_queue_negative_update_no_cells():
-    q = Queue(3)
-    q.negative_update()
-    assert q.cells == []
+    s = Queues(qcap=3)
+    s.update(0)
+    s.update(0)
+    assert 1 not in s.q_map
+    assert s.pr_count(1) == (0.0, 0)
 
 
 def test_queue_get_pr():
-    q = Queue(3)
-    q.cells = [2, 1]
-    assert close(q.get_pr(), 1 / 2)
-    q.cells = [5, 1, 1]
-    assert close(q.get_pr(), 2 / 6)
-    q.cells = [3]
-    assert q.get_pr() == 0.0
+    assert close(_queues_with(3, {1: [2, 1]}).pr_count(1)[0], 1 / 2)
+    assert close(_queues_with(7, {1: [3, 2, 1]}).pr_count(1)[0], 2 / 6)
+    assert _queues_with(3, {1: [1]}).pr_count(1)[0] == 0.0
 
 
 # --- Queues predictor -------------------------------------------------------
@@ -150,10 +166,11 @@ def test_queue_get_pr():
 def test_queues_update_allocates():
     s = Queues(qcap=3)
     s.update(1)
-    assert s.q_map[1].cells == [1]
+    assert s.q_map == {1: [1]}
     s.update(2)
-    assert s.q_map[1].cells == [2]
-    assert s.q_map[2].cells == [1]
+    assert s.q_map == {1: [1], 2: [2]}
+    assert s.pr_count(1) == (0.0, 2)  # cells [2]
+    assert s.pr_count(2) == (0.0, 1)  # cells [1]
 
 
 def test_queues_aaaabbbb():
@@ -166,34 +183,30 @@ def test_queues_aaaabbbb():
 
 
 def test_prune_drops_stale():
-    s = Queues(qcap=3, s2=100000)
-    s.update(1)
-    s.q_map[1].cells[0] = 100001
-    s.prune()
-    assert 1 not in s.q_map
+    # stale means cell0 > s2, i.e. clock - newest stamp >= s2
+    s = _queues_with(100000, {1: [1], 2: [2]}, qcap=3, s2=100000)
+    assert s.prune() == set()
+    s.clock += 1
+    assert s.prune() == {1}
+    assert set(s.q_map) == {2}
 
 
 def test_prune_size_threshold():
-    s = Queues(qcap=3, s1=100)
-    for i in range(199):
-        s.q_map[i] = Queue(3)
-        s.q_map[i].cells = [i + 1]
+    # item i has cell0 i + 1 at clock 200
+    s = _queues_with(200, {i: [200 - i] for i in range(199)}, qcap=3,
+                     s1=100)
     s.prune()
     assert len(s.q_map) == 199  # below 2*s1: untouched
-    s.q_map[199] = Queue(3)
-    s.q_map[199].cells = [200]
+    s.q_map[199] = [1]  # cell0 200
     s.prune()
     assert len(s.q_map) == 100
-    # the 100 freshest (lowest cell0 counts) survive
+    # the 100 freshest (newest stamps, lowest cell0 counts) survive
     assert set(s.q_map) == set(range(100))
 
 
 def test_prune_tie_break_drops_larger_id():
-    s = Queues(qcap=3, s1=1)
-    for i in range(2):
-        s.q_map[i] = Queue(3)
-        s.q_map[i].cells = [7]
-    s.prune()
+    s = _queues_with(10, {1: [4], 0: [4]}, qcap=3, s1=1)
+    assert s.prune() == {1}
     assert set(s.q_map) == {0}
 
 
@@ -210,15 +223,15 @@ def test_queue_pr_monotone_on_updates():
     # leave it at zero
     rng = np.random.default_rng(5)
     for _ in range(300):
-        q = Queue(int(rng.integers(2, 6)))
+        s = Queues(qcap=int(rng.integers(2, 6)), prune_every=None)
         for _ in range(200):
-            before = q.get_pr()
+            before = s.pr_count(1)[0]
             if rng.random() < 0.3:
-                q.positive_update()
-                assert q.get_pr() >= before - 1e-12
+                s.update(1)
+                assert s.pr_count(1)[0] >= before - 1e-12
             else:
-                q.negative_update()
-                after = q.get_pr()
+                s.update(0)
+                after = s.pr_count(1)[0]
                 assert after < before or (after == 0.0 and before == 0.0)
 
 
@@ -300,48 +313,33 @@ def test_qcap2_spread_bound():
                 assert n <= k - 1
 
 
-# --- timestamp variant ------------------------------------------------------
+# --- stamps == count cells --------------------------------------------------
 
 def test_timestamp_basic():
-    s = TimestampQueues(qcap=3)
+    s = Queues(qcap=3)
     s.update(1)
     assert s.predict() == {}
     s.update(0)
     s.update(1)
     s.update(0)
     # item 1 at clocks 1 and 3, queried at clock 4: (2-1)/(4-1)
-    assert close(s.pr(1), 1 / 3)
+    assert close(s.pr_count(1)[0], 1 / 3)
 
 
 def test_timestamp_equals_plain_queues():
+    # the count-cell reference, pruning on: small s1 and s2 so both the
+    # stale drop and the size cut fire
     rng = np.random.default_rng(11)
     for _ in range(100):
-        qcap = int(rng.integers(2, 6))
-        plain = Queues(qcap=qcap, prune_every=None)
-        ts = TimestampQueues(qcap=qcap)
-        for o in rng.integers(0, 8, size=2000).tolist():
-            plain.update(o)
-            ts.update(o)
-            assert plain.predict() == ts.predict()
-
-
-def test_timestamp_rebase_preserves_prs():
-    s = TimestampQueues(qcap=3)
-    for o in [1, 0, 1, 0, 0, 1]:
-        s.update(o)
-    before = s.predict()
-    shift = 2 ** 62
-    s.clock += shift
-    for q in s.q_map.values():
-        for j in range(len(q)):
-            q[j] += shift
-    s.update(0)
-    s_after = TimestampQueues(qcap=3)
-    for o in [1, 0, 1, 0, 0, 1, 0]:
-        s_after.update(o)
-    assert s.clock < 2 ** 62
-    assert s.predict() == s_after.predict()
-    assert before  # sanity: stream produced predictions
+        kw = dict(qcap=int(rng.integers(1, 6)), s1=int(rng.integers(1, 5)),
+                  s2=int(rng.integers(5, 40)),
+                  prune_every=int(rng.integers(1, 12)))
+        stamps = Queues(**kw)
+        cells = CountCellQueues(**kw)
+        for o in rng.integers(0, 12, size=1000).tolist():
+            stamps.update(o)
+            cells.update(o)
+            assert matches(stamps, cells)
 
 
 # --- Box --------------------------------------------------------------------
@@ -431,9 +429,10 @@ def test_dyal_plain_step_when_not_significant():
     d = Dyal(beta_min=0.01)
     d.ema_map = {1: 0.5}
     d.rate_map = {1: 0.1}
-    q = d.queues.q_map.setdefault(1, __import__(
-        "smatrack.predictors", fromlist=["Queue"]).Queue(3))
-    q.cells = [2, 2, 2]  # q_pr 2/5 <= ema: not significantly high
+    d.queues.clock = 6
+    d.queues.q_map[1] = [5, 3, 1]  # cells [2, 2, 2]
+    # q_pr 2/5 <= ema: not significantly high
+    assert d.queues.pr_count(1) == (2 / 5, 6)
     d.update(1)
     # delta = (1 - 0.5) * 0.1, rate decays to 1/11
     assert close(d.ema_map[1], 0.55)
@@ -456,13 +455,12 @@ def test_dyal_weaken_edges_empty():
 
 
 def test_dyal_weaken_snaps_down_on_significance():
-    from smatrack.predictors import Queue as Q
-    d = Dyal(beta_min=0.01)
+    d = Dyal(beta_min=0.01, qcap=40)
     d.ema_map = {1: 0.5}
     d.rate_map = {1: 0.1}
-    q = Q(40)
-    q.cells = [20, 1, 20]  # q_pr 2/40 = 0.05, count 41
-    d.queues.q_map[1] = q
+    d.queues.clock = 41
+    d.queues.q_map[1] = [22, 21, 1]  # cells [20, 1, 20]
+    assert d.queues.pr_count(1) == (2 / 40, 41)
     free = d.weaken_edges(2)
     assert close(d.ema_map[1], 0.05)
     assert close(d.rate_map[1], 1 / 41)
@@ -504,7 +502,7 @@ def test_dyal_converges_to_target():
 # --- shared contract --------------------------------------------------------
 
 @pytest.mark.parametrize("pred", [Ema(0.1), Ema(harmonic=True),
-                                  Queues(), TimestampQueues(), Box(10),
+                                  Queues(), SingleCellMle(), Box(10),
                                   Dyal()])
 def test_fresh_predictor_predicts_empty(pred):
     assert pred.predict() == {}
