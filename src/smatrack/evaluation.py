@@ -17,6 +17,9 @@ class Referee:
     counts cover only the last W observations."""
 
     def __init__(self, c_ns=2, window=None):
+        if window is not None and not window >= 1:
+            raise ValueError("window must be None or >= 1, got %r"
+                             % (window,))
         self.c_ns = c_ns
         self.window = window
         self.recent_freq = {}
@@ -71,14 +74,21 @@ def quad_rule(q, o, cfg=FcConfig()):
     return loss
 
 
-def deviates(p_hat, tp, d):
-    """1 iff the estimate is zero or off from the true probability by
-    more than a factor of d in either direction."""
+def dev_ratio(p_hat, tp):
+    """How far an estimate is off its true probability, as a factor:
+    max(tp / p_hat, p_hat / tp), or inf for a zero estimate."""
     if tp <= 0.0:
         raise ValueError("tp must be positive")
     if p_hat == 0.0:
-        return 1
-    return 1 if max(tp / p_hat, p_hat / tp) > d else 0
+        return math.inf
+    return max(tp / p_hat, p_hat / tp)
+
+
+def deviates(p_hat, tp, d):
+    """1 iff dev_ratio(p_hat, tp) > d: for a finite d, iff the estimate
+    is zero or off from the true probability by more than a factor of d
+    in either direction."""
+    return 1 if dev_ratio(p_hat, tp) > d else 0
 
 
 def dev_rate(estimates, tp, d):
@@ -87,17 +97,33 @@ def dev_rate(estimates, tp, d):
     return sum(deviates(p, tp, d) for p in estimates) / len(estimates)
 
 
-def multidev(o, q, p, d, mode, p_min=0.01):
-    """Multi-item deviation score for one time step. obs mode scores the
-    observed item only (a noise observation deviates iff the predictor
-    gives it salient mass); any mode is the max over the true support."""
-    if mode == "obs":
-        if o in p:
-            return deviates(q.get(o, 0.0), p[o], d)
-        return 1 if q.get(o, 0.0) >= p_min else 0
-    if mode == "any":
-        return max((deviates(q.get(i, 0.0), p[i], d) for i in p), default=0)
-    raise ValueError("mode must be 'obs' or 'any'")
+def multidev(o, q, p, p_min=0.01):
+    """Multi-item deviation ratios for one time step, as (worst, obs):
+    worst is the largest dev_ratio over the true support (0.0 for an
+    empty one), obs the observed item's ratio. A noise observation has
+    no ratio; obs is then inf if the predictor gives it salient mass and
+    0.0 if not. The step deviates at threshold d in any mode iff
+    worst > d, and in obs mode iff obs > d."""
+    worst = 0.0
+    obs = math.inf if q.get(o, 0.0) >= p_min else 0.0
+    for i, tp in p.items():
+        # dev_ratio inlined, with max() spelled out: this runs over the
+        # support on every step.
+        if tp <= 0.0:
+            raise ValueError("tp must be positive")
+        est = q.get(i, 0.0)
+        if est == 0.0:
+            r = math.inf
+        else:
+            r = tp / est
+            up = est / tp
+            if up > r:
+                r = up
+        if r > worst:
+            worst = r
+        if i == o:
+            obs = r
+    return worst, obs
 
 
 class Schedule:

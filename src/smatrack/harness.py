@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import predictors, synth
-from .evaluation import (Referee, deviates, logloss_rule_ns, multidev,
+from .evaluation import (Referee, dev_ratio, logloss_rule_ns, multidev,
                          optimal_logloss, quad_rule, sign_test)
 from .sd_core import FcConfig, filter_cap
 
@@ -69,6 +69,27 @@ class EvalConfig:
     window: int = None
     dev_ds: tuple = (1.5, 2.0)
 
+    def __post_init__(self):
+        if not 0.0 < self.p_ns < 1.0:
+            raise ConfigError("p_ns must be in (0, 1), got %r" % (self.p_ns,))
+        if not 0.0 <= self.p_min < 1.0:
+            raise ConfigError("p_min must be in [0, 1), got %r"
+                              % (self.p_min,))
+        if not self.c_ns >= 0:
+            raise ConfigError("c_ns must be >= 0, got %r" % (self.c_ns,))
+        if self.window is not None and not self.window >= 1:
+            raise ConfigError("referee window must be >= 1, got %r"
+                              % (self.window,))
+        for d in self.dev_ds:
+            if not 1.0 <= d < math.inf:
+                raise ConfigError("deviation threshold d must be finite "
+                                  "and >= 1, got %r" % (d,))
+        # Metric names show d as %g; two thresholds with one name would
+        # double-count or overwrite that metric.
+        if len({"%g" % d for d in self.dev_ds}) != len(self.dev_ds):
+            raise ConfigError("two deviation thresholds in %r share a "
+                              "metric name" % (self.dev_ds,))
+
     def fc(self):
         return FcConfig(self.p_min, self.p_ns)
 
@@ -91,7 +112,7 @@ def run_prequential(pred, obs, ecfg, schedule=None, track_item=None):
     dev_single = {d: 0 for d in ecfg.dev_ds}
     dev_obs = {d: 0 for d in ecfg.dev_ds}
     dev_any = {d: 0 for d in ecfg.dev_ds}
-    neg_log_pns = -math.log(fc.p_ns) if fc.p_ns > 0 else math.inf
+    neg_log_pns = -math.log(fc.p_ns)
     for t, o in enumerate(obs, start=1):
         q = pred.predict()
         qp = filter_cap(q, fc)
@@ -113,14 +134,14 @@ def run_prequential(pred, obs, ecfg, schedule=None, track_item=None):
         if schedule is not None:
             p = schedule.at(t)
             if track_item is not None:
-                tp = p[track_item]
-                est = q.get(track_item, 0.0)
+                r = dev_ratio(q.get(track_item, 0.0), p[track_item])
                 for d in ecfg.dev_ds:
-                    dev_single[d] += deviates(est, tp, d)
+                    dev_single[d] += r > d
             else:
+                worst, r = multidev(o, q, p, fc.p_min)
                 for d in ecfg.dev_ds:
-                    dev_obs[d] += multidev(o, q, p, d, "obs", fc.p_min)
-                    dev_any[d] += multidev(o, q, p, d, "any", fc.p_min)
+                    dev_obs[d] += r > d
+                    dev_any[d] += worst > d
         pred.update(o)
     res = TrialResult()
     res.metrics["avg_logloss_ns"] = loss_sum / n if n else 0.0

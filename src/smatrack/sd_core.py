@@ -41,27 +41,28 @@ def is_semi_distribution(m):
         allocated(m) <= 1.0 + SUM_SLACK
 
 
-def scale_drop(m, alpha, p_min):
-    """Scale every value by alpha, dropping entries that land below p_min."""
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
-    out = {}
-    for i, v in m.items():
-        s = alpha * v
-        if s >= p_min:
-            out[i] = s
-    return out
-
-
 def filter_cap(m, cfg=FcConfig()):
     """Filter-and-cap: drop sub-p_min entries, then scale down if needed
-    so the sum is at most 1 - p_ns. Output is a semi-distribution with
-    min value >= p_min; idempotent."""
-    q = scale_drop(m, 1.0, cfg.p_min)
+    so the sum is at most 1 - p_ns, dropping entries the scaling takes
+    below p_min. Output is a semi-distribution with min value >= p_min,
+    in the input's order; idempotent."""
+    # Loops, not comprehensions: before Python 3.12 a comprehension is a
+    # function call, which is most of the work on a two-entry map.
+    p_min = cfg.p_min
+    q = {}
+    for i, v in m.items():
+        if v >= p_min:
+            q[i] = v
     s = sum(q.values())
     if s <= 1.0 - cfg.p_ns + SUM_SLACK:
         return q
-    return scale_drop(q, (1.0 - cfg.p_ns) / s, cfg.p_min)
+    alpha = (1.0 - cfg.p_ns) / s
+    out = {}
+    for i, v in q.items():
+        v = alpha * v
+        if v >= p_min:
+            out[i] = v
+    return out
 
 
 def augment(p):

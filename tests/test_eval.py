@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from smatrack.evaluation import (Referee, Schedule, avg_logloss_ns, dev_rate,
-                                 deviates, logloss_rule_ns, multidev,
-                                 optimal_logloss, quad_rule, sign_test)
+from smatrack.evaluation import (Referee, Schedule, avg_logloss_ns,
+                                 dev_rate, dev_ratio, deviates,
+                                 logloss_rule_ns, multidev, optimal_logloss,
+                                 quad_rule, sign_test)
 from smatrack.sd_core import FcConfig, filter_cap
+import reference_scoring
 
 CFG = FcConfig(0.01, 0.01)
 
@@ -38,6 +40,14 @@ def test_referee_window_eviction():
     r.is_ns(3)  # evicts the count for item 1
     assert r.recent_freq == {2: 1, 3: 1}
     assert r.is_ns(1) is True  # forgotten, noise again
+
+
+def test_referee_rejects_window_below_one():
+    for w in (0, -1):
+        with pytest.raises(ValueError):
+            Referee(window=w)
+    assert Referee(window=None).window is None
+    assert Referee(window=1).is_ns(5) is True
 
 
 def test_referee_window_count_consistency():
@@ -162,25 +172,66 @@ def test_dev_rate():
     assert close(dev_rate([0.0, 0.1, 0.3], 0.1, 2), 2 / 3)
 
 
+def test_deviates_ratio_equal_to_d_does_not_deviate():
+    # 0.5 / 0.25 is exactly 2.0, in both directions
+    assert dev_ratio(0.5, 0.25) == dev_ratio(0.25, 0.5) == 2.0
+    assert deviates(0.5, 0.25, 2.0) == deviates(0.25, 0.5, 2.0) == 0
+    assert multidev(1, {1: 0.5}, {1: 0.25}) == (2.0, 2.0)
+    assert deviates(0.5, 0.25, 1.999) == 1
+
+
+def test_dev_ratio_zero_estimate_is_inf():
+    assert dev_ratio(0.0, 0.1) == math.inf
+    assert multidev(1, {}, {1: 0.1}) == (math.inf, math.inf)
+
+
 def test_multidev_any_missing_item():
     p = {1: 0.5, 2: 0.3}
-    assert multidev(1, {1: 0.5}, p, 1.5, "any") == 1
+    worst, obs = multidev(1, {1: 0.5}, p)
+    assert worst > 1.5 and not obs > 1.5
 
 
 def test_multidev_obs_noise_agreement():
     p = {1: 0.5}
-    assert multidev(99, {}, p, 1.5, "obs") == 0
-    assert multidev(99, {99: 0.05}, p, 1.5, "obs") == 1
+    assert not multidev(99, {}, p)[1] > 1.5
+    assert multidev(99, {99: 0.05}, p)[1] > 1.5
+    # a noise observation at exactly p_min deviates, one below does not
+    assert multidev(99, {99: 0.01}, p, p_min=0.01)[1] > 1.5
+    assert not multidev(99, {99: 0.0099}, p, p_min=0.01)[1] > 1.5
 
 
 def test_multidev_exact_match():
     p = {1: 0.5, 2: 0.3}
-    assert multidev(1, dict(p), p, 1.5, "any") == 0
+    assert multidev(1, dict(p), p) == (1.0, 1.0)
 
 
-def test_multidev_bad_mode():
+def test_multidev_empty_maps():
+    assert multidev(1, {}, {}) == (0.0, 0.0)
+    assert multidev(1, {1: 0.5}, {}) == (0.0, math.inf)
+
+
+def test_multidev_bad_tp():
     with pytest.raises(ValueError):
-        multidev(1, {}, {1: 0.5}, 1.5, "nope")
+        multidev(1, {1: 0.5}, {1: 0.5, 2: 0.0})
+
+
+@pytest.mark.parametrize("o", [1, 2, 3, 99])
+def test_multidev_matches_per_threshold_reference(o):
+    rng = np.random.default_rng(o)
+    ds = (1.0, 1.25, 1.5, 2.0, 3.0, 1e6)
+    for _ in range(300):
+        p = {i: float(v) for i, v in zip((1, 2, 3), rng.dirichlet([1] * 4))}
+        q = {i: float(rng.choice([0.0, 0.01, p.get(i, 0.2), rng.random()]))
+             for i in (1, 2, 3, 99)}
+        q = {i: v for i, v in q.items() if v > 0.0}
+        worst, obs = multidev(o, q, p, 0.01)
+        for d in ds:
+            for mode, r in (("any", worst), ("obs", obs)):
+                assert int(r > d) == reference_scoring.multidev(
+                    o, q, p, d, mode, 0.01)
+            for i in p:
+                assert deviates(q.get(i, 0.0), p[i], d) == \
+                    reference_scoring.deviates(q.get(i, 0.0), p[i], d)
 
 
 # --- schedule / optimal loss ------------------------------------------------

@@ -8,12 +8,13 @@ from click.testing import CliRunner
 
 from smatrack import harness, synth
 from smatrack.cli import cli
-from smatrack.evaluation import Referee, avg_logloss_ns
+from smatrack.evaluation import Referee, Schedule, avg_logloss_ns, quad_rule
 from smatrack.harness import (ConfigError, EvalConfig, ExperimentSpec,
                               ingest_sequence, make_predictor,
                               run_conditional, run_experiment,
                               run_prequential, run_self_concat, run_trace)
 from smatrack.predictors import Dyal, Ema
+import reference_scoring
 
 
 def close(a, b, tol=1e-9):
@@ -72,6 +73,7 @@ def test_prequential_bounded():
 
 def test_prequential_agrees_with_reference_scorer():
     # the inlined loss/quad loop must match the reference functions
+    # exactly: same rules, same summation order
     rng = np.random.default_rng(0)
     obs = rng.integers(0, 5, size=300).tolist()
     pred_a = Ema(beta=0.05)
@@ -82,7 +84,41 @@ def test_prequential_agrees_with_reference_scorer():
         preds.append(pred_b.predict())
         pred_b.update(o)
     ref = avg_logloss_ns(preds, obs, Referee(c_ns=2))
-    assert close(res.metrics["avg_logloss_ns"], ref, 1e-12)
+    assert res.metrics["avg_logloss_ns"] == ref
+    quad = 0.0
+    for q, o in zip(preds, obs):
+        quad += quad_rule(q, o)
+    assert res.metrics["avg_quad"] == quad / len(obs)
+
+
+_PARAMS = {"ema": "0.05", "harmonic-ema": "0.01", "queues": "3",
+           "ts-queues": "10", "box": "50", "dyal": "0.01"}
+
+
+@pytest.mark.parametrize("kind", harness.PREDICTOR_KINDS)
+@pytest.mark.parametrize("stream", ["multi-item", "nonstat-single"])
+def test_prequential_matches_per_step_reference(kind, stream):
+    # losses and every dev_rate, recomputed one step and one threshold at
+    # a time through logloss_rule_ns, quad_rule and the earlier
+    # per-threshold deviates/multidev, must come out equal
+    rng = np.random.default_rng(7)
+    if stream == "multi-item":
+        s = synth.gen_sequence(synth.GenConfig(o_min=10, desired_len=1500),
+                               rng)
+        track = None
+    else:
+        s = synth.gen_single_nonstationary(
+            "oscillate", synth.GenConfig(o_min=5), 1500, rng)
+        track = 1
+    ecfg = EvalConfig(dev_ds=(1.0, 1.5, 2.0, 4.0))
+    res = run_prequential(make_predictor(kind, _PARAMS[kind]),
+                          s.observations, ecfg, schedule=s.schedule,
+                          track_item=track)
+    want = reference_scoring.prequential(
+        make_predictor(kind, _PARAMS[kind]), s.observations, ecfg,
+        schedule=s.schedule, track_item=track)
+    assert len(want) == 2 + len(ecfg.dev_ds) * (1 if track else 2)
+    assert res.metrics == want
 
 
 def test_prequential_single_item_dev_metrics():
@@ -103,6 +139,45 @@ def test_prequential_multi_item_dev_metrics():
     assert "dev_rate_any_d2" in res.metrics
     assert res.metrics["dev_rate_obs_d1.5"] <= \
         res.metrics["dev_rate_any_d1.5"] + 1e-12
+
+
+class FixedPredictor(EmptyPredictor):
+    def __init__(self, q):
+        self.q = q
+
+    def predict(self):
+        return dict(self.q)
+
+
+def test_prequential_ratio_equal_to_d_does_not_deviate():
+    # every estimate is off by exactly 2 (powers of two divide exactly);
+    # the noise observation 9 gets exactly p_min
+    sched = Schedule([(1, {1: 0.25, 2: 0.5})])
+    pred = FixedPredictor({1: 0.5, 2: 0.25, 9: 0.01})
+    obs = [1, 2, 9, 1]
+    ecfg = EvalConfig(dev_ds=(1.5, 2.0))
+    m = run_prequential(pred, obs, ecfg, schedule=sched).metrics
+    assert m == reference_scoring.prequential(pred, obs, ecfg,
+                                              schedule=sched)
+    assert m["dev_rate_any_d1.5"] == m["dev_rate_obs_d1.5"] == 1.0
+    assert m["dev_rate_any_d2"] == 0.0
+    assert m["dev_rate_obs_d2"] == 0.25   # only the noise step
+    m = run_prequential(pred, obs, ecfg, schedule=sched,
+                        track_item=2).metrics
+    assert m["dev_rate_d1.5"] == 1.0 and m["dev_rate_d2"] == 0.0
+
+
+def test_eval_config_rejects_out_of_domain():
+    for kw in ({"p_ns": 0.0}, {"p_ns": 1.0}, {"p_ns": -0.1},
+               {"p_ns": float("nan")}, {"p_min": -0.01}, {"p_min": 1.0},
+               {"c_ns": -1}, {"window": 0}, {"window": -3},
+               {"dev_ds": (0.5,)}, {"dev_ds": (1.5, 0.99)},
+               {"dev_ds": (math.inf,)}, {"dev_ds": (1.5, 2.0, 1.5)},
+               {"dev_ds": (1.5, 1.5000001)}):
+        with pytest.raises(ConfigError):
+            EvalConfig(**kw)
+    # domain edges
+    EvalConfig(p_min=0.0, p_ns=0.999, c_ns=0, window=1, dev_ds=(1.0,))
 
 
 # --- predictor registry -----------------------------------------------------
@@ -359,16 +434,21 @@ def test_cli_exit_codes(tmp_path):
     import sys
     env = dict(os.environ)
     # config errors: unknown method kind, out-of-domain parameters, a
-    # duplicated label, no sequences; each is one line on stderr
+    # duplicated label, no sequences, out-of-domain scoring options; each
+    # is one line on stderr
     for args in (["--method", "bogus:1"], ["--method", "ema:abc"],
                  ["--method", "queues:0"], ["--method", "ema:0"],
                  ["--method", "dyal:-1"],
                  ["--method", "ema:0.1", "--method", "ema:0.1"],
                  ["--method", "ema:0.1", "--method", "box:10",
-                  "--n-seqs", "0"]):
+                  "--n-seqs", "0"],
+                 ["--method", "ema:0.1", "--p-ns", "0"],
+                 ["--method", "ema:0.1", "--referee-window", "0"],
+                 ["--method", "ema:0.1", "--c-ns", "-1"],
+                 ["--method", "ema:0.1", "--d", "0.5"]):
         r = subprocess.run([sys.executable, "-m", "smatrack.cli", "run",
-                            "--kind", "stationary-single", *args,
-                            "--out", str(tmp_path / "x")],
+                            "--kind", "stationary-single", "--seq-len",
+                            "500", *args, "--out", str(tmp_path / "x")],
                            capture_output=True, env=env)
         assert r.returncode == 2, args
         assert len(r.stderr.decode().strip().splitlines()) == 1, args

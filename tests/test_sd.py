@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from smatrack.sd_core import (FcConfig, allocated, augment,
                               distortion_threshold, entropy, filter_cap, kl,
                               kl_bounded, kl_ns, logloss_ns_expected,
-                              scale_drop, sd_from_csv, sd_to_csv, unallocated)
+                              sd_from_csv, sd_to_csv, unallocated)
+import reference_scoring
 
 CFG = FcConfig(0.01, 0.01)
 
@@ -16,27 +17,30 @@ def close(a, b, tol=1e-9):
     return abs(a - b) <= tol
 
 
-# --- scale_drop -------------------------------------------------------------
-
-def test_scale_drop_filter_only():
-    assert scale_drop({1: 0.6, 2: 0.005}, 1.0, 0.01) == {1: 0.6}
-
-
-def test_scale_drop_scales():
-    out = scale_drop({1: 0.6, 2: 0.5}, 0.9, 0.01)
-    assert close(out[1], 0.54) and close(out[2], 0.45)
-
-
-def test_scale_drop_empty():
-    assert scale_drop({}, 0.5, 0.01) == {}
-
-
-def test_scale_drop_rejects_bad_alpha():
-    with pytest.raises(ValueError):
-        scale_drop({1: 0.5}, 0.0, 0.01)
-
-
 # --- filter_cap -------------------------------------------------------------
+
+def test_filter_cap_filter_only():
+    # an entry at exactly p_min is kept
+    out = filter_cap({1: 0.6, 2: 0.005, 3: 0.01}, CFG)
+    assert out == {1: 0.6, 3: 0.01}
+
+
+def test_filter_cap_empty():
+    assert filter_cap({}, CFG) == {}
+
+
+def test_filter_cap_drops_scaled_entry_below_p_min():
+    # filtered sum 1.0001 > 0.99; 0.0101 scales to about 0.009998
+    out = filter_cap({1: 0.99, 2: 0.0101}, CFG)
+    assert list(out) == [1]
+    assert out[1] == 0.99 * (0.99 / (0.99 + 0.0101))
+
+
+def test_filter_cap_keeps_insertion_order():
+    m = {5: 0.3, 1: 0.2, 9: 0.001, 3: 0.6}
+    assert list(filter_cap(m, CFG)) == [5, 1, 3]       # scaled
+    assert list(filter_cap({5: 0.3, 1: 0.2, 9: 0.001}, CFG)) == [5, 1]
+
 
 def test_filter_cap_already_capped():
     assert filter_cap({1: 0.5, 2: 0.2}, CFG) == {1: 0.5, 2: 0.2}
@@ -66,6 +70,15 @@ def test_filter_cap_postconditions(m):
     out = filter_cap(m, CFG)
     assert all(v >= CFG.p_min for v in out.values())
     assert allocated(out) <= 1.0 - CFG.p_ns + 1e-12
+
+
+@settings(max_examples=500, deadline=None)
+@given(pr_maps, st.sampled_from([FcConfig(0.01, 0.01), FcConfig(0.0, 0.2),
+                                 FcConfig(0.05, 0.001)]))
+def test_filter_cap_matches_two_pass_reference(m, cfg):
+    out = filter_cap(m, cfg)
+    want = reference_scoring.filter_cap(m, cfg)
+    assert out == want and list(out) == list(want)
 
 
 @settings(max_examples=300, deadline=None)
