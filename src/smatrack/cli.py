@@ -29,8 +29,15 @@ def _parse_method(text):
     return text, kind, param
 
 
+# --config keys and their types; flags of the same names win.
+_CONFIG_KEYS = {"p_min": float, "p_ns": float, "c_ns": int,
+                "referee_window": int}
+
+
 def _read_config_file(path):
-    """Plain key=value lines; blank lines and # comments ignored."""
+    """Plain key=value lines; blank lines and # comments ignored.
+    ConfigError for a key not in _CONFIG_KEYS or a value of the wrong
+    type."""
     out = {}
     with open(path, encoding="utf-8") as f:
         for line in f:
@@ -39,20 +46,26 @@ def _read_config_file(path):
                 continue
             if "=" not in line:
                 raise click.UsageError("bad config line: %r" % (line,))
-            k, v = line.split("=", 1)
-            out[k.strip()] = v.strip()
+            k, v = (x.strip() for x in line.split("=", 1))
+            if k not in _CONFIG_KEYS:
+                raise ConfigError("config key %r: must be one of %s"
+                                  % (k, ", ".join(_CONFIG_KEYS)))
+            try:
+                out[k] = _CONFIG_KEYS[k](v)
+            except ValueError:
+                raise ConfigError("config %s=%s: not a valid %s"
+                                  % (k, v, _CONFIG_KEYS[k].__name__))
     return out
 
 
 def _eval_config(cfg_file, p_min, p_ns, c_ns, referee_window, dev):
     base = _read_config_file(cfg_file) if cfg_file else {}
     return EvalConfig(
-        p_min=p_min if p_min is not None else float(base.get("p_min", 0.01)),
-        p_ns=p_ns if p_ns is not None else float(base.get("p_ns", 0.01)),
-        c_ns=c_ns if c_ns is not None else int(base.get("c_ns", 2)),
+        p_min=p_min if p_min is not None else base.get("p_min", 0.01),
+        p_ns=p_ns if p_ns is not None else base.get("p_ns", 0.01),
+        c_ns=c_ns if c_ns is not None else base.get("c_ns", 2),
         window=referee_window if referee_window is not None
-        else (int(base["referee_window"]) if "referee_window" in base
-              else None),
+        else base.get("referee_window"),
         dev_ds=tuple(dev) if dev else (1.5, 2.0))
 
 
@@ -169,8 +182,8 @@ def compare(per_seq, method_a, method_b, metric):
 @cli.command()
 @click.option("--input", "input_path", type=click.Path(), required=True)
 @click.option("--method", default="dyal:0.01", show_default=True)
-@click.option("--self-concat", "concat_k", type=int, default=1,
-              show_default=True,
+@click.option("--self-concat", "concat_k", type=click.IntRange(min=1),
+              default=1, show_default=True,
               help="repeat the sequence this many times.")
 @click.option("--track-item", type=int, default=None,
               help="also trace this item's estimate.")
@@ -179,11 +192,11 @@ def trace(input_path, method, concat_k, track_item, out):
     """Learning-rate (and optional estimate) trajectories on a token
     file; self-concatenation makes drift visible as rate spikes."""
     _label, kind, param = _parse_method(method)
-    obs = harness.ingest_sequence(input_path)
-    os.makedirs(out, exist_ok=True)
     if kind != "dyal":
         raise click.UsageError("rate traces require a dyal method")
     pred = harness.make_predictor(kind, param)
+    obs = harness.ingest_sequence(input_path)
+    os.makedirs(out, exist_ok=True)
     rows = harness.run_self_concat(obs, concat_k, pred)
     path = os.path.join(out, "rate_trace.csv")
     harness._write_csv(path, ["t", "max_rate", "median_rate", "out_degree"],

@@ -128,27 +128,6 @@ class Queues:
         return dropped
 
 
-class SingleCellMle:
-    """One-cell variant: PR is the maximum-likelihood 1/c where c counts
-    the steps since the item was last observed (inclusive). Kept for its
-    worst-case PR-spread properties; not a practical predictor."""
-
-    def __init__(self):
-        self.c_map = {}
-
-    def get_params(self):
-        return {}
-
-    def predict(self):
-        return {i: 1.0 / c for i, c in self.c_map.items()}
-
-    def update(self, o):
-        for i in self.c_map:
-            if i != o:
-                self.c_map[i] += 1
-        self.c_map[o] = 1
-
-
 class Box:
     """Fixed window of the last K observations with exact counts;
     PR = count in window / window length."""
@@ -202,6 +181,12 @@ class Dyal:
         self.prune_every = prune_every
         self.ema_map = {}
         self.rate_map = {}
+        # A rate at this floor decays to itself, so weaken_edges skips
+        # the call; None where that does not hold (decay_rate(0, 0)
+        # divides by zero).
+        self._fixed_rate = (beta_min if beta_min > 0.0 and
+                            decay_rate(beta_min, beta_min) == beta_min
+                            else None)
 
     def get_params(self):
         return {"beta_min": self.beta_min, "qcap": self.queues.qcap,
@@ -240,39 +225,55 @@ class Dyal:
             return False
         return binomial_significance(ema_pr, q_pr, q_count) >= self.sig_thresh
 
-    def _significantly_low(self, ema_pr, q_pr, q_count):
-        if ema_pr <= q_pr:
-            return False
-        return binomial_significance(ema_pr, q_pr, q_count) >= self.sig_thresh
-
     def weaken_edges(self, o):
         """Weaken every edge except o's, possibly resetting an edge from
         its queue, and drop edges that have sunk below p_min. Returns the
-        free mass 1 - (surviving weight, including o's untouched weight)."""
+        free mass 1 - (surviving weight, including o's untouched weight).
+
+        One loop, since it visits every edge on every update:
+        Queues.pr_count and the significance test are inlined, and a
+        rate at its fixed floor skips decay_rate. The items() snapshot
+        is safe because only the visited edge changes."""
+        ema_map = self.ema_map
+        rate_map = self.rate_map
+        q_map = self.queues.q_map
+        clock = self.queues.clock
+        p_min = self.p_min
+        beta_min = self.beta_min
+        sig = self.sig_thresh
+        fixed = self._fixed_rate
         used = 0.0
-        for i in list(self.rate_map):
+        for i, beta in list(rate_map.items()):
+            e = ema_map[i]
             if i == o:
-                used += self.ema_map[i]
+                used += e
                 continue
-            q_pr, q_count = self.queues.pr_count(i)
-            if max(self.ema_map[i], q_pr) < self.p_min:
-                del self.ema_map[i]
-                del self.rate_map[i]
-                continue
-            if self._significantly_low(self.ema_map[i], q_pr, q_count):
-                if q_pr > 0.0:
-                    self.ema_map[i] = q_pr
-                else:
-                    del self.ema_map[i]
-                    del self.rate_map[i]
-                    continue
-                self.rate_map[i] = self._queue_rate(q_count)
+            q = q_map.get(i)
+            if q is None:
+                q_pr, q_count = 0.0, 0
             else:
-                beta = self.rate_map[i]
-                self.ema_map[i] *= (1.0 - beta)
-                self.rate_map[i] = decay_rate(beta, self.beta_min)
-            used += self.ema_map[i]
-        return max(0.0, 1.0 - used)
+                q_count = clock - q[-1] + 1
+                n = len(q)
+                q_pr = (n - 1) / (q_count - 1) if n > 1 else 0.0
+            if e < p_min and q_pr < p_min:
+                del ema_map[i]
+                del rate_map[i]
+                continue
+            if e > q_pr and binomial_significance(e, q_pr, q_count) >= sig:
+                if q_pr == 0.0:
+                    del ema_map[i]
+                    del rate_map[i]
+                    continue
+                e = q_pr
+                rate_map[i] = self._queue_rate(q_count)
+            else:
+                e *= (1.0 - beta)
+                if beta != fixed:
+                    rate_map[i] = decay_rate(beta, beta_min)
+            ema_map[i] = e
+            used += e
+        free = 1.0 - used
+        return free if free > 0.0 else 0.0
 
     def max_rate(self):
         return max(self.rate_map.values(), default=0.0)

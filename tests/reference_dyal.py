@@ -1,0 +1,109 @@
+"""Reference Dyal for smatrack.predictors.Dyal.
+
+This is Dyal as first written: the per-edge pass reads each queue
+through Queues.pr_count, tests for a significantly low weight in its own
+method, and decays every rate through decay_rate. The Dyal in src/ walks
+the edges in one inlined loop; it must match this one bit for bit (maps,
+key order, rates and free mass), so the tests drive both side by side.
+"""
+
+import statistics
+
+from smatrack.predictors import Queues, binomial_significance, decay_rate
+
+
+class ReferenceDyal:
+    """EMA with a per-edge learning rate and a per-edge queue. The queue
+    acts as a change detector: when its proportion disagrees with the
+    EMA weight by a significant binomial-tail score, the weight and rate
+    are reset from the queue ("listening"); otherwise the edge follows a
+    plain EMA step with harmonic rate decay down to beta_min."""
+
+    def __init__(self, beta_min=0.01, qcap=3, sig_thresh=5.0, p_min=0.01,
+                 s1=100, s2=100000, prune_every=1000):
+        self.beta_min = beta_min
+        self.sig_thresh = sig_thresh
+        self.p_min = p_min
+        self.queues = Queues(qcap=qcap, s1=s1, s2=s2, prune_every=None)
+        self.prune_every = prune_every
+        self.ema_map = {}
+        self.rate_map = {}
+
+    def get_params(self):
+        return {"beta_min": self.beta_min, "qcap": self.queues.qcap,
+                "sig_thresh": self.sig_thresh, "p_min": self.p_min}
+
+    def predict(self):
+        return dict(self.ema_map)
+
+    def _queue_rate(self, q_count):
+        return min(1.0, max(1.0 / q_count, self.beta_min))
+
+    def update(self, o):
+        q_pr, q_count = self.queues.pr_count(o)  # before the queue update
+        self.queues.update(o)
+        if self.prune_every and self.queues.clock % self.prune_every == 0:
+            for i in self.queues.prune():
+                self.ema_map.pop(i, None)
+                self.rate_map.pop(i, None)
+        free = self.weaken_edges(o)
+        if q_pr == 0.0:
+            return  # o is currently noise-level; queue only
+        ema_pr = self.ema_map.get(o, 0.0)
+        if self._significantly_high(ema_pr, q_pr, q_count):
+            self.rate_map[o] = self._queue_rate(q_count)
+            delta = min(q_pr - ema_pr, free)
+        else:
+            beta = self.rate_map[o]
+            delta = min((1.0 - ema_pr) * beta, free)
+            self.rate_map[o] = decay_rate(beta, self.beta_min)
+        self.ema_map[o] = ema_pr + delta
+
+    def _significantly_high(self, ema_pr, q_pr, q_count):
+        if ema_pr == 0.0:
+            return True
+        if q_pr <= ema_pr:
+            return False
+        return binomial_significance(ema_pr, q_pr, q_count) >= self.sig_thresh
+
+    def _significantly_low(self, ema_pr, q_pr, q_count):
+        if ema_pr <= q_pr:
+            return False
+        return binomial_significance(ema_pr, q_pr, q_count) >= self.sig_thresh
+
+    def weaken_edges(self, o):
+        """Weaken every edge except o's, possibly resetting an edge from
+        its queue, and drop edges that have sunk below p_min. Returns the
+        free mass 1 - (surviving weight, including o's untouched weight)."""
+        used = 0.0
+        for i in list(self.rate_map):
+            if i == o:
+                used += self.ema_map[i]
+                continue
+            q_pr, q_count = self.queues.pr_count(i)
+            if max(self.ema_map[i], q_pr) < self.p_min:
+                del self.ema_map[i]
+                del self.rate_map[i]
+                continue
+            if self._significantly_low(self.ema_map[i], q_pr, q_count):
+                if q_pr > 0.0:
+                    self.ema_map[i] = q_pr
+                else:
+                    del self.ema_map[i]
+                    del self.rate_map[i]
+                    continue
+                self.rate_map[i] = self._queue_rate(q_count)
+            else:
+                beta = self.rate_map[i]
+                self.ema_map[i] *= (1.0 - beta)
+                self.rate_map[i] = decay_rate(beta, self.beta_min)
+            used += self.ema_map[i]
+        return max(0.0, 1.0 - used)
+
+    def max_rate(self):
+        return max(self.rate_map.values(), default=0.0)
+
+    def median_rate(self):
+        if not self.rate_map:
+            return 0.0
+        return statistics.median(self.rate_map.values())

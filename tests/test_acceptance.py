@@ -10,7 +10,8 @@ import pytest
 from smatrack.evaluation import deviates, logloss_rule_ns, sign_test
 from smatrack.harness import EvalConfig, ExperimentSpec, run_experiment
 from count_cell_queues import CountCellQueues, matches
-from smatrack.predictors import Box, Dyal, Ema, Queues, SingleCellMle
+from single_cell_mle import SingleCellMle
+from smatrack.predictors import Box, Dyal, Ema, Queues
 from smatrack.sd_core import (FcConfig, allocated, distortion_threshold,
                               filter_cap)
 from smatrack.synth import GenConfig

@@ -452,6 +452,31 @@ def test_cli_exit_codes(tmp_path):
                            capture_output=True, env=env)
         assert r.returncode == 2, args
         assert len(r.stderr.decode().strip().splitlines()) == 1, args
+    # config files: a value of the wrong type, a misspelt key
+    tokens = tmp_path / "tok.txt"
+    tokens.write_text("a\nb\na\n")
+    for i, text in enumerate(("p_ns=abc\n", "c_ns=2.5\n", "pns=0.5\n")):
+        cfg = tmp_path / ("bad%d.cfg" % i)
+        cfg.write_text(text)
+        r = subprocess.run([sys.executable, "-m", "smatrack.cli", "run",
+                            "--kind", "real-file", "--input", str(tokens),
+                            "--method", "ema:0.1", "--config", str(cfg),
+                            "--out", str(tmp_path / "x")],
+                           capture_output=True, env=env)
+        assert r.returncode == 2, text
+        assert len(r.stderr.decode().strip().splitlines()) == 1, text
+    # trace: a self-concat below 1, a method that is not dyal, and a bad
+    # dyal parameter fail before the output directory is made
+    for args in (["--self-concat", "0"], ["--self-concat", "-2"],
+                 ["--method", "ema:0.01"], ["--method", "dyal:abc"]):
+        out = tmp_path / "trace-out"
+        r = subprocess.run([sys.executable, "-m", "smatrack.cli", "trace",
+                            "--input", str(tokens), *args,
+                            "--out", str(out)],
+                           capture_output=True, env=env)
+        assert r.returncode == 2, args
+        assert len(r.stderr.decode().strip().splitlines()) == 1, args
+        assert not out.exists(), args
     # runtime error: unreadable input file
     r = subprocess.run([sys.executable, "-m", "smatrack.cli",
                         "ingest-check", "/nonexistent/nope.txt"],

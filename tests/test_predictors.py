@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from count_cell_queues import CountCellQueues, matches
-from smatrack.predictors import (Box, Dyal, Ema, Queues, SingleCellMle,
+from reference_dyal import ReferenceDyal
+from single_cell_mle import SingleCellMle
+from smatrack.predictors import (Box, Dyal, Ema, Queues,
                                  binomial_significance, decay_rate)
 
 
@@ -497,6 +499,80 @@ def test_dyal_converges_to_target():
         if t >= 10000:
             total += d.ema_map.get(1, 0.0)
     assert abs(total / 10000 - tp) < 0.03
+
+
+def _drifting_stream(rng, n):
+    """Periods of random length over a few items with random weights,
+    one-off noise ids, and runs of one item."""
+    out = []
+    while len(out) < n:
+        base = int(rng.integers(0, 20))
+        w = rng.dirichlet(np.ones(int(rng.integers(1, 6))))
+        for _ in range(int(rng.integers(5, 200))):
+            u = rng.random()
+            if u < 0.05:
+                out.append(1000 + len(out))
+            elif u < 0.1:
+                out += [base] * int(rng.integers(2, 8))
+            else:
+                out.append(base + int(rng.choice(len(w), p=w)))
+    return out[:n]
+
+
+def _recording_free(d, frees):
+    inner = d.weaken_edges
+
+    def weaken_edges(o):
+        free = inner(o)
+        frees.append(free)
+        return free
+    d.weaken_edges = weaken_edges
+
+
+@pytest.mark.parametrize("sig_thresh", [0.0, 5.0])
+@pytest.mark.parametrize("qcap", [1, 3])
+@pytest.mark.parametrize("beta_min", [0.0, 0.001, 0.01, 0.5, 1.0])
+def test_dyal_matches_reference(beta_min, qcap, sig_thresh):
+    # the one-loop weaken_edges against Dyal as first written, pruning
+    # on: every map (values and key order), prediction, free mass and
+    # trace row must be equal, not close. With qcap 1 no queue leaves
+    # its grace period, so both must stay without edges.
+    rng = np.random.default_rng(17)
+    for _ in range(6):
+        kw = dict(beta_min=beta_min, qcap=qcap, sig_thresh=sig_thresh,
+                  s1=int(rng.integers(2, 6)), s2=int(rng.integers(10, 60)),
+                  prune_every=int(rng.integers(3, 15)))
+        d, ref = Dyal(**kw), ReferenceDyal(**kw)
+        frees, ref_frees = [], []
+        _recording_free(d, frees)
+        _recording_free(ref, ref_frees)
+        for o in _drifting_stream(rng, 800):
+            d.update(o)
+            ref.update(o)
+            assert list(d.ema_map.items()) == list(ref.ema_map.items())
+            assert list(d.rate_map.items()) == list(ref.rate_map.items())
+            assert list(d.predict().items()) == list(ref.predict().items())
+            assert frees[-1] == ref_frees[-1]
+            assert (d.max_rate(), d.median_rate(), len(d.ema_map)) == \
+                (ref.max_rate(), ref.median_rate(), len(ref.ema_map))
+
+
+def test_dyal_weaken_edges_matches_reference_without_queues():
+    # edges with no queue (state set by hand) read as PR 0, count 0; a
+    # weight at exactly p_min stays, and o's untouched weight of 1
+    # leaves no free mass
+    for beta_min in (0.0, 0.01, 1.0):
+        for o in (3, 4):
+            d, ref = Dyal(beta_min=beta_min), ReferenceDyal(beta_min=beta_min)
+            for x in (d, ref):
+                x.ema_map = {1: 0.5, 2: 0.005, 3: 1.0, 4: 0.2, 5: 0.01}
+                x.rate_map = {1: 0.1, 2: 0.5, 3: beta_min, 4: 1.0, 5: 0.1}
+            free = d.weaken_edges(o)
+            assert free == ref.weaken_edges(o)
+            assert list(d.ema_map.items()) == list(ref.ema_map.items())
+            assert list(d.rate_map.items()) == list(ref.rate_map.items())
+            assert 5 in d.ema_map and 2 not in d.ema_map
+            assert (free == 0.0) == (o == 3)
 
 
 # --- shared contract --------------------------------------------------------

@@ -1,0 +1,140 @@
+"""Property tests over every PREDICTOR_KINDS entry: the predicted map
+is a semi-distribution with no zero entries, predict() has no side
+effects, a stream gives the same run every time, and the kinds that
+prune keep their state bounded on an open-ended stream."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from smatrack.harness import PREDICTOR_KINDS, make_predictor
+from smatrack.sd_core import SUM_SLACK, allocated
+
+SD_KINDS = ("ema", "harmonic-ema", "box", "dyal")
+PARAMS = {
+    "ema": st.floats(0.0, 1.0, exclude_min=True),
+    "harmonic-ema": st.floats(0.0, 1.0),
+    "queues": st.integers(1, 12),
+    "ts-queues": st.integers(1, 12),
+    "box": st.integers(1, 30),
+    "dyal": st.floats(0.0, 1.0),
+}
+assert set(PARAMS) == set(PREDICTOR_KINDS)
+
+methods = st.sampled_from(PREDICTOR_KINDS).flatmap(
+    lambda kind: st.tuples(st.just(kind), PARAMS[kind].map(repr)))
+# runs of one item; small ids recur, large ones are mostly seen once
+streams = st.lists(
+    st.tuples(st.one_of(st.integers(0, 6), st.integers(0, 10 ** 6)),
+              st.integers(1, 5)),
+    max_size=120).map(lambda runs: [o for o, n in runs for _ in range(n)])
+
+# Known zero entries, each with a stream that shows it: an Ema weight
+# left unobserved underflows to 0.0, and a Dyal rate of 1 weakens an
+# edge to 0.0 while its queue PR keeps it above p_min.
+ZERO_ENTRIES = {
+    "ema": ("0.999", [0] + [1] * 120),
+    "harmonic-ema": ("0.999", [0] + [1] * 120),
+    "dyal": ("1.0", [0, 0, 0, 1, 1]),
+}
+
+
+def state(x):
+    """Plain-data copy of a predictor's attributes, dict order kept."""
+    if isinstance(x, dict):
+        return [(k, state(v)) for k, v in x.items()]
+    if isinstance(x, (list, tuple)):
+        return [state(v) for v in x]
+    if hasattr(x, "__dict__"):
+        return state(vars(x))
+    return x
+
+
+@settings(max_examples=200, deadline=None)
+@given(methods, streams)
+def test_map_is_semi_distribution(method, stream):
+    kind, param = method
+    pred = make_predictor(kind, param)
+    for o in stream:
+        pred.update(o)
+        q = pred.predict()
+        assert all(0.0 <= v <= 1.0 for v in q.values()), (kind, param, q)
+        if kind in SD_KINDS:
+            assert allocated(q) <= 1.0 + SUM_SLACK, (kind, param, q)
+
+
+def _assert_no_zero_entries(kind, param, stream):
+    pred = make_predictor(kind, param)
+    for o in stream:
+        pred.update(o)
+        q = pred.predict()
+        assert all(v > 0.0 for v in q.values()), (kind, param, q)
+
+
+@pytest.mark.parametrize("kind", [
+    pytest.param(kind, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="a weight can reach exactly 0.0 and stay in the map"))
+    if kind in ZERO_ENTRIES else kind for kind in PREDICTOR_KINDS])
+def test_map_has_no_zero_entries(kind):
+    if kind in ZERO_ENTRIES:
+        _assert_no_zero_entries(kind, *ZERO_ENTRIES[kind])
+
+    @settings(max_examples=100, deadline=None)
+    @given(PARAMS[kind].map(repr), streams)
+    def check(param, stream):
+        _assert_no_zero_entries(kind, param, stream)
+    check()
+
+
+@settings(max_examples=100, deadline=None)
+@given(methods, streams)
+def test_predict_is_pure(method, stream):
+    pred = make_predictor(*method)
+    for o in stream:
+        before = state(pred)
+        a = pred.predict()
+        b = pred.predict()
+        assert list(a.items()) == list(b.items())
+        a[-1] = 1.0  # the caller owns the returned map
+        assert state(pred) == before
+        pred.update(o)
+
+
+@settings(max_examples=100, deadline=None)
+@given(methods, streams)
+def test_same_stream_same_run(method, stream):
+    one, two = make_predictor(*method), make_predictor(*method)
+    for o in stream:
+        one.update(o)
+        two.update(o)
+        assert list(one.predict().items()) == list(two.predict().items())
+    assert state(one) == state(two)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(("queues", "ts-queues", "box", "dyal")),
+       st.integers(0, 2 ** 32 - 1), st.floats(0.2, 1.0))
+def test_state_bounded_on_open_ended_stream(kind, seed, fresh):
+    # mostly fresh ids, 3000 steps: unpruned, the maps would grow past
+    # every bound below
+    pred = make_predictor(kind, {"box": "50", "dyal": "0.01"}.get(kind, "3"))
+    rng = np.random.default_rng(seed)
+    for t in range(3000):
+        o = 10 ** 6 + t if rng.random() < fresh else int(rng.integers(0, 5))
+        pred.update(o)
+        if kind == "box":
+            # k observations counted; the window list is compacted
+            # once its head passes 2k
+            assert len(pred.counts) <= 50 and len(pred.window) <= 151
+            continue
+        queues = pred.queues if kind == "dyal" else pred
+        # cut back below 2*s1 at every prune, at most prune_every new
+        # queues in between
+        assert len(queues.q_map) < 2 * queues.s1 + pred.prune_every
+        if kind == "dyal":
+            assert len(pred.rate_map) == len(pred.ema_map) \
+                <= len(queues.q_map)
+    if kind != "box":
+        assert max(map(len, queues.q_map.values())) <= queues.qcap
