@@ -13,7 +13,7 @@ import sys
 import click
 import numpy as np
 
-from . import harness, predictors, synth
+from . import harness, synth
 from .evaluation import sign_test
 from .harness import ConfigError, EvalConfig, ExperimentSpec
 
@@ -24,8 +24,6 @@ def _parse_method(text):
     except ValueError:
         raise click.UsageError(
             "method must look like kind:param, e.g. dyal:0.01")
-    if kind not in harness.PREDICTOR_KINDS:
-        raise click.UsageError("unknown predictor kind: %r" % (kind,))
     return text, kind, param
 
 
@@ -192,19 +190,17 @@ def trace(input_path, method, concat_k, track_item, out):
     """Learning-rate (and optional estimate) trajectories on a token
     file; self-concatenation makes drift visible as rate spikes."""
     _label, kind, param = _parse_method(method)
+    pred = harness.make_predictor(kind, param)
     if kind != "dyal":
         raise click.UsageError("rate traces require a dyal method")
-    pred = harness.make_predictor(kind, param)
     obs = harness.ingest_sequence(input_path)
     os.makedirs(out, exist_ok=True)
-    rows = harness.run_self_concat(obs, concat_k, pred)
+    rates, est = harness.run_self_concat(obs, concat_k, pred, track_item)
     path = os.path.join(out, "rate_trace.csv")
     harness._write_csv(path, ["t", "max_rate", "median_rate", "out_degree"],
                        [(t + 1, repr(mx), repr(md), deg)
-                        for t, (mx, md, deg) in enumerate(rows)])
+                        for t, (mx, md, deg) in enumerate(rates)])
     if track_item is not None:
-        est = harness.run_trace(harness.make_predictor(kind, param),
-                                obs * concat_k, track_item)
         harness._write_csv(os.path.join(out, "estimate_trace.csv"),
                            ["t", "estimate"],
                            [(t + 1, repr(v)) for t, v in enumerate(est)])

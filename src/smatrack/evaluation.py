@@ -38,40 +38,40 @@ class Referee:
         return flagged
 
 
-def logloss_rule_ns(o, q, marked_ns, cfg=FcConfig()):
-    """Bounded log-loss of one prediction. The raw map is filter-capped;
-    a hit scores -ln of the capped weight, a miss scores -ln p_ns, and a
-    miss the referee marked as noise scores -ln of the unallocated mass
-    (at least p_ns by construction). Always in [0, -ln p_ns]."""
-    qp = filter_cap(q, cfg)
+def score(o, qp, marked_ns, neg_log_pns):
+    """Bounded log-loss and quadratic loss of one filter-capped map qp
+    against the outcome o, as (loss, quad). A hit scores -ln of its
+    weight; a miss scores neg_log_pns (-ln p_ns), or -ln of the
+    unallocated mass (at least p_ns by construction) if the referee
+    marked it as noise. The quadratic (Brier-style) loss is the squared
+    distance to the one-hot outcome, in [0, 2]."""
     prob = qp.get(o, 0.0)
-    if prob >= cfg.p_min and prob > 0.0:
-        return -math.log(prob)
-    if not marked_ns:
-        return -math.log(cfg.p_ns)
-    return -math.log(1.0 - sum(qp.values()))
+    if prob > 0.0:
+        loss = -math.log(prob)
+    elif not marked_ns:
+        loss = neg_log_pns
+    else:
+        loss = -math.log(1.0 - sum(qp.values()))
+    quad = (1.0 - prob) ** 2
+    for i, v in qp.items():
+        if i != o:
+            quad += v * v
+    return loss, quad
 
 
-def avg_logloss_ns(preds, obs, referee, cfg=FcConfig()):
-    if len(preds) != len(obs):
-        raise ValueError("preds and obs must have equal length")
-    if not obs:
-        return 0.0
-    total = 0.0
-    for q, o in zip(preds, obs):
-        total += logloss_rule_ns(o, q, referee.is_ns(o), cfg)
-    return total / len(obs)
+def logloss_rule_ns(o, q, marked_ns, cfg=FcConfig()):
+    """Bounded log-loss of the raw map q: `score` on its filter-capped
+    form. Always in [0, -ln p_ns]; p_ns must be positive."""
+    if not cfg.p_ns > 0.0:
+        raise ValueError("bounded log-loss needs p_ns > 0")
+    return score(o, filter_cap(q, cfg), marked_ns, -math.log(cfg.p_ns))[0]
 
 
 def quad_rule(q, o, cfg=FcConfig()):
-    """Quadratic (Brier-style) loss against the one-hot outcome, applied
-    to the filter-capped map; in [0, 2]."""
-    qp = filter_cap(q, cfg)
-    loss = (1.0 - qp.get(o, 0.0)) ** 2
-    for i, v in qp.items():
-        if i != o:
-            loss += v * v
-    return loss
+    """Quadratic loss of the raw map q: `score` on its filter-capped
+    form. No miss is scored as noise, so no logarithm of p_ns or of the
+    unallocated mass is taken, and p_ns = 0 is allowed."""
+    return score(o, filter_cap(q, cfg), False, 0.0)[1]
 
 
 def dev_ratio(p_hat, tp):
@@ -89,12 +89,6 @@ def deviates(p_hat, tp, d):
     is zero or off from the true probability by more than a factor of d
     in either direction."""
     return 1 if dev_ratio(p_hat, tp) > d else 0
-
-
-def dev_rate(estimates, tp, d):
-    if len(estimates) == 0:
-        return 0.0
-    return sum(deviates(p, tp, d) for p in estimates) / len(estimates)
 
 
 def multidev(o, q, p, p_min=0.01):

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import predictors, synth
 from .evaluation import (Referee, dev_ratio, logloss_rule_ns, multidev,
-                         optimal_logloss, quad_rule, sign_test)
+                         optimal_logloss, score, sign_test)
 from .sd_core import FcConfig, filter_cap
 
 
@@ -115,21 +115,8 @@ def run_prequential(pred, obs, ecfg, schedule=None, track_item=None):
     neg_log_pns = -math.log(fc.p_ns)
     for t, o in enumerate(obs, start=1):
         q = pred.predict()
-        qp = filter_cap(q, fc)
-        ns = ref.is_ns(o)
-        # Bounded log-loss, on the capped map (same rule as
-        # evaluation.logloss_rule_ns, with the cap hoisted out).
-        prob = qp.get(o, 0.0)
-        if prob > 0.0:
-            loss_sum += -math.log(prob)
-        elif not ns:
-            loss_sum += neg_log_pns
-        else:
-            loss_sum += -math.log(1.0 - sum(qp.values()))
-        quad = (1.0 - qp.get(o, 0.0)) ** 2
-        for i, v in qp.items():
-            if i != o:
-                quad += v * v
+        loss, quad = score(o, filter_cap(q, fc), ref.is_ns(o), neg_log_pns)
+        loss_sum += loss
         quad_sum += quad
         if schedule is not None:
             p = schedule.at(t)
@@ -154,16 +141,6 @@ def run_prequential(pred, obs, ecfg, schedule=None, track_item=None):
                 res.metrics["dev_rate_obs_d%g" % d] = dev_obs[d] / n
                 res.metrics["dev_rate_any_d%g" % d] = dev_any[d] / n
     return res
-
-
-def run_trace(pred, obs, item):
-    """Per-step trajectory of the predictor's estimate for one item
-    (the prediction issued before each observation)."""
-    out = []
-    for o in obs:
-        out.append(pred.predict().get(item, 0.0))
-        pred.update(o)
-    return out
 
 
 def run_conditional(lines, predictor_factory, ecfg, snapshot_every=None):
@@ -194,18 +171,23 @@ def run_conditional(lines, predictor_factory, ecfg, snapshot_every=None):
     return avg, losses, snapshots
 
 
-def run_self_concat(obs, k, dyal):
-    """Run a predictor over the sequence repeated k times and record the
-    learning-rate spread per step: (max rate, median rate, out-degree).
+def run_self_concat(obs, k, dyal, track_item=None):
+    """Run a predictor over the sequence repeated k times. Returns
+    (rates, estimates): per step, the learning-rate spread (max rate,
+    median rate, out-degree) after the update and, with track_item set,
+    that item's estimate before it (otherwise estimates is empty).
     Recurring max-rate spikes past the first pass are evidence that the
     sequence's distribution drifts."""
-    trace = []
+    rates = []
+    estimates = []
     for _ in range(k):
         for o in obs:
+            if track_item is not None:
+                estimates.append(dyal.predict().get(track_item, 0.0))
             dyal.update(o)
-            trace.append((dyal.max_rate(), dyal.median_rate(),
+            rates.append((dyal.max_rate(), dyal.median_rate(),
                           len(dyal.ema_map)))
-    return trace
+    return rates, estimates
 
 
 @dataclass

@@ -8,6 +8,7 @@ on the observation at t.
 
 import math
 import statistics
+from collections import deque
 
 
 def decay_rate(beta, beta_min):
@@ -44,10 +45,6 @@ class Ema:
         self.beta = beta0 if harmonic else beta
         self.weights = {}
 
-    def get_params(self):
-        return {"beta": self.beta, "harmonic": self.harmonic,
-                "beta_min": self.beta_min}
-
     def predict(self):
         return dict(self.weights)
 
@@ -81,9 +78,6 @@ class Queues:
         self.prune_every = prune_every
         self.q_map = {}
         self.clock = 0
-
-    def get_params(self):
-        return {"qcap": self.qcap, "s1": self.s1, "s2": self.s2}
 
     def pr_count(self, i):
         """(PR, count) for item i, or (0.0, 0) if it has no queue. The
@@ -134,35 +128,25 @@ class Box:
 
     def __init__(self, k=100):
         self.k = k
-        self.window = []
-        self.head = 0  # index of the oldest retained observation
+        self.window = deque()
         self.counts = {}
 
-    def get_params(self):
-        return {"k": self.k}
-
-    @property
-    def nc(self):
-        return len(self.window) - self.head
-
     def predict(self):
-        n = self.nc
+        n = len(self.window)
         if n == 0:
             return {}
         return {i: c / n for i, c in self.counts.items()}
 
     def update(self, o):
-        self.window.append(o)
-        self.counts[o] = self.counts.get(o, 0) + 1
-        if self.nc > self.k:
-            old = self.window[self.head]
-            self.head += 1
-            self.counts[old] -= 1
-            if self.counts[old] == 0:
-                del self.counts[old]
-            if self.head > 2 * self.k:  # compact occasionally
-                self.window = self.window[self.head:]
-                self.head = 0
+        window = self.window
+        counts = self.counts
+        window.append(o)
+        counts[o] = counts.get(o, 0) + 1
+        if len(window) > self.k:
+            old = window.popleft()
+            counts[old] -= 1
+            if counts[old] == 0:
+                del counts[old]
 
 
 class Dyal:
@@ -187,10 +171,6 @@ class Dyal:
         self._fixed_rate = (beta_min if beta_min > 0.0 and
                             decay_rate(beta_min, beta_min) == beta_min
                             else None)
-
-    def get_params(self):
-        return {"beta_min": self.beta_min, "qcap": self.queues.qcap,
-                "sig_thresh": self.sig_thresh, "p_min": self.p_min}
 
     def predict(self):
         return dict(self.ema_map)

@@ -6,8 +6,6 @@ a positivity test. A semi-distribution (SD) is a PR map whose values
 sum to at most 1; the remainder u = 1 - sum is implicit noise mass.
 """
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
@@ -34,11 +32,6 @@ def allocated(m):
 def unallocated(m):
     """Implicit noise mass u(Q) = 1 - a(Q)."""
     return 1.0 - allocated(m)
-
-
-def is_semi_distribution(m):
-    return all(0.0 < v <= 1.0 for v in m.values()) and \
-        allocated(m) <= 1.0 + SUM_SLACK
 
 
 def filter_cap(m, cfg=FcConfig()):
@@ -148,22 +141,3 @@ def distortion_threshold(p_ns):
             hi = mid
     return 0.5 * (lo + hi)
 
-
-def sd_to_csv(m):
-    """Serialize a probability map as `item_id,prob` rows sorted by id."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["item_id", "prob"])
-    for i in sorted(m):
-        w.writerow([i, repr(m[i])])
-    return buf.getvalue()
-
-
-def sd_from_csv(text):
-    rows = list(csv.reader(io.StringIO(text)))
-    out = {}
-    for row in rows[1:]:
-        if not row:
-            continue
-        out[int(row[0])] = float(row[1])
-    return out

@@ -1,14 +1,17 @@
-"""Threshold-at-a-time references for smatrack's fused scoring.
+"""Step-at-a-time references for smatrack's fused scoring.
 
 These are the earlier forms of the scoring code: `filter_cap` as a
-filter pass then a scaling pass through `scale_drop`, and `multidev` as
-one `deviates` call per support item, per threshold and per mode. The
-fused code in `sd_core` and `evaluation` must match them exactly, so the
-tests compare with `==`.
+filter pass then a scaling pass through `scale_drop`, `multidev` as one
+`deviates` call per support item, per threshold and per mode, and the
+bounded log-loss and quadratic loss as two separate rules that each cap
+the raw map. The code in `sd_core` and `evaluation` must match them
+exactly, so the tests compare with `==`.
 """
 
-from smatrack.evaluation import Referee, logloss_rule_ns, quad_rule
-from smatrack.sd_core import SUM_SLACK
+import math
+
+from smatrack.evaluation import Referee
+from smatrack.sd_core import SUM_SLACK, FcConfig
 
 
 def scale_drop(m, alpha, p_min):
@@ -26,6 +29,25 @@ def filter_cap(m, cfg):
     if s <= 1.0 - cfg.p_ns + SUM_SLACK:
         return q
     return scale_drop(q, (1.0 - cfg.p_ns) / s, cfg.p_min)
+
+
+def logloss_rule_ns(o, q, marked_ns, cfg=FcConfig()):
+    qp = filter_cap(q, cfg)
+    prob = qp.get(o, 0.0)
+    if prob >= cfg.p_min and prob > 0.0:
+        return -math.log(prob)
+    if not marked_ns:
+        return -math.log(cfg.p_ns)
+    return -math.log(1.0 - sum(qp.values()))
+
+
+def quad_rule(q, o, cfg=FcConfig()):
+    qp = filter_cap(q, cfg)
+    loss = (1.0 - qp.get(o, 0.0)) ** 2
+    for i, v in qp.items():
+        if i != o:
+            loss += v * v
+    return loss
 
 
 def deviates(p_hat, tp, d):
@@ -48,8 +70,8 @@ def multidev(o, q, p, d, mode, p_min=0.01):
 
 def prequential(pred, obs, ecfg, schedule=None, track_item=None):
     """run_prequential's metrics, recomputed one step and one threshold
-    at a time through logloss_rule_ns, quad_rule and the references
-    above. Sums run in the same order as run_prequential's."""
+    at a time through the references above. Sums run in the same order
+    as run_prequential's."""
     fc = ecfg.fc()
     ref = Referee(ecfg.c_ns, ecfg.window)
     n = len(obs)

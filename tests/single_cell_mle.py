@@ -16,9 +16,6 @@ class SingleCellMle:
     def __init__(self):
         self.c_map = {}
 
-    def get_params(self):
-        return {}
-
     def predict(self):
         return {i: 1.0 / c for i, c in self.c_map.items()}
 

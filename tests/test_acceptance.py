@@ -373,12 +373,12 @@ def test_ingestion_properties(tmp_path):
     # self-concat probe: flat max-rate on a stationary input, recurring
     # spikes when the input drifts
     stat = rng.integers(0, 3, size=300).tolist()
-    trace = run_self_concat(stat, 10, Dyal(beta_min=0.01))
+    trace, _ = run_self_concat(stat, 10, Dyal(beta_min=0.01))
     ok_flat = max(mx for mx, _, _ in trace[600:]) <= 0.2
 
     drift = rng.integers(0, 3, size=150).tolist() + \
         rng.integers(10, 13, size=150).tolist()
-    trace = run_self_concat(drift, 10, Dyal(beta_min=0.01))
+    trace, _ = run_self_concat(drift, 10, Dyal(beta_min=0.01))
     spikes = sum(1 for k in range(1, 10)
                  if max(mx for mx, _, _ in trace[k * 300:(k + 1) * 300])
                  >= 0.2)

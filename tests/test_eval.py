@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from smatrack.evaluation import (Referee, Schedule, avg_logloss_ns,
-                                 dev_rate, dev_ratio, deviates,
+from smatrack.evaluation import (Referee, Schedule, dev_ratio, deviates,
                                  logloss_rule_ns, multidev, optimal_logloss,
                                  quad_rule, sign_test)
+from smatrack.harness import EvalConfig, run_prequential
 from smatrack.sd_core import FcConfig, filter_cap
 import reference_scoring
 
@@ -86,26 +86,68 @@ def test_logloss_bounded_fuzz():
         assert -1e-12 <= v <= hi + 1e-12
 
 
+def test_logloss_rejects_zero_p_ns():
+    # a miss would score -ln 0
+    with pytest.raises(ValueError, match="bounded log-loss needs p_ns > 0"):
+        logloss_rule_ns(1, {1: 0.5}, False, FcConfig(0.01, 0.0))
+
+
+def test_rules_match_reference():
+    # the raw-map rules are filter_cap then evaluation.score; they must
+    # equal the earlier two-rule code exactly, on maps with entries at
+    # and around p_min and on maps that sum above 1 (as queues' do)
+    rng = np.random.default_rng(3)
+    for cfg in (CFG, FcConfig(0.0, 0.01), FcConfig(0.05, 0.2)):
+        levels = [cfg.p_min, 0.005, 0.3, 0.6, 1.0]
+        for _ in range(2000):
+            q = {}
+            for i in rng.permutation(8)[:int(rng.integers(0, 6))]:
+                v = levels[int(rng.integers(0, len(levels)))] \
+                    if rng.random() < 0.5 else float(rng.random())
+                if v > 0.0:
+                    q[int(i)] = v
+            o = int(rng.integers(0, 8))
+            ns = bool(rng.random() < 0.5)
+            assert logloss_rule_ns(o, q, ns, cfg) == \
+                reference_scoring.logloss_rule_ns(o, q, ns, cfg)
+            assert quad_rule(q, o, cfg) == \
+                reference_scoring.quad_rule(q, o, cfg)
+
+
+class FixedPredictor:
+    def __init__(self, q):
+        self.q = q
+
+    def predict(self):
+        return dict(self.q)
+
+    def update(self, o):
+        pass
+
+
+def avg_logloss(q, obs, c_ns):
+    """Mean bounded log-loss of predicting q on every step, from
+    run_prequential; asserts it equals the mean of logloss_rule_ns."""
+    r = Referee(c_ns=c_ns)
+    total = 0.0
+    for o in obs:
+        total += logloss_rule_ns(o, q, r.is_ns(o), CFG)
+    m = run_prequential(FixedPredictor(q), obs, EvalConfig(c_ns=c_ns))
+    assert m.metrics["avg_logloss_ns"] == total / len(obs)
+    return total / len(obs)
+
+
 def test_avg_logloss_all_ns_empty_predictor():
-    r = Referee(c_ns=2)
-    assert avg_logloss_ns([{}, {}, {}], [1, 1, 1], r, CFG) == 0.0
+    assert avg_logloss({}, [1, 1, 1], 2) == 0.0
 
 
 def test_avg_logloss_fourth_hit_charged():
-    r = Referee(c_ns=2)
-    v = avg_logloss_ns([{}] * 4, [1, 1, 1, 1], r, CFG)
-    assert close(v, -math.log(0.01) / 4)
+    assert close(avg_logloss({}, [1, 1, 1, 1], 2), -math.log(0.01) / 4)
 
 
 def test_avg_logloss_perfect_predictor_pays_cap():
-    r = Referee(c_ns=-1)  # nothing is ever noise
-    v = avg_logloss_ns([{1: 1.0}] * 3, [1, 1, 1], r, CFG)
-    assert close(v, -math.log(0.99))
-
-
-def test_avg_logloss_length_mismatch():
-    with pytest.raises(ValueError):
-        avg_logloss_ns([{}], [1, 2], Referee(), CFG)
+    # every step is a hit, so the referee's marks do not matter
+    assert close(avg_logloss({1: 1.0}, [1, 1, 1], 0), -math.log(0.99))
 
 
 # --- quadratic loss ---------------------------------------------------------
@@ -120,6 +162,14 @@ def test_quad_empty():
 
 def test_quad_miss():
     assert close(quad_rule({1: 0.5}, 2, CFG), 1.0 + 0.25)
+
+
+def test_quad_allows_zero_p_ns():
+    # no miss is scored as noise, so nothing takes -ln 0
+    cfg = FcConfig(0.01, 0.0)
+    assert quad_rule({1: 0.5}, 2, cfg) == 1.25
+    assert quad_rule({1: 0.5, 2: 0.5}, 3, cfg) == 1.5
+    assert quad_rule({1: 1.0}, 1, cfg) == 0.0
 
 
 def test_quad_equals_distance_to_kronecker():
@@ -164,12 +214,6 @@ def test_deviates_ratio():
 def test_deviates_bad_tp():
     with pytest.raises(ValueError):
         deviates(0.1, 0.0, 2)
-
-
-def test_dev_rate():
-    assert dev_rate([0.0, 0.0], 0.1, 2) == 1.0
-    assert dev_rate([0.1, 0.1], 0.1, 2) == 0.0
-    assert close(dev_rate([0.0, 0.1, 0.3], 0.1, 2), 2 / 3)
 
 
 def test_deviates_ratio_equal_to_d_does_not_deviate():

@@ -8,11 +8,11 @@ from click.testing import CliRunner
 
 from smatrack import harness, synth
 from smatrack.cli import cli
-from smatrack.evaluation import Referee, Schedule, avg_logloss_ns, quad_rule
+from smatrack.evaluation import Referee, Schedule
 from smatrack.harness import (ConfigError, EvalConfig, ExperimentSpec,
                               ingest_sequence, make_predictor,
                               run_conditional, run_experiment,
-                              run_prequential, run_self_concat, run_trace)
+                              run_prequential, run_self_concat)
 from smatrack.predictors import Dyal, Ema
 import reference_scoring
 
@@ -27,9 +27,6 @@ class EmptyPredictor:
 
     def update(self, o):
         pass
-
-    def get_params(self):
-        return {}
 
 
 # --- ingestion --------------------------------------------------------------
@@ -72,22 +69,21 @@ def test_prequential_bounded():
 
 
 def test_prequential_agrees_with_reference_scorer():
-    # the inlined loss/quad loop must match the reference functions
-    # exactly: same rules, same summation order
+    # the per-step scorer must match the earlier two-rule code exactly:
+    # same rules, same summation order
     rng = np.random.default_rng(0)
     obs = rng.integers(0, 5, size=300).tolist()
     pred_a = Ema(beta=0.05)
     res = run_prequential(pred_a, obs, EvalConfig())
     pred_b = Ema(beta=0.05)
-    preds = []
+    ref = Referee(c_ns=2)
+    loss = quad = 0.0
     for o in obs:
-        preds.append(pred_b.predict())
+        q = pred_b.predict()
+        loss += reference_scoring.logloss_rule_ns(o, q, ref.is_ns(o))
+        quad += reference_scoring.quad_rule(q, o)
         pred_b.update(o)
-    ref = avg_logloss_ns(preds, obs, Referee(c_ns=2))
-    assert res.metrics["avg_logloss_ns"] == ref
-    quad = 0.0
-    for q, o in zip(preds, obs):
-        quad += quad_rule(q, o)
+    assert res.metrics["avg_logloss_ns"] == loss / len(obs)
     assert res.metrics["avg_quad"] == quad / len(obs)
 
 
@@ -252,7 +248,7 @@ def test_conditional_last_item_not_a_context():
 def test_self_concat_stationary_flat():
     rng = np.random.default_rng(3)
     obs = rng.integers(0, 3, size=400).tolist()
-    trace = run_self_concat(obs, 10, Dyal(beta_min=0.01))
+    trace, _ = run_self_concat(obs, 10, Dyal(beta_min=0.01))
     first_pass = [mx for mx, _, _ in trace[:400]]
     rest = [mx for mx, _, _ in trace[2 * 400:]]
     # after the first pass the max rate settles near the floor
@@ -265,7 +261,7 @@ def test_self_concat_drifting_spikes():
     # two very different halves: repeating them re-triggers learning
     obs = rng.integers(0, 3, size=200).tolist() + \
         rng.integers(10, 13, size=200).tolist()
-    trace = run_self_concat(obs, 10, Dyal(beta_min=0.01))
+    trace, _ = run_self_concat(obs, 10, Dyal(beta_min=0.01))
     spikes = 0
     for k in range(1, 10):
         seg = [mx for mx, _, _ in trace[k * 400:(k + 1) * 400]]
@@ -276,7 +272,23 @@ def test_self_concat_drifting_spikes():
 
 def test_self_concat_k1_length():
     obs = [1, 2, 3]
-    assert len(run_self_concat(obs, 1, Dyal())) == 3
+    rates, estimates = run_self_concat(obs, 1, Dyal())
+    assert len(rates) == 3 and estimates == []
+
+
+def test_self_concat_tracks_estimates():
+    obs = [1, 2, 1, 1, 3, 1] * 20
+    rates, est = run_self_concat(obs, 2, Dyal(), track_item=1)
+    dyal = Dyal()
+    want = []
+    for o in obs * 2:
+        want.append(dyal.predict().get(1, 0.0))
+        dyal.update(o)
+    assert est == want
+    assert est[0] == 0.0 and est[-1] > 0.5
+    # tracking only reads predict(), so the rates are those of an
+    # untracked run
+    assert rates == run_self_concat(obs, 2, Dyal())[0]
 
 
 # --- run_experiment ---------------------------------------------------------
@@ -359,14 +371,6 @@ def test_experiment_rejects_bad_kind(tmp_path):
             _small_spec(tmp_path, kind=kind)
 
 
-# --- trace helper -----------------------------------------------------------
-
-def test_run_trace_tracks_estimates():
-    est = run_trace(Ema(beta=0.5), [1, 1, 1], 1)
-    assert est[0] == 0.0
-    assert close(est[1], 0.5) and close(est[2], 0.75)
-
-
 # --- CLI --------------------------------------------------------------------
 
 def test_cli_gen_and_run_roundtrip(tmp_path):
@@ -415,9 +419,25 @@ def test_cli_trace(tmp_path):
                             "--track-item", "0", "--out", out_dir])
     assert r.exit_code == 0, r.output
     with open(os.path.join(out_dir, "rate_trace.csv"), newline="") as f:
-        rows = list(csv.DictReader(f))
-    assert len(rows) == 450
-    assert os.path.exists(os.path.join(out_dir, "estimate_trace.csv"))
+        rates = [(float(row["max_rate"]), float(row["median_rate"]),
+                  int(row["out_degree"])) for row in csv.DictReader(f)]
+    with open(os.path.join(out_dir, "estimate_trace.csv"), newline="") as f:
+        est = [float(row["estimate"]) for row in csv.DictReader(f)]
+    # both files come from one pass; each must equal its own fresh run
+    dyal = Dyal(beta_min=0.01)
+    want = []
+    for _ in range(3):
+        for o in [0, 1, 2] * 50:
+            dyal.update(o)
+            want.append((dyal.max_rate(), dyal.median_rate(),
+                         len(dyal.ema_map)))
+    assert rates == want
+    dyal = Dyal(beta_min=0.01)
+    want = []
+    for o in [0, 1, 2] * 150:
+        want.append(dyal.predict().get(0, 0.0))
+        dyal.update(o)
+    assert est == want and len(est) == 450
 
 
 def test_cli_ingest_check(tmp_path):

@@ -582,7 +582,6 @@ def test_dyal_weaken_edges_matches_reference_without_queues():
                                   Dyal()])
 def test_fresh_predictor_predicts_empty(pred):
     assert pred.predict() == {}
-    assert isinstance(pred.get_params(), dict)
 
 
 def test_predict_does_not_mutate():

@@ -125,9 +125,8 @@ def test_state_bounded_on_open_ended_stream(kind, seed, fresh):
         o = 10 ** 6 + t if rng.random() < fresh else int(rng.integers(0, 5))
         pred.update(o)
         if kind == "box":
-            # k observations counted; the window list is compacted
-            # once its head passes 2k
-            assert len(pred.counts) <= 50 and len(pred.window) <= 151
+            # only the last k observations are kept and counted
+            assert len(pred.counts) <= 50 and len(pred.window) <= 50
             continue
         queues = pred.queues if kind == "dyal" else pred
         # cut back below 2*s1 at every prune, at most prune_every new

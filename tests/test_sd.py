@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from smatrack.sd_core import (FcConfig, allocated, augment,
                               distortion_threshold, entropy, filter_cap, kl,
                               kl_bounded, kl_ns, logloss_ns_expected,
-                              sd_from_csv, sd_to_csv, unallocated)
+                              unallocated)
 import reference_scoring
 
 CFG = FcConfig(0.01, 0.01)
@@ -253,16 +253,6 @@ def test_distortion_threshold_rejects_out_of_range():
     for bad in (0.0, 0.5, -0.1, 0.9):
         with pytest.raises(ValueError):
             distortion_threshold(bad)
-
-
-# --- serialization ----------------------------------------------------------
-
-def test_sd_csv_roundtrip_sorted():
-    m = {5: 0.25, 1: 0.5, 3: 0.125}
-    text = sd_to_csv(m)
-    assert text.splitlines()[0] == "item_id,prob"
-    assert [r.split(",")[0] for r in text.splitlines()[1:]] == ["1", "3", "5"]
-    assert sd_from_csv(text) == m
 
 
 def test_unallocated():
