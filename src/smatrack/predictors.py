@@ -7,7 +7,6 @@ on the observation at t.
 """
 
 import math
-import statistics
 from collections import deque
 
 
@@ -33,30 +32,61 @@ def binomial_significance(ema_pr, q_pr, q_count):
     return q_count * kl2
 
 
+# Ema drops a weight that has sunk below EMA_FLOOR when it folds its
+# scale. At most 1 / EMA_FLOOR weights can reach the floor, so a fold
+# forced by EMA_CAP entries frees at least half of them.
+EMA_FLOOR = 1e-4
+EMA_CAP = round(2 / EMA_FLOOR)
+
+
 class Ema:
     """Sparse EMA over a growing item set: weaken every weight by
     (1 - beta), then boost the observed item by beta. The weight map is
     always a semi-distribution. With harmonic=True the rate decays as
-    1/(1/beta + 1) down to beta_min after every update."""
+    1/(1/beta + 1) down to beta_min after every update.
+
+    Forward decay (Cormode et al., ICDE 2009): weights holds w_i / scale,
+    where scale is the product of (1 - beta) since the last fold, so an
+    update touches one entry. A fold, once scale falls to 1/2 or the map
+    grows past EMA_CAP entries, multiplies the scale back in, drops the
+    weights below EMA_FLOOR and resets the scale to 1."""
 
     def __init__(self, beta=0.01, harmonic=False, beta_min=0.001, beta0=1.0):
         self.harmonic = harmonic
         self.beta_min = beta_min
         self.beta = beta0 if harmonic else beta
         self.weights = {}
+        self.scale = 1.0
 
     def predict(self):
-        return dict(self.weights)
+        # A plain loop: on maps of a few entries a comprehension's own
+        # set-up costs more than the entries.
+        g = self.scale
+        out = {}
+        for i, s in self.weights.items():
+            out[i] = s * g
+        return out
 
     def update(self, o):
         b = self.beta
         w = self.weights
         if b >= 1.0:
             w.clear()  # everything else would weaken to exactly 0
+            g = 1.0
         else:
-            for i in w:
-                w[i] *= (1.0 - b)
-        w[o] = w.get(o, 0.0) + b
+            g = self.scale * (1.0 - b)
+        s = w.get(o, 0.0) + b / g
+        # Rounding can take s * g just past 1; fl(fl(1/g) * g) <= 1.
+        # Products round monotonically, so no other weight can pass 1.
+        if s * g > 1.0:
+            s = 1.0 / g
+        w[o] = s
+        # Between folds g > 1/2, so no positive s * g rounds to 0.
+        if g <= 0.5 or len(w) > EMA_CAP:
+            self.weights = {i: v for i, s in w.items()
+                            if (v := s * g) >= EMA_FLOOR}
+            g = 1.0
+        self.scale = g
         if self.harmonic:
             self.beta = decay_rate(b, self.beta_min)
 
@@ -207,8 +237,9 @@ class Dyal:
 
     def weaken_edges(self, o):
         """Weaken every edge except o's, possibly resetting an edge from
-        its queue, and drop edges that have sunk below p_min. Returns the
-        free mass 1 - (surviving weight, including o's untouched weight).
+        its queue, and drop edges that have sunk below p_min or to 0.0.
+        Returns the free mass 1 - (surviving weight, including o's
+        untouched weight).
 
         One loop, since it visits every edge on every update:
         Queues.pr_count and the significance test are inlined, and a
@@ -248,6 +279,10 @@ class Dyal:
                 rate_map[i] = self._queue_rate(q_count)
             else:
                 e *= (1.0 - beta)
+                if not e:  # a rate of 1, or underflow
+                    del ema_map[i]
+                    del rate_map[i]
+                    continue
                 if beta != fixed:
                     rate_map[i] = decay_rate(beta, beta_min)
             ema_map[i] = e
@@ -259,6 +294,11 @@ class Dyal:
         return max(self.rate_map.values(), default=0.0)
 
     def median_rate(self):
-        if not self.rate_map:
+        # statistics.median's arithmetic, without its overhead on every
+        # trace step.
+        rates = sorted(self.rate_map.values())
+        n = len(rates)
+        if not n:
             return 0.0
-        return statistics.median(self.rate_map.values())
+        m = n // 2
+        return rates[m] if n % 2 else (rates[m - 1] + rates[m]) / 2

@@ -207,7 +207,7 @@ def test_c8_exactness():
         o = int(rng.random() < 0.3)
         e.update(o)
         count += o
-        if abs(e.weights.get(1, 0.0) - count / t) > 1e-12:
+        if abs(e.predict().get(1, 0.0) - count / t) > 1e-12:
             ok_h = False
 
     # stamp queues == count-cell queues, exactly, pruning included
@@ -243,7 +243,7 @@ def test_c8_exactness():
         o = (t // 20000) * 7 + int(rng.integers(0, 7))
         e2.update(o)
         d.update(o)
-        for w in (e2.weights, d.ema_map):
+        for w in (e2.predict(), d.ema_map):
             if sum(w.values()) > 1.0 + 1e-9 or \
                     any(not 0.0 < v <= 1.0 for v in w.values()):
                 ok_sd = False

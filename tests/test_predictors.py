@@ -5,8 +5,9 @@ import pytest
 
 from count_cell_queues import CountCellQueues, matches
 from reference_dyal import ReferenceDyal
+from reference_ema import ReferenceEma
 from single_cell_mle import SingleCellMle
-from smatrack.predictors import (Box, Dyal, Ema, Queues,
+from smatrack.predictors import (EMA_CAP, EMA_FLOOR, Box, Dyal, Ema, Queues,
                                  binomial_significance, decay_rate)
 
 
@@ -18,23 +19,28 @@ def close(a, b, tol=1e-9):
 
 def test_ema_boost_observed():
     e = Ema(beta=0.1)
-    e.weights = {1: 0.5}
-    e.update(1)
-    assert close(e.weights[1], 0.55)
+    for k in range(1, 6):
+        e.update(1)
+        assert close(e.predict()[1], 1 - 0.9 ** k)
 
 
 def test_ema_weaken_others():
     e = Ema(beta=0.1)
-    e.weights = {1: 0.5}
+    for _ in range(3):
+        e.update(1)
     e.update(2)
-    assert close(e.weights[1], 0.45) and close(e.weights[2], 0.1)
+    p = e.predict()
+    assert close(p[1], 0.9 * (1 - 0.9 ** 3)) and close(p[2], 0.1)
 
 
 def test_ema_full_rate_overwrite():
-    e = Ema(beta=1.0)
-    e.weights = {1: 0.5, 2: 0.3}
+    e = Ema(beta=0.5)
+    e.update(1)
+    e.update(2)
+    assert e.predict() == {1: 0.25, 2: 0.5}
+    e.beta = 1.0
     e.update(3)
-    assert e.weights == {3: 1.0}
+    assert e.predict() == {3: 1.0}
 
 
 def test_decay_rate_harmonic_series():
@@ -62,7 +68,7 @@ def test_harmonic_equals_running_average():
         e.update(o)
         count += o
         expect = count / t
-        got = e.weights.get(1, 0.0)
+        got = e.predict().get(1, 0.0)
         assert close(got, expect, 1e-12)
 
 
@@ -71,9 +77,9 @@ def test_ema_sd_invariant_fuzz():
     e = Ema(beta=0.2)
     for _ in range(20000):
         e.update(int(rng.integers(0, 30)))
-        s = sum(e.weights.values())
-        assert s <= 1.0 + 1e-9
-        assert all(0.0 < v <= 1.0 for v in e.weights.values())
+        q = e.predict()
+        assert sum(q.values()) <= 1.0 + 1e-9
+        assert all(0.0 < v <= 1.0 for v in q.values())
 
 
 def test_ema_step_size_cap():
@@ -83,9 +89,76 @@ def test_ema_step_size_cap():
     prev = 0.0
     for _ in range(5000):
         e.update(int(rng.random() < 0.3))
-        cur = e.weights.get(1, 0.0)
+        cur = e.predict().get(1, 0.0)
         assert abs(cur - prev) <= beta + 1e-12
         prev = cur
+
+
+EMA_CASES = ([dict(beta=b) for b in (0.001, 0.01, 0.05, 0.2, 0.5)] +
+             [dict(harmonic=True, beta_min=m)
+              for m in (0.0, 0.001, 0.01, 0.1)])
+
+
+@pytest.mark.parametrize("kw", EMA_CASES, ids=repr)
+def test_ema_matches_reference_above_floor(kw):
+    # four items in shuffled blocks: each recurs within 7 steps, so no
+    # weight nears EMA_FLOOR and no fold drops one
+    rng = np.random.default_rng(5)
+    e, ref = Ema(**kw), ReferenceEma(**kw)
+    for _ in range(1500):
+        for o in rng.permutation(4).tolist():
+            e.update(o)
+            ref.update(o)
+            got, want = e.predict(), ref.predict()
+            assert min(want.values()) >= EMA_FLOOR
+            assert list(got) == list(want)
+            assert all(abs(got[i] - v) <= 1e-12 * v for i, v in want.items())
+
+
+@pytest.mark.parametrize("kw", EMA_CASES, ids=repr)
+def test_ema_tracks_reference_on_open_streams(kw):
+    # A fold drops a weight below EMA_FLOOR, which the reference keeps.
+    # Both then add the same boosts, so the gap only decays. On a stream
+    # that never fills EMA_CAP entries every fold follows a halving of
+    # the scale, so a gap carried to the item's next drop has at least
+    # halved: gap < EMA_FLOOR * (1 + 1/2 + 1/4 + ...) = 2 * EMA_FLOOR.
+    # 1e-12 covers rounding.
+    bound = 2 * EMA_FLOOR + 1e-12
+    rng = np.random.default_rng(6)
+    e, ref = Ema(**kw), ReferenceEma(**kw)
+    for t in range(6000):
+        r = rng.random()
+        o = 10 ** 6 + t if r < 0.1 else int(rng.integers(0, 3 if r < 0.6
+                                                             else 20))
+        e.update(o)
+        ref.update(o)
+        got, want = e.predict(), ref.predict()
+        assert set(got) <= set(want)
+        assert all(abs(got.get(i, 0.0) - v) <= bound
+                   for i, v in want.items())
+    # the floor did drop some, except from running averages (no rate
+    # floor), which keep every id seen once above 1/6000
+    assert len(e.weights) < len(ref.weights) or kw.get("beta_min") == 0.0
+
+
+def test_ema_state_bounded_at_tiny_rate():
+    # At beta 1e-6 the scale takes ~7e5 steps to halve, so only the
+    # size trigger folds, and it drops every fresh id's weight
+    e = Ema(beta=1e-6)
+    for t in range(25000):
+        e.update(t)
+        assert len(e.weights) <= EMA_CAP
+    assert len(e.weights) < 25000 - EMA_CAP
+
+
+def test_harmonic_ema_repeated_item_at_most_one():
+    # rates 1, 1/2, 1/3, ...: the third step's weight rounded to
+    # 1.0000000000000002 before the clamp
+    e = Ema(harmonic=True, beta_min=0.0)
+    for _ in range(7):
+        e.update(0)
+        (v,) = e.predict().values()
+        assert 0.0 < v <= 1.0 and close(v, 1.0, 1e-15)
 
 
 def test_ema_expected_movement():
@@ -529,6 +602,21 @@ def _recording_free(d, frees):
     d.weaken_edges = weaken_edges
 
 
+def _dropping_zero_edges(ref):
+    """The one change since Dyal as first written: an edge that weakens
+    to 0.0 (at a rate of 1, or by underflow) is dropped. Applied to the
+    reference's weaken_edges, where Dyal applies it."""
+    inner = ref.weaken_edges
+
+    def weaken_edges(o):
+        free = inner(o)
+        for i in [i for i in ref.rate_map if i != o and not ref.ema_map[i]]:
+            del ref.ema_map[i]
+            del ref.rate_map[i]
+        return free
+    ref.weaken_edges = weaken_edges
+
+
 @pytest.mark.parametrize("sig_thresh", [0.0, 5.0])
 @pytest.mark.parametrize("qcap", [1, 3])
 @pytest.mark.parametrize("beta_min", [0.0, 0.001, 0.01, 0.5, 1.0])
@@ -545,6 +633,7 @@ def test_dyal_matches_reference(beta_min, qcap, sig_thresh):
         d, ref = Dyal(**kw), ReferenceDyal(**kw)
         frees, ref_frees = [], []
         _recording_free(d, frees)
+        _dropping_zero_edges(ref)
         _recording_free(ref, ref_frees)
         for o in _drifting_stream(rng, 800):
             d.update(o)
@@ -559,19 +648,21 @@ def test_dyal_matches_reference(beta_min, qcap, sig_thresh):
 
 def test_dyal_weaken_edges_matches_reference_without_queues():
     # edges with no queue (state set by hand) read as PR 0, count 0; a
-    # weight at exactly p_min stays, and o's untouched weight of 1
-    # leaves no free mass
+    # weight at exactly p_min stays, a rate of 1 weakens edge 4 to 0.0,
+    # which is dropped, and o's untouched weight of 1 leaves no free mass
     for beta_min in (0.0, 0.01, 1.0):
         for o in (3, 4):
             d, ref = Dyal(beta_min=beta_min), ReferenceDyal(beta_min=beta_min)
             for x in (d, ref):
                 x.ema_map = {1: 0.5, 2: 0.005, 3: 1.0, 4: 0.2, 5: 0.01}
                 x.rate_map = {1: 0.1, 2: 0.5, 3: beta_min, 4: 1.0, 5: 0.1}
+            _dropping_zero_edges(ref)
             free = d.weaken_edges(o)
             assert free == ref.weaken_edges(o)
             assert list(d.ema_map.items()) == list(ref.ema_map.items())
             assert list(d.rate_map.items()) == list(ref.rate_map.items())
             assert 5 in d.ema_map and 2 not in d.ema_map
+            assert (4 in d.ema_map) == (o == 4)
             assert (free == 0.0) == (o == 3)
 
 

@@ -3,12 +3,15 @@ is a semi-distribution with no zero entries, predict() has no side
 effects, a stream gives the same run every time, and the kinds that
 prune keep their state bounded on an open-ended stream."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smatrack.harness import PREDICTOR_KINDS, make_predictor
+from smatrack.predictors import EMA_FLOOR
 from smatrack.sd_core import SUM_SLACK, allocated
 
 SD_KINDS = ("ema", "harmonic-ema", "box", "dyal")
@@ -30,14 +33,16 @@ streams = st.lists(
               st.integers(1, 5)),
     max_size=120).map(lambda runs: [o for o, n in runs for _ in range(n)])
 
-# Known zero entries, each with a stream that shows it: an Ema weight
-# left unobserved underflows to 0.0, and a Dyal rate of 1 weakens an
-# edge to 0.0 while its queue PR keeps it above p_min.
-ZERO_ENTRIES = {
-    "ema": ("0.999", [0] + [1] * 120),
-    "harmonic-ema": ("0.999", [0] + [1] * 120),
-    "dyal": ("1.0", [0, 0, 0, 1, 1]),
-}
+# Streams that once left a zero entry: an Ema weight left unobserved
+# underflowed to 0.0 and stayed, and a Dyal rate of 1, or of 1 - 2**-53
+# (by underflow), weakened an edge to 0.0 while its queue PR kept it
+# above p_min.
+ZERO_ENTRIES = [
+    ("ema", "0.999", [0] + [1] * 120),
+    ("harmonic-ema", "0.999", [0] + [1] * 120),
+    ("dyal", "1.0", [0, 0, 0, 1, 1]),
+    ("dyal", "0.9999999999999999", [1] * 3 + [0] * 22),
+]
 
 
 def state(x):
@@ -72,14 +77,11 @@ def _assert_no_zero_entries(kind, param, stream):
         assert all(v > 0.0 for v in q.values()), (kind, param, q)
 
 
-@pytest.mark.parametrize("kind", [
-    pytest.param(kind, marks=pytest.mark.xfail(
-        strict=True, raises=AssertionError,
-        reason="a weight can reach exactly 0.0 and stay in the map"))
-    if kind in ZERO_ENTRIES else kind for kind in PREDICTOR_KINDS])
+@pytest.mark.parametrize("kind", PREDICTOR_KINDS)
 def test_map_has_no_zero_entries(kind):
-    if kind in ZERO_ENTRIES:
-        _assert_no_zero_entries(kind, *ZERO_ENTRIES[kind])
+    for k, param, stream in ZERO_ENTRIES:
+        if k == kind:
+            _assert_no_zero_entries(kind, param, stream)
 
     @settings(max_examples=100, deadline=None)
     @given(PARAMS[kind].map(repr), streams)
@@ -114,16 +116,26 @@ def test_same_stream_same_run(method, stream):
 
 
 @settings(max_examples=12, deadline=None)
-@given(st.sampled_from(("queues", "ts-queues", "box", "dyal")),
+@given(st.sampled_from(("ema", "harmonic-ema", "queues", "ts-queues", "box",
+                        "dyal")),
        st.integers(0, 2 ** 32 - 1), st.floats(0.2, 1.0))
 def test_state_bounded_on_open_ended_stream(kind, seed, fresh):
     # mostly fresh ids, 3000 steps: unpruned, the maps would grow past
     # every bound below
-    pred = make_predictor(kind, {"box": "50", "dyal": "0.01"}.get(kind, "3"))
+    pred = make_predictor(kind, {"ema": "0.1", "harmonic-ema": "0.1",
+                                 "box": "50", "dyal": "0.01"}.get(kind, "3"))
     rng = np.random.default_rng(seed)
+    # Every Ema rate is at least 0.1, so a weight last boosted a steps
+    # ago is at most 0.9**a: a fold keeps only items seen in the last
+    # `recent` steps, and the scale halves within `fold` steps.
+    recent = math.floor(math.log(EMA_FLOOR) / math.log(0.9)) + 1
+    fold = math.ceil(math.log(0.5) / math.log(0.9))
     for t in range(3000):
         o = 10 ** 6 + t if rng.random() < fresh else int(rng.integers(0, 5))
         pred.update(o)
+        if kind in ("ema", "harmonic-ema"):
+            assert len(pred.weights) <= recent + fold
+            continue
         if kind == "box":
             # only the last k observations are kept and counted
             assert len(pred.counts) <= 50 and len(pred.window) <= 50
@@ -135,5 +147,5 @@ def test_state_bounded_on_open_ended_stream(kind, seed, fresh):
         if kind == "dyal":
             assert len(pred.rate_map) == len(pred.ema_map) \
                 <= len(queues.q_map)
-    if kind != "box":
+    if kind in ("queues", "ts-queues", "dyal"):
         assert max(map(len, queues.q_map.values())) <= queues.qcap
