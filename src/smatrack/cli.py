@@ -82,7 +82,8 @@ def cli():
 @click.option("--l-min", type=int, default=0, show_default=True)
 @click.option("--p-max", type=float, default=1.0, show_default=True)
 @click.option("--recycle", is_flag=True)
-@click.option("--n", type=int, default=10000, show_default=True)
+@click.option("--n", type=click.IntRange(min=1), default=10000,
+              show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(), required=True)
 def gen(kind, tp, mode, o_min, l_min, p_max, recycle, n, seed, out):
@@ -165,9 +166,20 @@ def compare(per_seq, method_a, method_b, metric):
     """Paired sign test between two methods from a per_seq.csv."""
     vals = {method_a: {}, method_b: {}}
     with open(per_seq, newline="") as f:
-        for row in csv.DictReader(f):
+        reader = csv.DictReader(f)
+        for col in ("seq_id", "method", "metric", "value"):
+            if col not in (reader.fieldnames or ()):
+                raise click.UsageError("%s has no %r column" % (per_seq, col))
+        for row in reader:
             if row["metric"] == metric and row["method"] in vals:
-                vals[row["method"]][int(row["seq_id"])] = float(row["value"])
+                try:
+                    seq, value = int(row["seq_id"]), float(row["value"])
+                except (TypeError, ValueError):
+                    raise click.UsageError(
+                        "%s line %d: seq_id %r, value %r: need an integer "
+                        "and a number" % (per_seq, reader.line_num,
+                                          row["seq_id"], row["value"]))
+                vals[row["method"]][seq] = value
     common = sorted(set(vals[method_a]) & set(vals[method_b]))
     if not common:
         raise click.UsageError("no common sequences for those methods")

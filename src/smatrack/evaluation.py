@@ -6,8 +6,6 @@ import bisect
 import math
 from collections import deque
 
-from scipy.stats import binomtest
-
 from .sd_core import FcConfig, filter_cap
 
 
@@ -84,13 +82,6 @@ def dev_ratio(p_hat, tp):
     return max(tp / p_hat, p_hat / tp)
 
 
-def deviates(p_hat, tp, d):
-    """1 iff dev_ratio(p_hat, tp) > d: for a finite d, iff the estimate
-    is zero or off from the true probability by more than a factor of d
-    in either direction."""
-    return 1 if dev_ratio(p_hat, tp) > d else 0
-
-
 def multidev(o, q, p, p_min=0.01):
     """Multi-item deviation ratios for one time step, as (worst, obs):
     worst is the largest dev_ratio over the true support (0.0 for an
@@ -153,12 +144,18 @@ def optimal_logloss(obs, schedule):
 def sign_test(losses_a, losses_b):
     """Per-sequence paired comparison: (wins_a, wins_b, ties, p_value)
     where a win is a strictly lower loss and the p-value is a two-sided
-    exact binomial test with ties dropped."""
+    exact binomial test with ties dropped: 2 P(X <= min(wins)) for X ~
+    Bin(wins_a + wins_b, 1/2), or 1.0 for an even split. The tail sum is
+    an integer, and int / int rounds correctly."""
     if len(losses_a) != len(losses_b):
         raise ValueError("paired loss lists must have equal length")
     wins_a = sum(1 for a, b in zip(losses_a, losses_b) if a < b)
     wins_b = sum(1 for a, b in zip(losses_a, losses_b) if b < a)
     ties = len(losses_a) - wins_a - wins_b
     n = wins_a + wins_b
-    p_value = 1.0 if n == 0 else binomtest(wins_a, n, 0.5).pvalue
+    m = min(wins_a, wins_b)
+    if 2 * m == n:
+        p_value = 1.0
+    else:
+        p_value = 2 * sum(math.comb(n, i) for i in range(m + 1)) / 2 ** n
     return wins_a, wins_b, ties, p_value

@@ -11,13 +11,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import predictors, synth
-from .evaluation import (Referee, dev_ratio, logloss_rule_ns, multidev,
-                         optimal_logloss, score, sign_test)
+from .evaluation import (Referee, dev_ratio, multidev, optimal_logloss,
+                         score, sign_test)
 from .sd_core import FcConfig, filter_cap
-
-
-class ConfigError(ValueError):
-    pass
+from .synth import ConfigError
 
 
 # kind -> (parameter type, domain test, domain); ts-queues is another
@@ -94,16 +91,11 @@ class EvalConfig:
         return FcConfig(self.p_min, self.p_ns)
 
 
-@dataclass
-class TrialResult:
-    metrics: dict = field(default_factory=dict)
-
-
 def run_prequential(pred, obs, ecfg, schedule=None, track_item=None):
     """One predict-score-update pass over a sequence. Log-loss and quad
     loss are always reported; deviation metrics require a ground-truth
     schedule (against the tracked item in the single-item setting, or
-    all salient items otherwise)."""
+    all salient items otherwise). Returns the metrics as a dict."""
     fc = ecfg.fc()
     ref = Referee(ecfg.c_ns, ecfg.window)
     n = len(obs)
@@ -130,45 +122,16 @@ def run_prequential(pred, obs, ecfg, schedule=None, track_item=None):
                     dev_obs[d] += r > d
                     dev_any[d] += worst > d
         pred.update(o)
-    res = TrialResult()
-    res.metrics["avg_logloss_ns"] = loss_sum / n if n else 0.0
-    res.metrics["avg_quad"] = quad_sum / n if n else 0.0
+    metrics = {"avg_logloss_ns": loss_sum / n if n else 0.0,
+               "avg_quad": quad_sum / n if n else 0.0}
     if schedule is not None and n:
         for d in ecfg.dev_ds:
             if track_item is not None:
-                res.metrics["dev_rate_d%g" % d] = dev_single[d] / n
+                metrics["dev_rate_d%g" % d] = dev_single[d] / n
             else:
-                res.metrics["dev_rate_obs_d%g" % d] = dev_obs[d] / n
-                res.metrics["dev_rate_any_d%g" % d] = dev_any[d] / n
-    return res
-
-
-def run_conditional(lines, predictor_factory, ecfg, snapshot_every=None):
-    """Per-context prediction: each item, when observed, predicts the
-    next item on its line; every context has its own predictor and its
-    own referee. Returns (pooled average loss, per-event losses,
-    snapshots of the running average)."""
-    fc = ecfg.fc()
-    preds = {}
-    refs = {}
-    losses = []
-    snapshots = []
-    total = 0.0
-    for line in lines:
-        for a, b in zip(line, line[1:]):
-            if a not in preds:
-                preds[a] = predictor_factory()
-                refs[a] = Referee(ecfg.c_ns, ecfg.window)
-            q = preds[a].predict()
-            ns = refs[a].is_ns(b)
-            loss = logloss_rule_ns(b, q, ns, fc)
-            losses.append(loss)
-            total += loss
-            preds[a].update(b)
-            if snapshot_every and len(losses) % snapshot_every == 0:
-                snapshots.append((len(losses), total / len(losses)))
-    avg = total / len(losses) if losses else 0.0
-    return avg, losses, snapshots
+                metrics["dev_rate_obs_d%g" % d] = dev_obs[d] / n
+                metrics["dev_rate_any_d%g" % d] = dev_any[d] / n
+    return metrics
 
 
 def run_self_concat(obs, k, dyal, track_item=None):
@@ -212,6 +175,9 @@ class ExperimentSpec:
             raise ConfigError("unknown experiment kind: %r" % (self.kind,))
         if self.n_seqs < 1:
             raise ConfigError("n_seqs must be >= 1, got %r" % (self.n_seqs,))
+        if self.seq_len < 1:
+            raise ConfigError("seq_len must be >= 1, got %r"
+                              % (self.seq_len,))
         seen = set()
         for label, pkind, param in self.roster:
             if label in seen:
@@ -274,13 +240,13 @@ def run_experiment(spec):
             rows.append((seq_id, "optimal", "", "avg_logloss_ns", opt))
         for label, pkind, param in spec.roster:
             pred = make_predictor(pkind, param)
-            res = run_prequential(pred, stream.observations, spec.eval_cfg,
-                                  schedule=stream.schedule,
-                                  track_item=1 if single else None)
-            for metric, value in res.metrics.items():
+            metrics = run_prequential(pred, stream.observations,
+                                      spec.eval_cfg, schedule=stream.schedule,
+                                      track_item=1 if single else None)
+            for metric, value in metrics.items():
                 rows.append((seq_id, label, param, metric, value))
             losses_by_method.setdefault(label, []).append(
-                res.metrics["avg_logloss_ns"])
+                metrics["avg_logloss_ns"])
 
     aggregates = _aggregate(rows)
     tests = []

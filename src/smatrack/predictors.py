@@ -51,10 +51,10 @@ class Ema:
     grows past EMA_CAP entries, multiplies the scale back in, drops the
     weights below EMA_FLOOR and resets the scale to 1."""
 
-    def __init__(self, beta=0.01, harmonic=False, beta_min=0.001, beta0=1.0):
+    def __init__(self, beta=0.01, harmonic=False, beta_min=0.001):
         self.harmonic = harmonic
         self.beta_min = beta_min
-        self.beta = beta0 if harmonic else beta
+        self.beta = 1.0 if harmonic else beta
         self.weights = {}
         self.scale = 1.0
 

@@ -18,6 +18,10 @@ from .evaluation import Schedule
 NOISE_BASE = 2 ** 32
 
 
+class ConfigError(ValueError):
+    """An option or config value outside its domain (CLI exit code 2)."""
+
+
 @dataclass
 class GenConfig:
     p_min: float = 0.01
@@ -31,9 +35,16 @@ class GenConfig:
 
     def __post_init__(self):
         if self.p_min + self.p_ns >= 1.0:
-            raise ValueError("p_min + p_ns must be below 1")
+            raise ConfigError("p_min + p_ns must be below 1")
         if not (self.p_min < self.p_max <= 1.0):
-            raise ValueError("p_max must be in (p_min, 1]")
+            raise ConfigError("p_max must be in (p_min, 1], got %r"
+                              % (self.p_max,))
+        # With no occurrences asked of a period, oscillate mode (which
+        # ignores l_min) would append empty periods forever.
+        if self.o_min < 1:
+            raise ConfigError("o_min must be >= 1, got %r" % (self.o_min,))
+        if self.l_min < 0:
+            raise ConfigError("l_min must be >= 0, got %r" % (self.l_min,))
 
 
 class ItemAllocator:
@@ -63,7 +74,7 @@ class GeneratedStream:
 def gen_binary_stationary(tp, n, rng):
     """n iid draws of item 1 with probability tp, else item 0."""
     if not (0.0 < tp <= 1.0):
-        raise ValueError("tp must be in (0, 1]")
+        raise ConfigError("tp must be in (0, 1], got %r" % (tp,))
     obs = (rng.random(n) < tp).astype(int).tolist()
     sd = {1: tp}
     if tp < 1.0:
@@ -173,17 +184,3 @@ def schedule_to_csv(schedule):
         for i in sorted(sd):
             w.writerow([start_t, i, repr(sd[i])])
     return buf.getvalue()
-
-
-def stream_from_text(obs_text, schedule_csv=None):
-    obs = [int(line) for line in obs_text.splitlines() if line.strip()]
-    sched = None
-    if schedule_csv is not None:
-        rows = list(csv.reader(io.StringIO(schedule_csv)))[1:]
-        by_start = {}
-        for row in rows:
-            if not row:
-                continue
-            by_start.setdefault(int(row[0]), {})[int(row[1])] = float(row[2])
-        sched = Schedule(sorted(by_start.items()))
-    return GeneratedStream(obs, sched)

@@ -7,7 +7,7 @@ import conftest
 import numpy as np
 import pytest
 
-from smatrack.evaluation import deviates, logloss_rule_ns, sign_test
+from smatrack.evaluation import dev_ratio, logloss_rule_ns, sign_test
 from smatrack.harness import EvalConfig, ExperimentSpec, run_experiment
 from count_cell_queues import CountCellQueues, matches
 from single_cell_mle import SingleCellMle
@@ -75,7 +75,7 @@ def test_c1_plain_counting_deviation_fraction():
     tp, n_pos, d, n_seqs = 0.1, 10, 1.5, 5000
     # time of the n_pos-th positive is a sum of geometric gaps
     totals = rng.geometric(tp, size=(n_seqs, n_pos)).sum(axis=1)
-    frac = np.mean([deviates(n_pos / t, tp, d) for t in totals])
+    frac = np.mean([dev_ratio(n_pos / t, tp) > d for t in totals])
     ok = abs(frac - 0.18) <= 0.03
     report("C1", ok, "plain-count deviation fraction %.3f, target 0.18+-0.03"
            % frac)

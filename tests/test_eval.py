@@ -1,9 +1,12 @@
 import math
+import subprocess
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from smatrack.evaluation import (Referee, Schedule, dev_ratio, deviates,
+from smatrack.evaluation import (Referee, Schedule, dev_ratio,
                                  logloss_rule_ns, multidev, optimal_logloss,
                                  quad_rule, sign_test)
 from smatrack.harness import EvalConfig, run_prequential
@@ -133,7 +136,7 @@ def avg_logloss(q, obs, c_ns):
     for o in obs:
         total += logloss_rule_ns(o, q, r.is_ns(o), CFG)
     m = run_prequential(FixedPredictor(q), obs, EvalConfig(c_ns=c_ns))
-    assert m.metrics["avg_logloss_ns"] == total / len(obs)
+    assert m["avg_logloss_ns"] == total / len(obs)
     return total / len(obs)
 
 
@@ -198,30 +201,32 @@ def test_quad_equals_distance_to_kronecker():
 
 # --- deviation --------------------------------------------------------------
 
+# An estimate deviates at threshold d iff dev_ratio(p_hat, tp) > d.
+
 def test_deviates_zero_estimate():
-    assert deviates(0.0, 0.1, 2) == 1
+    assert (dev_ratio(0.0, 0.1) > 2) == 1
 
 
 def test_deviates_exact():
-    assert deviates(0.1, 0.1, 1.5) == 0
+    assert (dev_ratio(0.1, 0.1) > 1.5) == 0
 
 
 def test_deviates_ratio():
-    assert deviates(0.21, 0.1, 2) == 1
-    assert deviates(0.19, 0.1, 2) == 0
+    assert (dev_ratio(0.21, 0.1) > 2) == 1
+    assert (dev_ratio(0.19, 0.1) > 2) == 0
 
 
 def test_deviates_bad_tp():
     with pytest.raises(ValueError):
-        deviates(0.1, 0.0, 2)
+        dev_ratio(0.1, 0.0) > 2
 
 
 def test_deviates_ratio_equal_to_d_does_not_deviate():
     # 0.5 / 0.25 is exactly 2.0, in both directions
     assert dev_ratio(0.5, 0.25) == dev_ratio(0.25, 0.5) == 2.0
-    assert deviates(0.5, 0.25, 2.0) == deviates(0.25, 0.5, 2.0) == 0
+    assert (dev_ratio(0.5, 0.25) > 2.0) == (dev_ratio(0.25, 0.5) > 2.0) == 0
     assert multidev(1, {1: 0.5}, {1: 0.25}) == (2.0, 2.0)
-    assert deviates(0.5, 0.25, 1.999) == 1
+    assert (dev_ratio(0.5, 0.25) > 1.999) == 1
 
 
 def test_dev_ratio_zero_estimate_is_inf():
@@ -274,7 +279,7 @@ def test_multidev_matches_per_threshold_reference(o):
                 assert int(r > d) == reference_scoring.multidev(
                     o, q, p, d, mode, 0.01)
             for i in p:
-                assert deviates(q.get(i, 0.0), p[i], d) == \
+                assert (dev_ratio(q.get(i, 0.0), p[i]) > d) == \
                     reference_scoring.deviates(q.get(i, 0.0), p[i], d)
 
 
@@ -338,6 +343,38 @@ def test_sign_test_lopsided():
 def test_sign_test_ties_dropped():
     wa, wb, ties, p = sign_test([1.0, 1.0], [1.0, 1.0])
     assert ties == 2 and p == 1.0
+
+
+def exact_sign_p(k, n):
+    """Two-sided exact binomial p-value at 1/2, as a Fraction."""
+    m = min(k, n - k)
+    tail = sum(Fraction(math.comb(n, i), 2 ** n) for i in range(m + 1))
+    return min(Fraction(1), 2 * tail)
+
+
+def test_sign_test_equals_fraction_oracle():
+    for n in range(201):
+        for k in range(n + 1):
+            # k wins for a, n - k for b, and one tie
+            a = [0.0] * k + [1.0] * (n - k) + [0.5]
+            b = [1.0] * k + [0.0] * (n - k) + [0.5]
+            assert sign_test(a, b) == (k, n - k, 1,
+                                       float(exact_sign_p(k, n))), (k, n)
+    assert sign_test([], []) == (0, 0, 0, 1.0)
+    assert sign_test([2.0] * 7, [2.0] * 7) == (0, 0, 7, 1.0)
+    assert sign_test([0.0] * 50, [1.0] * 50)[3] == 1.7763568394002505e-15
+    with pytest.raises(ValueError):
+        sign_test([0.0, 1.0], [1.0])
+
+
+def test_sign_test_needs_no_scipy():
+    code = ("import sys, smatrack.cli; "
+            "from smatrack.evaluation import sign_test; "
+            "sign_test([0.0] * 5, [1.0] * 5); "
+            "assert 'scipy' not in sys.modules, 'scipy imported'")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True)
+    assert r.returncode == 0, r.stderr
 
 
 # --- relative-sensitivity ordering ------------------------------------------

@@ -11,8 +11,8 @@ from smatrack.cli import cli
 from smatrack.evaluation import Referee, Schedule
 from smatrack.harness import (ConfigError, EvalConfig, ExperimentSpec,
                               ingest_sequence, make_predictor,
-                              run_conditional, run_experiment,
-                              run_prequential, run_self_concat)
+                              run_experiment, run_prequential,
+                              run_self_concat)
 from smatrack.predictors import Dyal, Ema
 import reference_scoring
 
@@ -60,12 +60,12 @@ def test_ingest_deterministic(tmp_path):
 
 def test_prequential_empty_predictor_all_ns():
     res = run_prequential(EmptyPredictor(), [1, 1, 1], EvalConfig())
-    assert res.metrics["avg_logloss_ns"] == 0.0
+    assert res["avg_logloss_ns"] == 0.0
 
 
 def test_prequential_bounded():
     res = run_prequential(Dyal(), [1, 1, 1, 1, 2, 2, 2, 2], EvalConfig())
-    assert 0.0 <= res.metrics["avg_logloss_ns"] <= -math.log(0.01)
+    assert 0.0 <= res["avg_logloss_ns"] <= -math.log(0.01)
 
 
 def test_prequential_agrees_with_reference_scorer():
@@ -83,8 +83,8 @@ def test_prequential_agrees_with_reference_scorer():
         loss += reference_scoring.logloss_rule_ns(o, q, ref.is_ns(o))
         quad += reference_scoring.quad_rule(q, o)
         pred_b.update(o)
-    assert res.metrics["avg_logloss_ns"] == loss / len(obs)
-    assert res.metrics["avg_quad"] == quad / len(obs)
+    assert res["avg_logloss_ns"] == loss / len(obs)
+    assert res["avg_quad"] == quad / len(obs)
 
 
 _PARAMS = {"ema": "0.05", "harmonic-ema": "0.01", "queues": "3",
@@ -114,7 +114,7 @@ def test_prequential_matches_per_step_reference(kind, stream):
         make_predictor(kind, _PARAMS[kind]), s.observations, ecfg,
         schedule=s.schedule, track_item=track)
     assert len(want) == 2 + len(ecfg.dev_ds) * (1 if track else 2)
-    assert res.metrics == want
+    assert res == want
 
 
 def test_prequential_single_item_dev_metrics():
@@ -122,8 +122,8 @@ def test_prequential_single_item_dev_metrics():
     res = run_prequential(Ema(harmonic=True, beta_min=0.001),
                           s.observations, EvalConfig(),
                           schedule=s.schedule, track_item=1)
-    assert "dev_rate_d1.5" in res.metrics
-    assert 0.0 <= res.metrics["dev_rate_d1.5"] <= 1.0
+    assert "dev_rate_d1.5" in res
+    assert 0.0 <= res["dev_rate_d1.5"] <= 1.0
 
 
 def test_prequential_multi_item_dev_metrics():
@@ -131,10 +131,9 @@ def test_prequential_multi_item_dev_metrics():
                            np.random.default_rng(2))
     res = run_prequential(Dyal(), s.observations, EvalConfig(),
                           schedule=s.schedule)
-    assert "dev_rate_obs_d1.5" in res.metrics
-    assert "dev_rate_any_d2" in res.metrics
-    assert res.metrics["dev_rate_obs_d1.5"] <= \
-        res.metrics["dev_rate_any_d1.5"] + 1e-12
+    assert "dev_rate_obs_d1.5" in res
+    assert "dev_rate_any_d2" in res
+    assert res["dev_rate_obs_d1.5"] <= res["dev_rate_any_d1.5"] + 1e-12
 
 
 class FixedPredictor(EmptyPredictor):
@@ -152,14 +151,14 @@ def test_prequential_ratio_equal_to_d_does_not_deviate():
     pred = FixedPredictor({1: 0.5, 2: 0.25, 9: 0.01})
     obs = [1, 2, 9, 1]
     ecfg = EvalConfig(dev_ds=(1.5, 2.0))
-    m = run_prequential(pred, obs, ecfg, schedule=sched).metrics
+    m = run_prequential(pred, obs, ecfg, schedule=sched)
     assert m == reference_scoring.prequential(pred, obs, ecfg,
                                               schedule=sched)
     assert m["dev_rate_any_d1.5"] == m["dev_rate_obs_d1.5"] == 1.0
     assert m["dev_rate_any_d2"] == 0.0
     assert m["dev_rate_obs_d2"] == 0.25   # only the noise step
     m = run_prequential(pred, obs, ecfg, schedule=sched,
-                        track_item=2).metrics
+                        track_item=2)
     assert m["dev_rate_d1.5"] == 1.0 and m["dev_rate_d2"] == 0.0
 
 
@@ -209,38 +208,6 @@ def test_ts_queues_state_bounded():
     for t in range(20000):
         p.update(int(rng.integers(0, 20)) if rng.random() < 0.5 else 100 + t)
         assert len(p.q_map) < 2 * p.s1 + p.prune_every
-
-
-# --- conditional runs -------------------------------------------------------
-
-def test_conditional_abcd_scores_three():
-    avg, losses, _ = run_conditional([["a", "b", "c", "d"]],
-                                     lambda: Dyal(), EvalConfig())
-    assert len(losses) == 3
-
-
-def test_conditional_repeated_pair_converges():
-    lines = [["a", "b"]] * 2000
-    avg, losses, _ = run_conditional(lines, lambda: Dyal(beta_min=0.01),
-                                     EvalConfig())
-    # late losses approach the capped optimum -ln 0.99
-    late = losses[-100:]
-    assert sum(late) / len(late) < 0.1
-
-
-def test_conditional_snapshots():
-    lines = [["a", "b", "a"]] * 500
-    avg, losses, snaps = run_conditional(lines, lambda: Ema(0.05),
-                                         EvalConfig(), snapshot_every=100)
-    assert snaps and snaps[0][0] == 100
-    assert close(snaps[-1][1], sum(losses[:snaps[-1][0]]) / snaps[-1][0])
-
-
-def test_conditional_last_item_not_a_context():
-    lines = [["a", "b", "c"]]
-    avg, losses, _ = run_conditional(lines, lambda: Ema(0.05), EvalConfig())
-    # two events: a->b and b->c; c never predicts
-    assert len(losses) == 2
 
 
 # --- self-concat traces -----------------------------------------------------
@@ -454,8 +421,11 @@ def test_cli_exit_codes(tmp_path):
     import sys
     env = dict(os.environ)
     # config errors: unknown method kind, out-of-domain parameters, a
-    # duplicated label, no sequences, out-of-domain scoring options; each
-    # is one line on stderr
+    # duplicated label, no sequences, out-of-domain scoring options and
+    # generator options; each is one line on stderr and makes no output
+    # directory. A zero o_min that got through would make the generators
+    # loop forever, so these runs have a timeout.
+    out = tmp_path / "x"
     for args in (["--method", "bogus:1"], ["--method", "ema:abc"],
                  ["--method", "queues:0"], ["--method", "ema:0"],
                  ["--method", "dyal:-1"],
@@ -465,13 +435,48 @@ def test_cli_exit_codes(tmp_path):
                  ["--method", "ema:0.1", "--p-ns", "0"],
                  ["--method", "ema:0.1", "--referee-window", "0"],
                  ["--method", "ema:0.1", "--c-ns", "-1"],
-                 ["--method", "ema:0.1", "--d", "0.5"]):
+                 ["--method", "ema:0.1", "--d", "0.5"],
+                 ["--method", "ema:0.1", "--kind", "multi-item",
+                  "--seq-len", "-5"],
+                 ["--method", "ema:0.1", "--tp", "0"],
+                 ["--method", "ema:0.1", "--p-max", "0"],
+                 ["--method", "ema:0.1", "--kind", "nonstat-single",
+                  "--o-min", "0"],
+                 ["--method", "ema:0.1", "--kind", "nonstat-single",
+                  "--mode", "uniform", "--l-min", "-1"]):
         r = subprocess.run([sys.executable, "-m", "smatrack.cli", "run",
                             "--kind", "stationary-single", "--seq-len",
-                            "500", *args, "--out", str(tmp_path / "x")],
-                           capture_output=True, env=env)
+                            "500", *args, "--out", str(out)],
+                           capture_output=True, env=env, timeout=60)
         assert r.returncode == 2, args
         assert len(r.stderr.decode().strip().splitlines()) == 1, args
+        assert not out.exists(), args
+    for args in (["--kind", "multi", "--o-min", "0"],
+                 ["--kind", "nonstat", "--l-min", "-1"],
+                 ["--kind", "binary", "--tp", "0"],
+                 ["--kind", "multi", "--p-max", "0"],
+                 ["--kind", "multi", "--n", "0"],
+                 ["--kind", "binary", "--n", "-5"]):
+        r = subprocess.run([sys.executable, "-m", "smatrack.cli", "gen",
+                            *args, "--out", str(out)],
+                           capture_output=True, env=env, timeout=60)
+        assert r.returncode == 2, args
+        assert len(r.stderr.decode().strip().splitlines()) == 1, args
+        assert not out.exists(), args
+    # compare: a CSV without the needed columns, a non-numeric value
+    for i, text in enumerate(("seq_id,method,value\n0,a,1.0\n",
+                              "seq_id,method,param,metric,value\n"
+                              "0,a,,avg_logloss_ns,1.0\n"
+                              "0,b,,avg_logloss_ns,oops\n")):
+        per_seq = tmp_path / ("bad%d.csv" % i)
+        per_seq.write_text(text)
+        r = subprocess.run([sys.executable, "-m", "smatrack.cli", "compare",
+                            "--per-seq", str(per_seq), "--a", "a",
+                            "--b", "b"], capture_output=True, env=env)
+        assert r.returncode == 2, text
+        err = r.stderr.decode().strip().splitlines()
+        assert len(err) == 1, text
+        assert ("'metric' column" if i == 0 else "line 3") in err[0], err
     # config files: a value of the wrong type, a misspelt key
     tokens = tmp_path / "tok.txt"
     tokens.write_text("a\nb\na\n")

@@ -1,12 +1,14 @@
+import csv
+import io
 import math
 
 import numpy as np
 import pytest
 
-from smatrack.synth import (NOISE_BASE, GenConfig, ItemAllocator, draw_item,
-                            gen_binary_stationary, gen_sd, gen_sequence,
-                            gen_single_nonstationary, gen_subseq,
-                            schedule_to_csv, stream_from_text, stream_to_text)
+from smatrack.synth import (NOISE_BASE, ConfigError, GenConfig, ItemAllocator,
+                            draw_item, gen_binary_stationary, gen_sd,
+                            gen_sequence, gen_single_nonstationary,
+                            gen_subseq, schedule_to_csv, stream_to_text)
 
 
 # --- binary stationary ------------------------------------------------------
@@ -156,6 +158,21 @@ def test_gen_config_validation():
         GenConfig(p_max=0.001)
 
 
+def test_gen_config_rejects_empty_periods():
+    # o_min = 0 lets a period end before it starts, so the generators
+    # would append empty periods forever; l_min cannot be negative
+    for kw in ({"o_min": 0}, {"o_min": -3}, {"o_min": 0, "l_min": 100},
+               {"l_min": -1}):
+        with pytest.raises(ConfigError):
+            GenConfig(**kw)
+    # domain edges
+    cfg = GenConfig(o_min=1, l_min=0, desired_len=50)
+    rng = np.random.default_rng(0)
+    assert len(gen_single_nonstationary("oscillate", cfg, 50, rng)
+               .observations) == 50
+    assert len(gen_sequence(cfg, rng).observations) >= 50
+
+
 # --- draw_item / gen_subseq -------------------------------------------------
 
 def test_draw_item_point_mass():
@@ -272,8 +289,11 @@ def test_generation_deterministic():
 def test_stream_roundtrip():
     cfg = GenConfig(o_min=10, desired_len=1000)
     s = gen_sequence(cfg, np.random.default_rng(21))
-    text = stream_to_text(s)
-    sched = schedule_to_csv(s.schedule)
-    back = stream_from_text(text, sched)
-    assert back.observations == s.observations
-    assert back.schedule.entries == s.schedule.entries
+    obs = [int(line) for line in stream_to_text(s).splitlines()]
+    rows = list(csv.reader(io.StringIO(schedule_to_csv(s.schedule))))
+    assert rows[0] == ["start_t", "item_id", "prob"]
+    entries = {}
+    for start, item, prob in rows[1:]:
+        entries.setdefault(int(start), {})[int(item)] = float(prob)
+    assert obs == s.observations
+    assert sorted(entries.items()) == s.schedule.entries
