@@ -206,6 +206,12 @@ def trace(input_path, method, concat_k, track_item, out):
     if kind != "dyal":
         raise click.UsageError("rate traces require a dyal method")
     obs = harness.ingest_sequence(input_path)
+    if not obs:
+        raise ConfigError("%s holds no tokens" % (input_path,))
+    # Ids are interned 0, 1, ... in first-seen order.
+    if track_item is not None and not 0 <= track_item <= max(obs):
+        raise ConfigError("--track-item %d: the file's ids are 0 to %d"
+                          % (track_item, max(obs)))
     os.makedirs(out, exist_ok=True)
     rates, est = harness.run_self_concat(obs, concat_k, pred, track_item)
     path = os.path.join(out, "rate_trace.csv")

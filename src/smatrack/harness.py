@@ -227,8 +227,10 @@ def run_experiment(spec):
     single = spec.kind in ("stationary-single", "nonstat-single")
 
     if spec.kind == "real-file":
-        seqs = [(0, synth.GeneratedStream(ingest_sequence(spec.input_path),
-                                          None))]
+        obs = ingest_sequence(spec.input_path)
+        if not obs:
+            raise ConfigError("%s holds no tokens" % (spec.input_path,))
+        seqs = [(0, synth.GeneratedStream(obs, None))]
     else:
         seeds = np.random.SeedSequence(spec.seed).spawn(spec.n_seqs)
         seqs = [(k, _gen_stream(spec, np.random.default_rng(s)))

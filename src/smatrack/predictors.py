@@ -32,6 +32,17 @@ def binomial_significance(ema_pr, q_pr, q_count):
     return q_count * kl2
 
 
+# Dyal.weaken_edges calls binomial_significance(e, q, n) only where
+# n * KL(q || e) can reach the threshold: KL(q || e) <= ln(1 + chi2) <=
+# chi2 = (e - q)**2 / (e (1 - e)), so the call is skipped when
+# n * (chi2 + CHI2_SLACK) < sig. The slack covers rounding where the two
+# nearly meet, chi2 near 0: there a computed KL, a sum of logs of ratios
+# near 1, is off by a few ulps of 1, not of itself. Elsewhere the gap
+# chi2 - ln(1 + chi2) is far wider than the rounding. So the decision is
+# the same as without the test.
+CHI2_SLACK = 1e-14
+
+
 # Ema drops a weight that has sunk below EMA_FLOOR when it folds its
 # scale. At most 1 / EMA_FLOOR weights can reach the floor, so a fold
 # forced by EMA_CAP entries frees at least half of them.
@@ -96,16 +107,23 @@ class Queues:
     updates, and an item's queue holds the clock values of its last qcap
     observations. PR = (stamps - 1) / (clock - oldest stamp): the paper's
     count-cell estimate (cells - 1) / (total count - 1), since the cells
-    would total clock - oldest + 1. A heart-beat prune keeps the map
+    would total clock - oldest + 1. A heart-beat prune keeps the state
     bounded: queues whose newest stamp is s2 or more steps old are
-    dropped, and when the map reaches 2*s1 entries it is cut back to the
-    s1 freshest."""
+    dropped, and when there are 2*s1 queues they are cut back to the s1
+    freshest.
+
+    Two disjoint maps hold the queues: first maps an item seen once (so
+    far, or ever with qcap 1) to that stamp, and q_map holds the queues
+    of 2 or more stamps. An item moves to q_map on its second sighting.
+    On an open-ended stream most items are seen once, and predict()
+    walks only q_map."""
 
     def __init__(self, qcap=3, s1=100, s2=100000, prune_every=1000):
         self.qcap = qcap
         self.s1 = s1
         self.s2 = s2
         self.prune_every = prune_every
+        self.first = {}
         self.q_map = {}
         self.clock = 0
 
@@ -114,40 +132,51 @@ class Queues:
         count is the steps since the oldest stamp, inclusive; PR is 0.0
         while the queue holds a single stamp (grace period)."""
         q = self.q_map.get(i)
-        if q is None:
+        if q is not None:
+            count = self.clock - q[-1] + 1
+            return (len(q) - 1) / (count - 1), count
+        stamp = self.first.get(i)
+        if stamp is None:
             return 0.0, 0
-        count = self.clock - q[-1] + 1
-        if len(q) <= 1:
-            return 0.0, count
-        return (len(q) - 1) / (count - 1), count
+        return 0.0, self.clock - stamp + 1
 
     def predict(self):
         # pr_count's PR for every item past its grace period, inlined:
-        # this runs over the whole map on every step.
+        # this runs over q_map on every step.
         c = self.clock
-        return {i: (len(q) - 1) / (c - q[-1])
-                for i, q in self.q_map.items() if len(q) > 1}
+        return {i: (len(q) - 1) / (c - q[-1]) for i, q in self.q_map.items()}
 
     def update(self, o):
-        self.clock += 1
-        q = self.q_map.setdefault(o, [])
-        q.insert(0, self.clock)
-        if len(q) > self.qcap:
-            q.pop()
-        if self.prune_every and self.clock % self.prune_every == 0:
+        c = self.clock = self.clock + 1
+        q = self.q_map.get(o)
+        if q is not None:
+            q.insert(0, c)
+            if len(q) > self.qcap:
+                q.pop()
+        else:
+            stamp = self.first.pop(o, None) if self.qcap > 1 else None
+            if stamp is None:
+                self.first[o] = c
+            else:
+                self.q_map[o] = [c, stamp]
+        if self.prune_every and c % self.prune_every == 0:
             self.prune()
 
     def prune(self):
         """Returns the set of item ids dropped."""
-        dropped = {i for i, q in self.q_map.items()
-                   if self.clock - q[0] >= self.s2}
-        for i in dropped:
-            del self.q_map[i]
-        if len(self.q_map) >= 2 * self.s1:
+        first = self.first
+        newest = {i: q[0] for i, q in self.q_map.items()}
+        newest.update(first)
+        dropped = {i for i, s in newest.items() if self.clock - s >= self.s2}
+        if len(newest) - len(dropped) >= 2 * self.s1:
             # Freshest first: newest stamp, ties to smaller id.
-            keep = sorted(self.q_map, key=lambda i: (-self.q_map[i][0], i))
-            for i in keep[self.s1:]:
-                dropped.add(i)
+            keep = sorted(newest.keys() - dropped,
+                          key=lambda i: (-newest[i], i))
+            dropped.update(keep[self.s1:])
+        for i in dropped:
+            if i in first:
+                del first[i]
+            else:
                 del self.q_map[i]
         return dropped
 
@@ -242,9 +271,13 @@ class Dyal:
         untouched weight).
 
         One loop, since it visits every edge on every update:
-        Queues.pr_count and the significance test are inlined, and a
-        rate at its fixed floor skips decay_rate. The items() snapshot
-        is safe because only the visited edge changes."""
+        Queues.pr_count and the significance test are inlined, the
+        chi-squared bound skips binomial_significance where it cannot
+        reach sig_thresh, and a rate at its fixed floor skips
+        decay_rate. Each edge Dyal makes has its queue in q_map: it is
+        made only for a queue of 2 or more stamps, and pruned with it.
+        The items() snapshot is safe because only the visited edge
+        changes."""
         ema_map = self.ema_map
         rate_map = self.rate_map
         q_map = self.queues.q_map
@@ -252,6 +285,7 @@ class Dyal:
         p_min = self.p_min
         beta_min = self.beta_min
         sig = self.sig_thresh
+        slack = CHI2_SLACK
         fixed = self._fixed_rate
         used = 0.0
         for i, beta in list(rate_map.items()):
@@ -264,13 +298,16 @@ class Dyal:
                 q_pr, q_count = 0.0, 0
             else:
                 q_count = clock - q[-1] + 1
-                n = len(q)
-                q_pr = (n - 1) / (q_count - 1) if n > 1 else 0.0
+                q_pr = (len(q) - 1) / (q_count - 1)
             if e < p_min and q_pr < p_min:
                 del ema_map[i]
                 del rate_map[i]
                 continue
-            if e > q_pr and binomial_significance(e, q_pr, q_count) >= sig:
+            if e > q_pr and (
+                    e >= 1.0
+                    or q_count * ((d := e - q_pr) * d / (e * (1.0 - e))
+                                  + slack) >= sig) and (
+                    binomial_significance(e, q_pr, q_count) >= sig):
                 if q_pr == 0.0:
                     del ema_map[i]
                     del rate_map[i]

@@ -60,9 +60,10 @@ class CountCellQueues:
 
 
 def matches(stamps, cells):
-    """True if a stamp-based Queues and a CountCellQueues hold the same
-    items with the same (PR, count) and the same prediction."""
-    return (set(stamps.q_map) == set(cells.cells)
+    """True if a stamp-based Queues (both of its maps) and a
+    CountCellQueues hold the same items with the same (PR, count) and the
+    same prediction."""
+    return (stamps.first.keys() | stamps.q_map.keys() == set(cells.cells)
             and all(stamps.pr_count(i) == cells.pr_count(i)
                     for i in cells.cells)
             and stamps.predict() == cells.predict())

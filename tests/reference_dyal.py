@@ -9,7 +9,8 @@ key order, rates and free mass), so the tests drive both side by side.
 
 import statistics
 
-from smatrack.predictors import Queues, binomial_significance, decay_rate
+from reference_queues import ReferenceQueues as Queues
+from smatrack.predictors import binomial_significance, decay_rate
 
 
 class ReferenceDyal:

@@ -207,7 +207,7 @@ def test_ts_queues_state_bounded():
     rng = np.random.default_rng(16)
     for t in range(20000):
         p.update(int(rng.integers(0, 20)) if rng.random() < 0.5 else 100 + t)
-        assert len(p.q_map) < 2 * p.s1 + p.prune_every
+        assert len(p.first) + len(p.q_map) < 2 * p.s1 + p.prune_every
 
 
 # --- self-concat traces -----------------------------------------------------
@@ -405,6 +405,10 @@ def test_cli_trace(tmp_path):
         want.append(dyal.predict().get(0, 0.0))
         dyal.update(o)
     assert est == want and len(est) == 450
+    # the largest id in the file may be tracked too
+    r = runner.invoke(cli, ["trace", "--input", str(p), "--track-item", "2",
+                            "--out", str(tmp_path / "trace2")])
+    assert r.exit_code == 0, r.output
 
 
 def test_cli_ingest_check(tmp_path):
@@ -490,10 +494,29 @@ def test_cli_exit_codes(tmp_path):
                            capture_output=True, env=env)
         assert r.returncode == 2, text
         assert len(r.stderr.decode().strip().splitlines()) == 1, text
-    # trace: a self-concat below 1, a method that is not dyal, and a bad
-    # dyal parameter fail before the output directory is made
+    # a token file with no tokens, empty or blank lines only: run and
+    # trace fail before the output directory is made (it used to score a
+    # perfect 0.0, or write a header-only trace)
+    empty, blank = tmp_path / "empty.txt", tmp_path / "blank.txt"
+    empty.write_text("")
+    blank.write_text("\n  \n\n")
+    out = tmp_path / "x"
+    for path in (empty, blank):
+        for args in (["run", "--kind", "real-file", "--method", "ema:0.1"],
+                     ["trace"]):
+            r = subprocess.run([sys.executable, "-m", "smatrack.cli", *args,
+                                "--input", str(path), "--out", str(out)],
+                               capture_output=True, env=env)
+            assert r.returncode == 2, (path, args)
+            err = r.stderr.decode().strip().splitlines()
+            assert len(err) == 1 and "no tokens" in err[0], (path, args)
+            assert not out.exists(), (path, args)
+    # trace: a self-concat below 1, a method that is not dyal, a bad
+    # dyal parameter, and a tracked id outside the file's ids (0 and 1
+    # here) fail before the output directory is made
     for args in (["--self-concat", "0"], ["--self-concat", "-2"],
-                 ["--method", "ema:0.01"], ["--method", "dyal:abc"]):
+                 ["--method", "ema:0.01"], ["--method", "dyal:abc"],
+                 ["--track-item", "-1"], ["--track-item", "2"]):
         out = tmp_path / "trace-out"
         r = subprocess.run([sys.executable, "-m", "smatrack.cli", "trace",
                             "--input", str(tokens), *args,

@@ -5,6 +5,7 @@ import pytest
 
 from count_cell_queues import CountCellQueues, matches
 from reference_dyal import ReferenceDyal
+from reference_queues import ReferenceQueues
 from reference_ema import ReferenceEma
 from single_cell_mle import SingleCellMle
 from smatrack.predictors import (EMA_CAP, EMA_FLOOR, Box, Dyal, Ema, Queues,
@@ -177,11 +178,16 @@ def test_ema_expected_movement():
 # newest first; its count is clock - oldest + 1, which is what the
 # paper's count cells sum to.
 
-def _queues_with(clock, q_map, **kw):
+def _queues_with(clock, first, q_map, **kw):
     s = Queues(**kw)
     s.clock = clock
+    s.first = first
     s.q_map = q_map
     return s
+
+
+def _items(s):
+    return set(s.first) | set(s.q_map)
 
 
 def test_queue_positive_update_shifts():
@@ -203,7 +209,7 @@ def test_queue_positive_update_at_capacity():
 def test_queue_fresh_positive():
     s = Queues(qcap=3)
     s.update(1)
-    assert s.q_map[1] == [1]  # cells [1]
+    assert s.first == {1: 1} and s.q_map == {}  # cells [1]
     assert s.pr_count(1) == (0.0, 1)
 
 
@@ -211,7 +217,7 @@ def test_queue_negative_update():
     s = Queues(qcap=3)
     s.update(1)
     s.update(0)
-    assert s.q_map[1] == [1]  # cells [2]
+    assert s.first == {1: 1, 0: 2} and s.q_map == {}  # cells [2], [1]
     assert s.pr_count(1) == (0.0, 2)
     s = Queues(qcap=3)
     for o in [1, 1, 1, 0, 0, 0, 0]:
@@ -226,26 +232,37 @@ def test_queue_negative_update_no_cells():
     s = Queues(qcap=3)
     s.update(0)
     s.update(0)
-    assert 1 not in s.q_map
+    assert 1 not in _items(s)
     assert s.pr_count(1) == (0.0, 0)
 
 
 def test_queue_get_pr():
-    assert close(_queues_with(3, {1: [2, 1]}).pr_count(1)[0], 1 / 2)
-    assert close(_queues_with(7, {1: [3, 2, 1]}).pr_count(1)[0], 2 / 6)
-    assert _queues_with(3, {1: [1]}).pr_count(1)[0] == 0.0
+    assert close(_queues_with(3, {}, {1: [2, 1]}).pr_count(1)[0], 1 / 2)
+    assert close(_queues_with(7, {}, {1: [3, 2, 1]}).pr_count(1)[0], 2 / 6)
+    assert _queues_with(3, {1: 1}, {}).pr_count(1) == (0.0, 3)
 
 
 # --- Queues predictor -------------------------------------------------------
 
 def test_queues_update_allocates():
+    # a first sighting goes in first, the second moves the item to q_map
     s = Queues(qcap=3)
     s.update(1)
-    assert s.q_map == {1: [1]}
+    assert s.first == {1: 1} and s.q_map == {}
     s.update(2)
-    assert s.q_map == {1: [1], 2: [2]}
+    assert s.first == {1: 1, 2: 2} and s.q_map == {}
     assert s.pr_count(1) == (0.0, 2)  # cells [2]
     assert s.pr_count(2) == (0.0, 1)  # cells [1]
+    assert s.predict() == {}
+    s.update(1)
+    assert s.first == {2: 2} and s.q_map == {1: [3, 1]}
+    assert s.predict() == {1: 1 / 2}
+    # with qcap 1 no item leaves its grace period
+    s = Queues(qcap=1)
+    for o in [1, 1, 2, 1]:
+        s.update(o)
+    assert s.first == {1: 4, 2: 3} and s.q_map == {}
+    assert s.pr_count(1) == (0.0, 1) and s.predict() == {}
 
 
 def test_queues_aaaabbbb():
@@ -258,31 +275,40 @@ def test_queues_aaaabbbb():
 
 
 def test_prune_drops_stale():
-    # stale means cell0 > s2, i.e. clock - newest stamp >= s2
-    s = _queues_with(100000, {1: [1], 2: [2]}, qcap=3, s2=100000)
+    # stale means cell0 > s2, i.e. clock - newest stamp >= s2, in either
+    # map
+    s = _queues_with(100000, {1: 1}, {2: [2, 1]}, qcap=3, s2=100000)
     assert s.prune() == set()
     s.clock += 1
     assert s.prune() == {1}
-    assert set(s.q_map) == {2}
+    assert s.first == {} and set(s.q_map) == {2}
+    s.clock += 1
+    assert s.prune() == {2}
+    assert s.q_map == {}
 
 
 def test_prune_size_threshold():
-    # item i has cell0 i + 1 at clock 200
-    s = _queues_with(200, {i: [200 - i] for i in range(199)}, qcap=3,
+    # item i has cell0 i + 1 at clock 200; odd items have a second stamp
+    s = _queues_with(200, {i: 200 - i for i in range(0, 199, 2)},
+                     {i: [200 - i, 1] for i in range(1, 199, 2)}, qcap=3,
                      s1=100)
     s.prune()
-    assert len(s.q_map) == 199  # below 2*s1: untouched
-    s.q_map[199] = [1]  # cell0 200
+    assert len(_items(s)) == 199  # below 2*s1: untouched
+    s.first[199] = 1  # cell0 200
     s.prune()
-    assert len(s.q_map) == 100
-    # the 100 freshest (newest stamps, lowest cell0 counts) survive
-    assert set(s.q_map) == set(range(100))
+    # the 100 freshest of both maps (newest stamps, lowest cell0 counts)
+    # survive
+    assert _items(s) == set(range(100))
+    assert set(s.q_map) == set(range(1, 100, 2))
 
 
 def test_prune_tie_break_drops_larger_id():
-    s = _queues_with(10, {1: [4], 0: [4]}, qcap=3, s1=1)
+    s = _queues_with(10, {1: 4}, {0: [4, 2]}, qcap=3, s1=1)
     assert s.prune() == {1}
-    assert set(s.q_map) == {0}
+    assert s.first == {} and set(s.q_map) == {0}
+    s = _queues_with(10, {0: 4}, {1: [4, 2]}, qcap=3, s1=1)
+    assert s.prune() == {1}
+    assert s.first == {0: 4} and s.q_map == {}
 
 
 def test_queues_heartbeat_runs():
@@ -290,7 +316,7 @@ def test_queues_heartbeat_runs():
     rng = np.random.default_rng(4)
     for t in range(1000):
         s.update(int(rng.integers(0, 50)))
-        assert len(s.q_map) <= 2 * s.s1 + s.prune_every
+        assert len(_items(s)) <= 2 * s.s1 + s.prune_every
 
 
 def test_queue_pr_monotone_on_updates():
@@ -417,6 +443,30 @@ def test_timestamp_equals_plain_queues():
             assert matches(stamps, cells)
 
 
+def test_queues_match_reference_on_open_streams():
+    # the one-map Queues as it was before the two-tier split, pruning on
+    # with a small s1 so that the cut runs over both maps: the same (PR,
+    # count) for every item, the same predictions and the same prune sets
+    rng = np.random.default_rng(18)
+    for _ in range(60):
+        kw = dict(qcap=int(rng.integers(1, 6)), s1=int(rng.integers(1, 6)),
+                  s2=int(rng.integers(5, 60)),
+                  prune_every=int(rng.integers(1, 12)))
+        s, ref = Queues(**kw), ReferenceQueues(**kw)
+        fresh = rng.random()
+        for t in range(600):
+            o = 1000 + t if rng.random() < fresh else int(rng.integers(0, 8))
+            s.update(o)
+            ref.update(o)
+            assert not s.first.keys() & s.q_map.keys()
+            assert _items(s) == set(ref.q_map)
+            for i in list(ref.q_map) + [-1, 1000 + t + 1]:
+                assert s.pr_count(i) == ref.pr_count(i)
+            assert s.predict() == ref.predict()
+            if t % 7 == 0:
+                assert s.prune() == ref.prune()
+
+
 # --- Box --------------------------------------------------------------------
 
 def test_box_eviction():
@@ -480,12 +530,103 @@ def test_binomial_significance_degenerate_ema():
     assert binomial_significance(1.0, 0.5, 3) == math.inf
 
 
+class _Stamps:
+    """A queue of n stamps whose oldest is `oldest`, without the list:
+    Dyal.weaken_edges reads only len(q) and q[-1]."""
+
+    def __init__(self, n, oldest):
+        self.n, self.oldest = n, oldest
+
+    def __len__(self):
+        return self.n
+
+    def __getitem__(self, k):
+        assert k == -1
+        return self.oldest
+
+
+def _gate_cases(rng):
+    """(e, queue length n, count c) for one edge, as weaken_edges sees it:
+    n stamps over c steps give q = (n - 1) / (c - 1); n = 0 means no
+    queue (q 0, count 0). e runs from near 0 to 1, q from far below e
+    to within an ulp of it, c from 2 to 2**62."""
+    while True:
+        u = rng.random()
+        if u < 0.3:
+            e = 10.0 ** -rng.uniform(0.0, 20.0)
+        elif u < 0.6:
+            e = 1.0 - 10.0 ** -rng.uniform(0.0, 16.0)
+        elif u < 0.65:
+            e = 1.0
+        else:
+            e = rng.random()
+        if rng.random() < 0.05:
+            yield e, 0, 0
+            continue
+        c = int(10.0 ** rng.uniform(0.31, 18.6))
+        u = rng.random()
+        if u < 0.3:
+            q = e * rng.random()
+        elif u < 0.5:
+            q = e * 10.0 ** -rng.uniform(0.0, 18.0)  # KL near chi2
+        elif u < 0.8:
+            q = e * (1.0 - 10.0 ** -rng.uniform(0.0, 17.0))
+        else:
+            q = e - int(rng.integers(1, 5)) / (c - 1)
+        n = min(max(round(q * (c - 1)) + 1, 2), c)
+        yield e, n, c
+
+
+def test_chi2_pretest_never_skips_a_significant_edge(monkeypatch):
+    # weaken_edges skips binomial_significance where the chi-squared
+    # bound says it cannot reach sig_thresh; every case whose score
+    # reaches sig must still be scored, and so reset from its queue. sig
+    # is set to the score itself (the tightest case), to the next float
+    # below it, to 0 and to 5, and drawn at random.
+    import smatrack.predictors as predictors
+    calls = []
+
+    def recording(e, q, n):
+        calls.append((e, q, n))
+        return binomial_significance(e, q, n)
+    monkeypatch.setattr(predictors, "binomial_significance", recording)
+    rng = np.random.default_rng(19)
+    d = Dyal(beta_min=0.01, p_min=0.0)
+    cases = below = skipped = 0
+    for e, n, c in _gate_cases(rng):
+        if cases >= 100000:
+            break
+        q_pr = (n - 1) / (c - 1) if n else 0.0
+        if not e > q_pr:
+            continue
+        score = binomial_significance(e, q_pr, c)
+        drawn = rng.uniform(0.0, 2.0) * (score if score < math.inf else 20.0)
+        for sig in (score, math.nextafter(score, -math.inf), 0.0, 5.0,
+                    drawn):
+            d.sig_thresh = sig
+            d.ema_map, d.rate_map = {1: e}, {1: 0.5}
+            d.queues.clock = c
+            d.queues.q_map = {1: _Stamps(n, 1)} if n else {}
+            calls.clear()
+            d.weaken_edges(0)
+            cases += 1
+            if score >= sig:
+                assert calls == [(e, q_pr, c)], (e, n, c, score, sig)
+                assert d.ema_map.get(1) == (q_pr or None)
+            else:
+                below += 1
+                skipped += not calls
+    # the test is not vacuous: the gate skips the call for more than a
+    # quarter of the scores below sig (about 39 % here)
+    assert 4 * skipped > below
+
+
 # --- DYAL -------------------------------------------------------------------
 
 def test_dyal_first_observation_queue_only():
     d = Dyal()
     d.update(5)
-    assert 5 in d.queues.q_map
+    assert d.queues.first == {5: 1} and d.queues.q_map == {}
     assert d.predict() == {}
 
 

@@ -1,7 +1,8 @@
 """Property tests over every PREDICTOR_KINDS entry: the predicted map
 is a semi-distribution with no zero entries, predict() has no side
 effects, a stream gives the same run every time, and the kinds that
-prune keep their state bounded on an open-ended stream."""
+prune keep their state bounded on an open-ended stream. The queue-based
+kinds keep their two maps of queues apart."""
 
 import math
 
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smatrack.harness import PREDICTOR_KINDS, make_predictor
-from smatrack.predictors import EMA_FLOOR
+from smatrack.predictors import EMA_FLOOR, Dyal, Queues
 from smatrack.sd_core import SUM_SLACK, allocated
 
 SD_KINDS = ("ema", "harmonic-ema", "box", "dyal")
@@ -143,9 +144,26 @@ def test_state_bounded_on_open_ended_stream(kind, seed, fresh):
         queues = pred.queues if kind == "dyal" else pred
         # cut back below 2*s1 at every prune, at most prune_every new
         # queues in between
-        assert len(queues.q_map) < 2 * queues.s1 + pred.prune_every
+        assert len(queues.first) + len(queues.q_map) \
+            < 2 * queues.s1 + pred.prune_every
         if kind == "dyal":
             assert len(pred.rate_map) == len(pred.ema_map) \
                 <= len(queues.q_map)
-    if kind in ("queues", "ts-queues", "dyal"):
-        assert max(map(len, queues.q_map.values())) <= queues.qcap
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(("queues", "dyal")), st.integers(1, 6),
+       st.integers(1, 5), st.integers(1, 60), st.integers(1, 12), streams)
+def test_queue_tiers(kind, qcap, s1, s2, prune_every, stream):
+    # pruning on, with a small s1: first and q_map never share an item,
+    # each queue in q_map holds 2 to qcap stamps, and each Dyal edge has
+    # its queue there
+    kw = dict(qcap=qcap, s1=s1, s2=s2, prune_every=prune_every)
+    pred = Dyal(**kw) if kind == "dyal" else Queues(**kw)
+    queues = pred.queues if kind == "dyal" else pred
+    for o in stream:
+        pred.update(o)
+        assert not queues.first.keys() & queues.q_map.keys()
+        assert all(2 <= len(q) <= qcap for q in queues.q_map.values())
+        if kind == "dyal":
+            assert pred.ema_map.keys() <= queues.q_map.keys()
