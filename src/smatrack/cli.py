@@ -57,14 +57,20 @@ def _read_config_file(path):
 
 
 def _eval_config(cfg_file, p_min, p_ns, c_ns, referee_window, dev):
-    base = _read_config_file(cfg_file) if cfg_file else {}
-    return EvalConfig(
-        p_min=p_min if p_min is not None else base.get("p_min", 0.01),
-        p_ns=p_ns if p_ns is not None else base.get("p_ns", 0.01),
-        c_ns=c_ns if c_ns is not None else base.get("c_ns", 2),
-        window=referee_window if referee_window is not None
-        else base.get("referee_window"),
-        dev_ds=tuple(dev) if dev else (1.5, 2.0))
+    """EvalConfig from the --config file's values, overridden by the
+    flags given; EvalConfig's defaults fill in the rest."""
+    kw = _read_config_file(cfg_file) if cfg_file else {}
+    if "referee_window" in kw:
+        kw["window"] = kw.pop("referee_window")
+    flags = {"p_min": p_min, "p_ns": p_ns, "c_ns": c_ns,
+             "window": referee_window, "dev_ds": dev or None}
+    kw.update((k, v) for k, v in flags.items() if v is not None)
+    return EvalConfig(**kw)
+
+
+# gen --kind -> the experiment kind whose streams it writes
+_GEN_KINDS = {"binary": "stationary-single", "nonstat": "nonstat-single",
+              "multi": "multi-item"}
 
 
 @click.group()
@@ -73,8 +79,7 @@ def cli():
 
 
 @cli.command()
-@click.option("--kind", type=click.Choice(["binary", "nonstat", "multi"]),
-              required=True)
+@click.option("--kind", type=click.Choice(list(_GEN_KINDS)), required=True)
 @click.option("--tp", type=float, default=0.1, show_default=True)
 @click.option("--mode", type=click.Choice(["oscillate", "uniform"]),
               default="oscillate", show_default=True)
@@ -88,16 +93,11 @@ def cli():
 @click.option("--out", type=click.Path(), required=True)
 def gen(kind, tp, mode, o_min, l_min, p_max, recycle, n, seed, out):
     """Generate a synthetic stream: stream.txt plus schedule.csv."""
-    rng = np.random.default_rng(seed)
-    if kind == "binary":
-        stream = synth.gen_binary_stationary(tp, n, rng)
-    else:
-        gcfg = synth.GenConfig(o_min=o_min, l_min=l_min, p_max=p_max,
-                               recycle=recycle, desired_len=n)
-        if kind == "nonstat":
-            stream = synth.gen_single_nonstationary(mode, gcfg, n, rng)
-        else:
-            stream = synth.gen_sequence(gcfg, rng)
+    spec = ExperimentSpec(
+        kind=_GEN_KINDS[kind], roster=[], seq_len=n, tp=tp, mode=mode,
+        gen=synth.GenConfig(o_min=o_min, l_min=l_min, p_max=p_max,
+                            recycle=recycle, desired_len=n))
+    stream = harness.gen_stream(spec, np.random.default_rng(seed))
     os.makedirs(out, exist_ok=True)
     with open(os.path.join(out, "stream.txt"), "w") as f:
         f.write(synth.stream_to_text(stream))
@@ -124,7 +124,8 @@ def gen(kind, tp, mode, o_min, l_min, p_max, recycle, n, seed, out):
 @click.option("--p-max", type=float, default=1.0, show_default=True)
 @click.option("--recycle", is_flag=True)
 @click.option("--input", "input_path", type=click.Path())
-@click.option("--config", "cfg_file", type=click.Path(exists=True),
+@click.option("--config", "cfg_file", metavar="PATH",
+              type=click.Path(exists=True, dir_okay=False),
               help="key=value defaults file; flags win.")
 @click.option("--p-min", type=float, default=None)
 @click.option("--p-ns", type=float, default=None)
@@ -157,8 +158,8 @@ def run(kind, methods, n_seqs, seq_len, seed, tp, mode, o_min, l_min,
 
 
 @cli.command()
-@click.option("--per-seq", "per_seq", type=click.Path(exists=True),
-              required=True)
+@click.option("--per-seq", "per_seq", metavar="PATH",
+              type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--a", "method_a", required=True)
 @click.option("--b", "method_b", required=True)
 @click.option("--metric", default="avg_logloss_ns", show_default=True)

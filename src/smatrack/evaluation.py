@@ -39,9 +39,9 @@ class Referee:
 def score(o, qp, marked_ns, neg_log_pns):
     """Bounded log-loss and quadratic loss of one filter-capped map qp
     against the outcome o, as (loss, quad). A hit scores -ln of its
-    weight; a miss scores neg_log_pns (-ln p_ns), or -ln of the
-    unallocated mass (at least p_ns by construction) if the referee
-    marked it as noise. The quadratic (Brier-style) loss is the squared
+    weight; a miss scores neg_log_pns (-ln p_ns), or, if the referee
+    marked it as noise, -ln of the unallocated mass clamped at
+    neg_log_pns. The quadratic (Brier-style) loss is the squared
     distance to the one-hot outcome, in [0, 2]."""
     prob = qp.get(o, 0.0)
     if prob > 0.0:
@@ -49,7 +49,10 @@ def score(o, qp, marked_ns, neg_log_pns):
     elif not marked_ns:
         loss = neg_log_pns
     else:
-        loss = -math.log(1.0 - sum(qp.values()))
+        # filter_cap leaves the sum up to SUM_SLACK past 1 - p_ns, so
+        # the unallocated mass can fall below p_ns, or to 0.
+        u = 1.0 - sum(qp.values())
+        loss = min(-math.log(u), neg_log_pns) if u > 0.0 else neg_log_pns
     quad = (1.0 - prob) ** 2
     for i, v in qp.items():
         if i != o:
@@ -59,7 +62,8 @@ def score(o, qp, marked_ns, neg_log_pns):
 
 def logloss_rule_ns(o, q, marked_ns, cfg=FcConfig()):
     """Bounded log-loss of the raw map q: `score` on its filter-capped
-    form. Always in [0, -ln p_ns]; p_ns must be positive."""
+    form. In [0, -ln p_ns] when p_min >= p_ns; a hit on a weight below
+    p_ns scores up to -ln p_min. p_ns must be positive."""
     if not cfg.p_ns > 0.0:
         raise ValueError("bounded log-loss needs p_ns > 0")
     return score(o, filter_cap(q, cfg), marked_ns, -math.log(cfg.p_ns))[0]

@@ -17,25 +17,32 @@ from .sd_core import FcConfig, filter_cap
 from .synth import ConfigError
 
 
-# kind -> (parameter type, domain test, domain); ts-queues is another
-# name for queues, kept for existing rosters and result files.
-_PARAM_DOMAINS = {
-    "ema": (float, lambda v: 0.0 < v <= 1.0, "beta in (0, 1]"),
-    "harmonic-ema": (float, lambda v: 0.0 <= v <= 1.0, "beta_min in [0, 1]"),
-    "queues": (int, lambda v: v >= 1, "integer qcap >= 1"),
-    "ts-queues": (int, lambda v: v >= 1, "integer qcap >= 1"),
-    "box": (int, lambda v: v >= 1, "integer k >= 1"),
-    "dyal": (float, lambda v: 0.0 <= v <= 1.0, "beta_min in [0, 1]"),
+# kind -> (parameter type, domain test, domain, constructor);
+# ts-queues is another name for queues, kept for existing rosters and
+# result files.
+_PREDICTORS = {
+    "ema": (float, lambda v: 0.0 < v <= 1.0, "beta in (0, 1]",
+            lambda v: predictors.Ema(beta=v)),
+    "harmonic-ema": (float, lambda v: 0.0 <= v <= 1.0, "beta_min in [0, 1]",
+                     lambda v: predictors.Ema(harmonic=True, beta_min=v)),
+    "queues": (int, lambda v: v >= 1, "integer qcap >= 1",
+               lambda v: predictors.Queues(qcap=v)),
+    "ts-queues": (int, lambda v: v >= 1, "integer qcap >= 1",
+                  lambda v: predictors.Queues(qcap=v)),
+    "box": (int, lambda v: v >= 1, "integer k >= 1",
+            lambda v: predictors.Box(k=v)),
+    "dyal": (float, lambda v: 0.0 <= v <= 1.0, "beta_min in [0, 1]",
+             lambda v: predictors.Dyal(beta_min=v)),
 }
-PREDICTOR_KINDS = tuple(_PARAM_DOMAINS)
+PREDICTOR_KINDS = tuple(_PREDICTORS)
 
 
 def predictor_param(kind, param):
     """The parameter of a kind:param predictor, parsed and checked;
     ConfigError for an unknown kind or an out-of-domain value."""
-    if kind not in _PARAM_DOMAINS:
+    if kind not in _PREDICTORS:
         raise ConfigError("unknown predictor kind: %r" % (kind,))
-    parse, ok, domain = _PARAM_DOMAINS[kind]
+    parse, ok, domain = _PREDICTORS[kind][:3]
     try:
         value = parse(param)
     except (TypeError, ValueError):
@@ -46,16 +53,9 @@ def predictor_param(kind, param):
 
 
 def make_predictor(kind, param):
+    # Checked before the lookup, so an unknown kind is a ConfigError.
     value = predictor_param(kind, param)
-    if kind == "ema":
-        return predictors.Ema(beta=value)
-    if kind == "harmonic-ema":
-        return predictors.Ema(harmonic=True, beta_min=value)
-    if kind in ("queues", "ts-queues"):
-        return predictors.Queues(qcap=value)
-    if kind == "box":
-        return predictors.Box(k=value)
-    return predictors.Dyal(beta_min=value)
+    return _PREDICTORS[kind][3](value)
 
 
 @dataclass
@@ -206,7 +206,8 @@ def ingest_sequence(path):
     return obs
 
 
-def _gen_stream(spec, rng):
+def gen_stream(spec, rng):
+    """One synthetic stream of the spec's kind, drawn with rng."""
     if spec.kind == "stationary-single":
         return synth.gen_binary_stationary(spec.tp, spec.seq_len, rng)
     gen = spec.gen or synth.GenConfig()
@@ -233,7 +234,7 @@ def run_experiment(spec):
         seqs = [(0, synth.GeneratedStream(obs, None))]
     else:
         seeds = np.random.SeedSequence(spec.seed).spawn(spec.n_seqs)
-        seqs = [(k, _gen_stream(spec, np.random.default_rng(s)))
+        seqs = [(k, gen_stream(spec, np.random.default_rng(s)))
                 for k, s in enumerate(seeds)]
 
     for seq_id, stream in seqs:

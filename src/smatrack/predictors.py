@@ -7,6 +7,7 @@ on the observation at t.
 """
 
 import math
+import statistics
 from collections import deque
 
 
@@ -147,6 +148,8 @@ class Queues:
         return {i: (len(q) - 1) / (c - q[-1]) for i, q in self.q_map.items()}
 
     def update(self, o):
+        """Returns the ids a heartbeat prune dropped, or () when none
+        ran."""
         c = self.clock = self.clock + 1
         q = self.q_map.get(o)
         if q is not None:
@@ -160,7 +163,8 @@ class Queues:
             else:
                 self.q_map[o] = [c, stamp]
         if self.prune_every and c % self.prune_every == 0:
-            self.prune()
+            return self.prune()
+        return ()
 
     def prune(self):
         """Returns the set of item ids dropped."""
@@ -220,8 +224,8 @@ class Dyal:
         self.beta_min = beta_min
         self.sig_thresh = sig_thresh
         self.p_min = p_min
-        self.queues = Queues(qcap=qcap, s1=s1, s2=s2, prune_every=None)
-        self.prune_every = prune_every
+        self.queues = Queues(qcap=qcap, s1=s1, s2=s2,
+                             prune_every=prune_every)
         self.ema_map = {}
         self.rate_map = {}
         # A rate at this floor decays to itself, so weaken_edges skips
@@ -239,11 +243,9 @@ class Dyal:
 
     def update(self, o):
         q_pr, q_count = self.queues.pr_count(o)  # before the queue update
-        self.queues.update(o)
-        if self.prune_every and self.queues.clock % self.prune_every == 0:
-            for i in self.queues.prune():
-                self.ema_map.pop(i, None)
-                self.rate_map.pop(i, None)
+        for i in self.queues.update(o):
+            self.ema_map.pop(i, None)
+            self.rate_map.pop(i, None)
         free = self.weaken_edges(o)
         if q_pr == 0.0:
             return  # o is currently noise-level; queue only
@@ -331,11 +333,5 @@ class Dyal:
         return max(self.rate_map.values(), default=0.0)
 
     def median_rate(self):
-        # statistics.median's arithmetic, without its overhead on every
-        # trace step.
-        rates = sorted(self.rate_map.values())
-        n = len(rates)
-        if not n:
-            return 0.0
-        m = n // 2
-        return rates[m] if n % 2 else (rates[m - 1] + rates[m]) / 2
+        rates = self.rate_map.values()
+        return statistics.median(rates) if rates else 0.0

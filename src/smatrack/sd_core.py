@@ -80,15 +80,7 @@ def entropy(p):
 def kl(p, q):
     """KL divergence over sup(P). Returns math.inf when some P(i) > 0
     has Q(i) = 0; callers that aggregate must use kl_bounded instead."""
-    if not p:
-        raise ValueError("kl with empty first argument")
-    total = 0.0
-    for i, pv in p.items():
-        qv = q.get(i, 0.0)
-        if qv == 0.0:
-            return math.inf
-        total += pv * math.log(pv / qv)
-    return total
+    return kl_bounded(p, q, 0.0)
 
 
 def kl_bounded(p, q, p_ns):

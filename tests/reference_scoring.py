@@ -5,7 +5,10 @@ filter pass then a scaling pass through `scale_drop`, `multidev` as one
 `deviates` call per support item, per threshold and per mode, and the
 bounded log-loss and quadratic loss as two separate rules that each cap
 the raw map. The code in `sd_core` and `evaluation` must match them
-exactly, so the tests compare with `==`.
+exactly, so the tests compare with `==`. The one change from the
+earlier code is the clamp of a noise-marked miss at -ln p_ns: the cap
+lets the sum reach 1 - p_ns + SUM_SLACK, so -ln of the unallocated mass
+could pass the bound or, for p_ns below SUM_SLACK, fail on -ln 0.
 """
 
 import math
@@ -38,7 +41,9 @@ def logloss_rule_ns(o, q, marked_ns, cfg=FcConfig()):
         return -math.log(prob)
     if not marked_ns:
         return -math.log(cfg.p_ns)
-    return -math.log(1.0 - sum(qp.values()))
+    u = 1.0 - sum(qp.values())
+    return min(-math.log(u), -math.log(cfg.p_ns)) if u > 0.0 \
+        else -math.log(cfg.p_ns)
 
 
 def quad_rule(q, o, cfg=FcConfig()):

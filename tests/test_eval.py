@@ -5,12 +5,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smatrack.evaluation import (Referee, Schedule, dev_ratio,
                                  logloss_rule_ns, multidev, optimal_logloss,
                                  quad_rule, sign_test)
 from smatrack.harness import EvalConfig, run_prequential
-from smatrack.sd_core import FcConfig, filter_cap
+from smatrack.sd_core import SUM_SLACK, FcConfig, filter_cap
 import reference_scoring
 
 CFG = FcConfig(0.01, 0.01)
@@ -87,6 +89,30 @@ def test_logloss_bounded_fuzz():
         o = int(rng.integers(0, 8))
         v = logloss_rule_ns(o, q, bool(rng.random() < 0.5), CFG)
         assert -1e-12 <= v <= hi + 1e-12
+
+
+def test_logloss_noise_miss_clamped():
+    # filter_cap keeps a sum up to SUM_SLACK past 1 - p_ns, so the
+    # unallocated mass can fall below p_ns (here to 0, which made -ln
+    # fail); a noise-marked miss still scores at most -ln p_ns
+    tiny = FcConfig(0.01, 1e-13)
+    assert logloss_rule_ns(2, {1: 1.0}, True, tiny) == -math.log(1e-13)
+    q = {1: 1.0 - CFG.p_ns + SUM_SLACK / 2}
+    assert filter_cap(q, CFG) == q
+    assert logloss_rule_ns(2, q, True, CFG) == -math.log(CFG.p_ns)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(1e-15, 0.5), st.floats(0.0, 0.5),
+       st.dictionaries(st.integers(0, 5),
+                       st.one_of(st.floats(0.0, 1.0, exclude_min=True),
+                                 st.sampled_from((1.0, 0.99, 0.5))),
+                       max_size=5),
+       st.integers(0, 6), st.booleans())
+def test_logloss_within_bound(p_ns, p_min, q, o, marked_ns):
+    # with p_min >= p_ns a hit scores a weight of at least p_ns too
+    cfg = FcConfig(max(p_min, p_ns), p_ns)
+    assert 0.0 <= logloss_rule_ns(o, q, marked_ns, cfg) <= -math.log(p_ns)
 
 
 def test_logloss_rejects_zero_p_ns():

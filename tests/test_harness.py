@@ -13,7 +13,7 @@ from smatrack.harness import (ConfigError, EvalConfig, ExperimentSpec,
                               ingest_sequence, make_predictor,
                               run_experiment, run_prequential,
                               run_self_concat)
-from smatrack.predictors import Dyal, Ema
+from smatrack.predictors import Box, Dyal, Ema, Queues
 import reference_scoring
 
 
@@ -188,6 +188,18 @@ def test_make_predictor_kinds():
                         ("dyal", "1")]:
         p = make_predictor(kind, param)
         assert p.predict() == {}
+    # each kind builds its class with the parameter in its place
+    for kind, param, cls, attrs in [
+            ("ema", "0.25", Ema, {"beta": 0.25, "harmonic": False}),
+            ("harmonic-ema", "0.001", Ema,
+             {"beta_min": 0.001, "harmonic": True}),
+            ("queues", "3", Queues, {"qcap": 3}),
+            ("ts-queues", "4", Queues, {"qcap": 4}),
+            ("box", "100", Box, {"k": 100}),
+            ("dyal", "0.02", Dyal, {"beta_min": 0.02})]:
+        p = make_predictor(kind, param)
+        assert type(p) is cls
+        assert {a: getattr(p, a) for a in attrs} == attrs, kind
 
 
 def test_make_predictor_unknown():
@@ -361,6 +373,29 @@ def test_cli_gen_and_run_roundtrip(tmp_path):
         {"ema:0.05", "queues:3", "optimal"}
 
 
+@pytest.mark.parametrize("kind", ["binary", "nonstat", "multi"])
+def test_cli_gen_matches_generator(tmp_path, kind):
+    # gen writes the stream and schedule of the matching synth generator
+    out = tmp_path / "gen"
+    r = CliRunner().invoke(cli, ["gen", "--kind", kind, "--tp", "0.2",
+                                 "--mode", "uniform", "--o-min", "5",
+                                 "--l-min", "20", "--n", "400",
+                                 "--seed", "7", "--out", str(out)])
+    assert r.exit_code == 0, r.output
+    rng = np.random.default_rng(7)
+    gcfg = synth.GenConfig(o_min=5, l_min=20, desired_len=400)
+    stream = {
+        "binary": lambda: synth.gen_binary_stationary(0.2, 400, rng),
+        "nonstat": lambda: synth.gen_single_nonstationary("uniform", gcfg,
+                                                          400, rng),
+        "multi": lambda: synth.gen_sequence(gcfg, rng),
+    }[kind]()
+    assert (out / "stream.txt").read_text() == \
+        synth.stream_to_text(stream)
+    assert (out / "schedule.csv").read_text() == \
+        synth.schedule_to_csv(stream.schedule)
+
+
 def test_cli_compare(tmp_path):
     out_dir = str(tmp_path / "run")
     runner = CliRunner()
@@ -481,9 +516,22 @@ def test_cli_exit_codes(tmp_path):
         err = r.stderr.decode().strip().splitlines()
         assert len(err) == 1, text
         assert ("'metric' column" if i == 0 else "line 3") in err[0], err
-    # config files: a value of the wrong type, a misspelt key
+    # a directory where a file is wanted: --per-seq and --config
+    r = subprocess.run([sys.executable, "-m", "smatrack.cli", "compare",
+                        "--per-seq", str(tmp_path), "--a", "a", "--b", "b"],
+                       capture_output=True, env=env)
+    assert r.returncode == 2
+    assert len(r.stderr.decode().strip().splitlines()) == 1
     tokens = tmp_path / "tok.txt"
     tokens.write_text("a\nb\na\n")
+    r = subprocess.run([sys.executable, "-m", "smatrack.cli", "run",
+                        "--kind", "real-file", "--input", str(tokens),
+                        "--method", "ema:0.1", "--config", str(tmp_path),
+                        "--out", str(out)], capture_output=True, env=env)
+    assert r.returncode == 2
+    assert len(r.stderr.decode().strip().splitlines()) == 1
+    assert not out.exists()
+    # config files: a value of the wrong type, a misspelt key
     for i, text in enumerate(("p_ns=abc\n", "c_ns=2.5\n", "pns=0.5\n")):
         cfg = tmp_path / ("bad%d.cfg" % i)
         cfg.write_text(text)
@@ -549,3 +597,16 @@ def test_cli_config_file_defaults(tmp_path):
                             "--seq-len", "200", "--config", str(cfg),
                             "--out", out_dir])
     assert r.exit_code == 0, r.output
+
+
+def test_eval_config_file_then_flags(tmp_path):
+    # the file's values replace EvalConfig's defaults, and the flags
+    # given replace the file's
+    from smatrack.cli import _eval_config
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("p_ns=0.001\nc_ns=1\nreferee_window=50\n")
+    assert _eval_config(None, None, None, None, None, ()) == EvalConfig()
+    assert _eval_config(str(cfg), None, None, None, None, ()) == \
+        EvalConfig(p_ns=0.001, c_ns=1, window=50)
+    assert _eval_config(str(cfg), 0.02, 0.05, 3, 7, (1.2,)) == \
+        EvalConfig(p_min=0.02, p_ns=0.05, c_ns=3, window=7, dev_ds=(1.2,))

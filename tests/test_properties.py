@@ -145,7 +145,7 @@ def test_state_bounded_on_open_ended_stream(kind, seed, fresh):
         # cut back below 2*s1 at every prune, at most prune_every new
         # queues in between
         assert len(queues.first) + len(queues.q_map) \
-            < 2 * queues.s1 + pred.prune_every
+            < 2 * queues.s1 + queues.prune_every
         if kind == "dyal":
             assert len(pred.rate_map) == len(pred.ema_map) \
                 <= len(queues.q_map)
@@ -156,13 +156,23 @@ def test_state_bounded_on_open_ended_stream(kind, seed, fresh):
        st.integers(1, 5), st.integers(1, 60), st.integers(1, 12), streams)
 def test_queue_tiers(kind, qcap, s1, s2, prune_every, stream):
     # pruning on, with a small s1: first and q_map never share an item,
-    # each queue in q_map holds 2 to qcap stamps, and each Dyal edge has
-    # its queue there
+    # each queue in q_map holds 2 to qcap stamps, each Dyal edge has its
+    # queue there, and Queues.update returns exactly the ids its
+    # heartbeat prune dropped, () between heartbeats
     kw = dict(qcap=qcap, s1=s1, s2=s2, prune_every=prune_every)
     pred = Dyal(**kw) if kind == "dyal" else Queues(**kw)
     queues = pred.queues if kind == "dyal" else pred
     for o in stream:
-        pred.update(o)
+        if kind == "dyal":
+            pred.update(o)
+        else:
+            held = queues.first.keys() | queues.q_map.keys() | {o}
+            dropped = pred.update(o)
+            if queues.clock % prune_every:
+                assert dropped == ()
+            else:
+                assert dropped == \
+                    held - queues.first.keys() - queues.q_map.keys()
         assert not queues.first.keys() & queues.q_map.keys()
         assert all(2 <= len(q) <= qcap for q in queues.q_map.values())
         if kind == "dyal":
