@@ -73,6 +73,28 @@ _GEN_KINDS = {"binary": "stationary-single", "nonstat": "nonstat-single",
               "multi": "multi-item"}
 
 
+def _gen_options(f):
+    """Declare the generator options of gen and run, in --help order. A
+    command takes them as **gen_opts and hands them to _gen_fields."""
+    for option in reversed((
+            click.option("--tp", type=float, default=0.1, show_default=True),
+            click.option("--mode", type=click.Choice(["oscillate", "uniform"]),
+                         default="oscillate", show_default=True),
+            click.option("--o-min", type=int, default=50, show_default=True),
+            click.option("--l-min", type=int, default=0, show_default=True),
+            click.option("--p-max", type=float, default=1.0,
+                         show_default=True),
+            click.option("--recycle", is_flag=True))):
+        f = option(f)
+    return f
+
+
+def _gen_fields(seq_len, tp, mode, **gen):
+    """The ExperimentSpec fields that the generator options set."""
+    return {"seq_len": seq_len, "tp": tp, "mode": mode,
+            "gen": synth.GenConfig(desired_len=seq_len, **gen)}
+
+
 @click.group()
 def cli():
     pass
@@ -80,23 +102,17 @@ def cli():
 
 @cli.command()
 @click.option("--kind", type=click.Choice(list(_GEN_KINDS)), required=True)
-@click.option("--tp", type=float, default=0.1, show_default=True)
-@click.option("--mode", type=click.Choice(["oscillate", "uniform"]),
-              default="oscillate", show_default=True)
-@click.option("--o-min", type=int, default=50, show_default=True)
-@click.option("--l-min", type=int, default=0, show_default=True)
-@click.option("--p-max", type=float, default=1.0, show_default=True)
-@click.option("--recycle", is_flag=True)
+@_gen_options
 @click.option("--n", type=click.IntRange(min=1), default=10000,
-              show_default=True)
+              show_default=True,
+              help="stream length; for --kind multi a lower bound, as the "
+              "last period is not cut.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(), required=True)
-def gen(kind, tp, mode, o_min, l_min, p_max, recycle, n, seed, out):
+def gen(kind, n, seed, out, **gen_opts):
     """Generate a synthetic stream: stream.txt plus schedule.csv."""
-    spec = ExperimentSpec(
-        kind=_GEN_KINDS[kind], roster=[], seq_len=n, tp=tp, mode=mode,
-        gen=synth.GenConfig(o_min=o_min, l_min=l_min, p_max=p_max,
-                            recycle=recycle, desired_len=n))
+    spec = ExperimentSpec(kind=_GEN_KINDS[kind], roster=[],
+                          **_gen_fields(n, **gen_opts))
     stream = harness.gen_stream(spec, np.random.default_rng(seed))
     os.makedirs(out, exist_ok=True)
     with open(os.path.join(out, "stream.txt"), "w") as f:
@@ -108,21 +124,16 @@ def gen(kind, tp, mode, o_min, l_min, p_max, recycle, n, seed, out):
 
 
 @cli.command()
-@click.option("--kind", type=click.Choice(["stationary-single",
-                                           "nonstat-single", "multi-item",
-                                           "real-file"]), required=True)
+@click.option("--kind", type=click.Choice(harness.EXPERIMENT_KINDS),
+              required=True)
 @click.option("--method", "methods", multiple=True, required=True,
               help="kind:param, e.g. dyal:0.01; repeatable.")
 @click.option("--n-seqs", type=int, default=50, show_default=True)
-@click.option("--seq-len", type=int, default=10000, show_default=True)
+@click.option("--seq-len", type=int, default=10000, show_default=True,
+              help="sequence length; for multi-item a lower bound, as the "
+              "last period is not cut.")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--tp", type=float, default=0.1, show_default=True)
-@click.option("--mode", type=click.Choice(["oscillate", "uniform"]),
-              default="oscillate", show_default=True)
-@click.option("--o-min", type=int, default=50, show_default=True)
-@click.option("--l-min", type=int, default=0, show_default=True)
-@click.option("--p-max", type=float, default=1.0, show_default=True)
-@click.option("--recycle", is_flag=True)
+@_gen_options
 @click.option("--input", "input_path", type=click.Path())
 @click.option("--config", "cfg_file", metavar="PATH",
               type=click.Path(exists=True, dir_okay=False),
@@ -134,19 +145,16 @@ def gen(kind, tp, mode, o_min, l_min, p_max, recycle, n, seed, out):
 @click.option("--d", "dev", type=float, multiple=True,
               help="deviation threshold; repeatable.")
 @click.option("--out", type=click.Path(), required=True)
-def run(kind, methods, n_seqs, seq_len, seed, tp, mode, o_min, l_min,
-        p_max, recycle, input_path, cfg_file, p_min, p_ns, c_ns,
-        referee_window, dev, out):
+def run(kind, methods, n_seqs, seq_len, seed, input_path, cfg_file, p_min,
+        p_ns, c_ns, referee_window, dev, out, **gen_opts):
     """Score a roster of predictors; writes per_seq.csv, aggregate.csv
     and sign_tests.csv."""
     if kind == "real-file" and not input_path:
         raise click.UsageError("--input is required with --kind real-file")
     roster = [_parse_method(m) for m in methods]
-    gcfg = synth.GenConfig(o_min=o_min, l_min=l_min, p_max=p_max,
-                           recycle=recycle, desired_len=seq_len)
     spec = ExperimentSpec(
-        kind=kind, roster=roster, out_dir=out, n_seqs=n_seqs,
-        seq_len=seq_len, seed=seed, tp=tp, mode=mode, gen=gcfg,
+        kind=kind, roster=roster, out_dir=out, n_seqs=n_seqs, seed=seed,
+        **_gen_fields(seq_len, **gen_opts),
         eval_cfg=_eval_config(cfg_file, p_min, p_ns, c_ns, referee_window,
                               dev),
         input_path=input_path)

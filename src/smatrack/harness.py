@@ -153,10 +153,13 @@ def run_self_concat(obs, k, dyal, track_item=None):
     return rates, estimates
 
 
+EXPERIMENT_KINDS = ("stationary-single", "nonstat-single", "multi-item",
+                    "real-file")
+
+
 @dataclass
 class ExperimentSpec:
-    kind: str                      # stationary-single | nonstat-single |
-                                   # multi-item | real-file
+    kind: str                      # one of EXPERIMENT_KINDS
     roster: list                   # of (label, predictor kind, param)
     out_dir: str = None
     n_seqs: int = 200
@@ -169,9 +172,7 @@ class ExperimentSpec:
     input_path: str = None         # real-file
 
     def __post_init__(self):
-        kinds = ("stationary-single", "nonstat-single", "multi-item",
-                 "real-file")
-        if self.kind not in kinds:
+        if self.kind not in EXPERIMENT_KINDS:
             raise ConfigError("unknown experiment kind: %r" % (self.kind,))
         if self.n_seqs < 1:
             raise ConfigError("n_seqs must be >= 1, got %r" % (self.n_seqs,))

@@ -250,7 +250,9 @@ class Dyal:
         if q_pr == 0.0:
             return  # o is currently noise-level; queue only
         ema_pr = self.ema_map.get(o, 0.0)
-        if self._significantly_high(ema_pr, q_pr, q_count):
+        # An unseen o (ema_pr 0.0) always resets: the score is inf there.
+        if q_pr > ema_pr and binomial_significance(
+                ema_pr, q_pr, q_count) >= self.sig_thresh:
             self.rate_map[o] = self._queue_rate(q_count)
             delta = min(q_pr - ema_pr, free)
         else:
@@ -258,13 +260,6 @@ class Dyal:
             delta = min((1.0 - ema_pr) * beta, free)
             self.rate_map[o] = decay_rate(beta, self.beta_min)
         self.ema_map[o] = ema_pr + delta
-
-    def _significantly_high(self, ema_pr, q_pr, q_count):
-        if ema_pr == 0.0:
-            return True
-        if q_pr <= ema_pr:
-            return False
-        return binomial_significance(ema_pr, q_pr, q_count) >= self.sig_thresh
 
     def weaken_edges(self, o):
         """Weaken every edge except o's, possibly resetting an edge from

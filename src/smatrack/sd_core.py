@@ -1,4 +1,5 @@
-"""Sparse probability maps and the filter-and-cap transform.
+"""Sparse probability maps, the filter-and-cap transform and the
+distortion threshold.
 
 A probability map ("PR map") is a plain dict: item id -> probability
 weight. Zero-valued entries are never stored, so membership doubles as
@@ -6,7 +7,6 @@ a positivity test. A semi-distribution (SD) is a PR map whose values
 sum to at most 1; the remainder u = 1 - sum is implicit noise mass.
 """
 
-import math
 from dataclasses import dataclass
 
 # Slack on the SD sum invariant. Violations beyond this are programming
@@ -22,16 +22,6 @@ class FcConfig:
     def __post_init__(self):
         if not (0.0 <= self.p_min < 1.0 and 0.0 <= self.p_ns < 1.0):
             raise ValueError("p_min and p_ns must be in [0, 1)")
-
-
-def allocated(m):
-    """Total mass a(Q) of a probability map."""
-    return sum(m.values())
-
-
-def unallocated(m):
-    """Implicit noise mass u(Q) = 1 - a(Q)."""
-    return 1.0 - allocated(m)
 
 
 def filter_cap(m, cfg=FcConfig()):
@@ -56,59 +46,6 @@ def filter_cap(m, cfg=FcConfig()):
         if v >= p_min:
             out[i] = v
     return out
-
-
-def augment(p):
-    """Turn an SD into a full distribution by assigning the unallocated
-    mass to the reserved item 0. A zero-mass entry is omitted."""
-    if not p:
-        raise ValueError("cannot augment an empty map")
-    u = unallocated(p)
-    out = dict(p)
-    if u > 0.0:
-        out[0] = u + out.get(0, 0.0)
-    return out
-
-
-def entropy(p):
-    """Entropy -sum p_i ln p_i of a non-empty SD."""
-    if not p:
-        raise ValueError("entropy of an empty map")
-    return -sum(v * math.log(v) for v in p.values())
-
-
-def kl(p, q):
-    """KL divergence over sup(P). Returns math.inf when some P(i) > 0
-    has Q(i) = 0; callers that aggregate must use kl_bounded instead."""
-    return kl_bounded(p, q, 0.0)
-
-
-def kl_bounded(p, q, p_ns):
-    """KL with denominators floored at p_ns: sum p_i ln(p_i / max(q_i, p_ns)).
-    Finite for p_ns > 0; can be negative."""
-    if not p:
-        raise ValueError("kl_bounded with empty first argument")
-    total = 0.0
-    for i, pv in p.items():
-        qv = max(q.get(i, 0.0), p_ns)
-        if qv == 0.0:
-            return math.inf
-        total += pv * math.log(pv / qv)
-    return total
-
-
-def kl_ns(p, q, cfg=FcConfig()):
-    """Bounded KL between augmented P and the augmented filter-capped Q.
-    This is the divergence part of the bounded log-loss."""
-    fq = filter_cap(q, cfg)
-    # An empty capped map is pure noise: all mass on the reserved item.
-    aq = augment(fq) if fq else {0: 1.0}
-    return kl_bounded(augment(p), aq, cfg.p_ns)
-
-
-def logloss_ns_expected(p, q, cfg=FcConfig()):
-    """Expected bounded log-loss of predicting Q when P generates the data."""
-    return entropy(augment(p)) + kl_ns(p, q, cfg)
 
 
 def distortion_threshold(p_ns):

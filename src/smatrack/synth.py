@@ -160,7 +160,8 @@ def gen_subseq(p, cfg, rng, alloc):
 
 def gen_sequence(cfg, rng):
     """Concatenate stable subsequences, regenerating the SD each time,
-    until the stream reaches desired_len."""
+    until the stream reaches desired_len. The last subsequence is not
+    cut, so desired_len is a lower bound on the length."""
     alloc = ItemAllocator()
     obs = []
     entries = []

@@ -12,8 +12,7 @@ from smatrack.harness import EvalConfig, ExperimentSpec, run_experiment
 from count_cell_queues import CountCellQueues, matches
 from single_cell_mle import SingleCellMle
 from smatrack.predictors import Box, Dyal, Ema, Queues
-from smatrack.sd_core import (FcConfig, allocated, distortion_threshold,
-                              filter_cap)
+from smatrack.sd_core import FcConfig, distortion_threshold, filter_cap
 from smatrack.synth import GenConfig
 
 
@@ -256,7 +255,7 @@ def test_c8_exactness():
         m = {int(i): float(v) for i, v in enumerate(rng.random(k) * 0.4)}
         out = filter_cap(m, cfg)
         if any(v < cfg.p_min for v in out.values()) or \
-                allocated(out) > 1.0 - cfg.p_ns + 1e-12 or \
+                sum(out.values()) > 1.0 - cfg.p_ns + 1e-12 or \
                 filter_cap(out, cfg) != out:
             ok_fc = False
 

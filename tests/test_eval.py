@@ -12,7 +12,8 @@ from smatrack.evaluation import (Referee, Schedule, dev_ratio,
                                  logloss_rule_ns, multidev, optimal_logloss,
                                  quad_rule, sign_test)
 from smatrack.harness import EvalConfig, run_prequential
-from smatrack.sd_core import SUM_SLACK, FcConfig, filter_cap
+from smatrack.sd_core import (SUM_SLACK, FcConfig, distortion_threshold,
+                              filter_cap)
 import reference_scoring
 
 CFG = FcConfig(0.01, 0.01)
@@ -142,6 +143,35 @@ def test_rules_match_reference():
             assert quad_rule(q, o, cfg) == \
                 reference_scoring.quad_rule(q, o, cfg)
 
+
+
+def expected_logloss(p, q, cfg):
+    """Mean of logloss_rule_ns for predicting q when the SD p draws the
+    outcome: a hit on each salient i, not marked as noise, with weight
+    p[i], and a noise-marked miss with the unallocated mass u(p)."""
+    noise = -1  # an id no map here holds
+    hits = sum(v * logloss_rule_ns(i, q, False, cfg) for i, v in p.items())
+    u = 1.0 - sum(p.values())
+    return hits + u * logloss_rule_ns(noise, q, True, cfg)
+
+
+def test_expected_logloss_worked_example():
+    # -(0.78 ln 0.78 + 0.02 ln 0.02 + 0.2 ln 0.2)
+    p = {1: 0.78, 2: 0.02}
+    assert close(expected_logloss(p, p, CFG), 0.594, 5e-4)
+
+
+@pytest.mark.parametrize("p_ns", [0.01, 0.001, 0.1])
+def test_distortion_threshold_is_where_noise_pays(p_ns):
+    # below p0 an item costs less predicted as noise than at its own
+    # probability; above p0 it costs more
+    cfg = FcConfig(p_ns, p_ns)
+    p0 = distortion_threshold(p_ns)
+    for p, keep_costs_more in ((p0 * (1 - 1e-3), True),
+                               (p0 * (1 + 1e-3), False)):
+        keep = expected_logloss({1: p}, {1: p}, cfg)
+        drop = expected_logloss({1: p}, {}, cfg)
+        assert (keep > drop) is keep_costs_more, (p, keep, drop)
 
 class FixedPredictor:
     def __init__(self, q):

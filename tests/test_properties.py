@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from smatrack.harness import PREDICTOR_KINDS, make_predictor
 from smatrack.predictors import EMA_FLOOR, Dyal, Queues
-from smatrack.sd_core import SUM_SLACK, allocated
+from smatrack.sd_core import SUM_SLACK
 
 SD_KINDS = ("ema", "harmonic-ema", "box", "dyal")
 PARAMS = {
@@ -67,7 +67,7 @@ def test_map_is_semi_distribution(method, stream):
         q = pred.predict()
         assert all(0.0 <= v <= 1.0 for v in q.values()), (kind, param, q)
         if kind in SD_KINDS:
-            assert allocated(q) <= 1.0 + SUM_SLACK, (kind, param, q)
+            assert sum(q.values()) <= 1.0 + SUM_SLACK, (kind, param, q)
 
 
 def _assert_no_zero_entries(kind, param, stream):

@@ -4,10 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smatrack.sd_core import (FcConfig, allocated, augment,
-                              distortion_threshold, entropy, filter_cap, kl,
-                              kl_bounded, kl_ns, logloss_ns_expected,
-                              unallocated)
+from smatrack.sd_core import FcConfig, distortion_threshold, filter_cap
 import reference_scoring
 
 CFG = FcConfig(0.01, 0.01)
@@ -69,7 +66,7 @@ pr_maps = st.dictionaries(st.integers(min_value=0, max_value=50),
 def test_filter_cap_postconditions(m):
     out = filter_cap(m, CFG)
     assert all(v >= CFG.p_min for v in out.values())
-    assert allocated(out) <= 1.0 - CFG.p_ns + 1e-12
+    assert sum(out.values()) <= 1.0 - CFG.p_ns + 1e-12
 
 
 @settings(max_examples=500, deadline=None)
@@ -92,138 +89,6 @@ def test_filter_cap_equality_is_already_capped():
     # filtered sum exactly 1 - p_ns: no rescaling happens
     m = {1: 0.5, 2: 0.49}
     assert filter_cap(m, CFG) == m
-
-
-# --- augment / entropy ------------------------------------------------------
-
-def test_augment_adds_reserved_item():
-    out = augment({1: 0.7, 2: 0.1})
-    assert close(out[0], 0.2) and out[1] == 0.7 and out[2] == 0.1
-
-
-def test_augment_full_distribution_omits_zero():
-    assert augment({1: 0.5, 2: 0.5}) == {1: 0.5, 2: 0.5}
-
-
-def test_augment_symmetric_split():
-    assert augment({1: 0.5}) == {1: 0.5, 0: 0.5}
-
-
-def test_augment_empty_rejected():
-    with pytest.raises(ValueError):
-        augment({})
-
-
-def test_entropy_point_mass():
-    assert entropy({1: 1.0}) == 0.0
-
-
-def test_entropy_uniform_pair():
-    assert close(entropy({1: 0.5, 2: 0.5}), math.log(2))
-
-
-def test_entropy_derived_value():
-    # -(0.78 ln 0.78 + 0.02 ln 0.02)
-    assert close(entropy({1: 0.78, 2: 0.02}), 0.2721, 1e-4)
-
-
-def test_entropy_empty_rejected():
-    with pytest.raises(ValueError):
-        entropy({})
-
-
-# --- kl family --------------------------------------------------------------
-
-def test_kl_self_is_zero():
-    p = {1: 0.4, 2: 0.3, 3: 0.2}
-    assert close(kl(p, p), 0.0)
-
-
-def test_kl_derived_value():
-    v = 0.5 * math.log(2) + 0.5 * math.log(2 / 3)
-    assert close(kl({1: 0.5, 2: 0.5}, {1: 0.25, 2: 0.75}), v)
-
-
-def test_kl_disjoint_support_infinite():
-    assert kl({1: 0.5}, {2: 0.5}) == math.inf
-
-
-def test_kl_bounded_reduces_to_kl_at_zero_floor():
-    p = {1: 0.6, 2: 0.3}
-    assert close(kl_bounded(p, p, 0.0), kl(p, p))
-
-
-def test_kl_bounded_empty_q():
-    assert close(kl_bounded({1: 1.0}, {}, 0.01), -math.log(0.01))
-
-
-def test_kl_bounded_uniform_self_negative():
-    # uniform over k items with k * p_ns > 1 scores -ln(k * p_ns)
-    k, p_ns = 200, 0.01
-    p = {i: 1.0 / k for i in range(1, k + 1)}
-    assert close(kl_bounded(p, p, p_ns), -math.log(k * p_ns), 1e-9)
-
-
-def test_kl_ns_identity_above_floor():
-    # an SD with all entries above p0 and mass within the cap scores 0
-    # against itself (filter-and-cap leaves it untouched)
-    p = {1: 0.5, 2: 0.3, 3: 0.19}
-    assert close(kl_ns(p, p, CFG), 0.0)
-
-
-def test_kl_ns_empty_q():
-    assert close(kl_ns({1: 1.0}, {}, CFG), -math.log(0.01), 1e-9)
-
-
-def test_logloss_ns_self_worked_example():
-    p = {1: 0.78, 2: 0.02}
-    assert close(logloss_ns_expected(p, p, CFG), 0.594, 5e-4)
-
-
-# --- randomized kl properties ----------------------------------------------
-
-def _random_sd(rng, max_items=8, total=None):
-    k = rng.integers(1, max_items + 1)
-    raw = rng.random(k) + 1e-3
-    mass = total if total is not None else rng.uniform(0.2, 1.0)
-    raw = raw / raw.sum() * mass
-    return {int(i + 1): float(v) for i, v in enumerate(raw)}
-
-
-def test_kl_nonnegative_when_q_mass_not_larger():
-    import numpy as np
-    rng = np.random.default_rng(7)
-    for _ in range(2000):
-        p = _random_sd(rng)
-        # Q on the same support with no more total mass than P
-        q = _random_sd(rng, total=allocated(p) * rng.uniform(0.1, 1.0))
-        while len(q) < len(p):
-            q[len(q) + 1] = 1e-9
-        q = {i: q[i] for i in p}
-        assert kl(p, q) >= -1e-12
-
-
-def test_kl_scaling_offset_identity():
-    import numpy as np
-    rng = np.random.default_rng(8)
-    for _ in range(500):
-        p = _random_sd(rng)
-        q = {i: float(rng.uniform(0.01, 1.0 / len(p))) for i in p}
-        alpha = rng.uniform(0.1, 1.0)
-        qs = {i: alpha * v for i, v in q.items()}
-        lhs = kl(p, qs)
-        rhs = kl(p, q) + math.log(1.0 / alpha) * allocated(p)
-        assert close(lhs, rhs, 1e-9)
-
-
-def test_entropy_plus_kl_decomposition():
-    import numpy as np
-    rng = np.random.default_rng(9)
-    for _ in range(500):
-        p = _random_sd(rng, total=1.0)  # a full distribution
-        q = {i: float(rng.uniform(0.01, 1.0 / len(p))) for i in p}
-        log_loss = -sum(p[i] * math.log(q[i]) for i in p)
-        assert close(log_loss, entropy(p) + kl(p, q), 1e-9)
 
 
 # --- distortion threshold ---------------------------------------------------
@@ -254,6 +119,3 @@ def test_distortion_threshold_rejects_out_of_range():
         with pytest.raises(ValueError):
             distortion_threshold(bad)
 
-
-def test_unallocated():
-    assert close(unallocated({1: 0.7, 2: 0.1}), 0.2)
