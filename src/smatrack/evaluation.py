@@ -39,9 +39,10 @@ class Referee:
 def score(o, qp, marked_ns, neg_log_pns):
     """Bounded log-loss and quadratic loss of one filter-capped map qp
     against the outcome o, as (loss, quad). A hit scores -ln of its
-    weight; a miss scores neg_log_pns (-ln p_ns), or, if the referee
-    marked it as noise, -ln of the unallocated mass clamped at
-    neg_log_pns. The quadratic (Brier-style) loss is the squared
+    weight, which is at least p_min >= p_ns; a miss scores neg_log_pns
+    (-ln p_ns), or, if the referee marked it as noise, -ln of the
+    unallocated mass clamped at neg_log_pns. The loss lies in
+    [0, -ln p_ns]. The quadratic (Brier-style) loss is the squared
     distance to the one-hot outcome, in [0, 2]."""
     prob = qp.get(o, 0.0)
     if prob > 0.0:
@@ -62,18 +63,14 @@ def score(o, qp, marked_ns, neg_log_pns):
 
 def logloss_rule_ns(o, q, marked_ns, cfg=FcConfig()):
     """Bounded log-loss of the raw map q: `score` on its filter-capped
-    form. In [0, -ln p_ns] when p_min >= p_ns; a hit on a weight below
-    p_ns scores up to -ln p_min. p_ns must be positive."""
-    if not cfg.p_ns > 0.0:
-        raise ValueError("bounded log-loss needs p_ns > 0")
+    form, in [0, -ln p_ns]."""
     return score(o, filter_cap(q, cfg), marked_ns, -math.log(cfg.p_ns))[0]
 
 
 def quad_rule(q, o, cfg=FcConfig()):
     """Quadratic loss of the raw map q: `score` on its filter-capped
-    form. No miss is scored as noise, so no logarithm of p_ns or of the
-    unallocated mass is taken, and p_ns = 0 is allowed."""
-    return score(o, filter_cap(q, cfg), False, 0.0)[1]
+    form, in [0, 2]."""
+    return score(o, filter_cap(q, cfg), False, -math.log(cfg.p_ns))[1]
 
 
 def dev_ratio(p_hat, tp):

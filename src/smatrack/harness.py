@@ -13,8 +13,7 @@ import numpy as np
 from . import predictors, synth
 from .evaluation import (Referee, dev_ratio, multidev, optimal_logloss,
                          score, sign_test)
-from .sd_core import FcConfig, filter_cap
-from .synth import ConfigError
+from .sd_core import ConfigError, FcConfig, filter_cap
 
 
 # kind -> (parameter type, domain test, domain, constructor);
@@ -58,7 +57,7 @@ def make_predictor(kind, param):
     return _PREDICTORS[kind][3](value)
 
 
-@dataclass
+@dataclass(frozen=True)
 class EvalConfig:
     p_min: float = 0.01
     p_ns: float = 0.01
@@ -67,11 +66,8 @@ class EvalConfig:
     dev_ds: tuple = (1.5, 2.0)
 
     def __post_init__(self):
-        if not 0.0 < self.p_ns < 1.0:
-            raise ConfigError("p_ns must be in (0, 1), got %r" % (self.p_ns,))
-        if not 0.0 <= self.p_min < 1.0:
-            raise ConfigError("p_min must be in [0, 1), got %r"
-                              % (self.p_min,))
+        # FcConfig checks p_min and p_ns.
+        object.__setattr__(self, "_fc", FcConfig(self.p_min, self.p_ns))
         if not self.c_ns >= 0:
             raise ConfigError("c_ns must be >= 0, got %r" % (self.c_ns,))
         if self.window is not None and not self.window >= 1:
@@ -88,7 +84,7 @@ class EvalConfig:
                               "metric name" % (self.dev_ds,))
 
     def fc(self):
-        return FcConfig(self.p_min, self.p_ns)
+        return self._fc
 
 
 def run_prequential(pred, obs, ecfg, schedule=None, track_item=None):

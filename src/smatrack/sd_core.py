@@ -14,14 +14,22 @@ from dataclasses import dataclass
 SUM_SLACK = 1e-12
 
 
+class ConfigError(ValueError):
+    """An option or config value outside its domain (CLI exit code 2)."""
+
+
 @dataclass(frozen=True)
 class FcConfig:
+    """The scoring thresholds, in 0 < p_ns <= p_min < 1, so that the
+    bounded log-loss lies in [0, -ln p_ns]."""
     p_min: float = 0.01  # filter threshold: entries below this are dropped
     p_ns: float = 0.01   # mass reserved for not-seen/noise items
 
     def __post_init__(self):
-        if not (0.0 <= self.p_min < 1.0 and 0.0 <= self.p_ns < 1.0):
-            raise ValueError("p_min and p_ns must be in [0, 1)")
+        if not 0.0 < self.p_ns <= self.p_min < 1.0:
+            raise ConfigError("scoring thresholds need 0 < p_ns <= p_min "
+                              "< 1, got p_ns=%r, p_min=%r"
+                              % (self.p_ns, self.p_min))
 
 
 def filter_cap(m, cfg=FcConfig()):

@@ -14,12 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evaluation import Schedule
+from .sd_core import ConfigError
 
 NOISE_BASE = 2 ** 32
-
-
-class ConfigError(ValueError):
-    """An option or config value outside its domain (CLI exit code 2)."""
 
 
 @dataclass

@@ -8,15 +8,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smatrack import harness, synth
 from smatrack.evaluation import (Referee, Schedule, dev_ratio,
                                  logloss_rule_ns, multidev, optimal_logloss,
                                  quad_rule, sign_test)
 from smatrack.harness import EvalConfig, run_prequential
-from smatrack.sd_core import (SUM_SLACK, FcConfig, distortion_threshold,
-                              filter_cap)
+from smatrack.sd_core import (SUM_SLACK, ConfigError, FcConfig,
+                              distortion_threshold, filter_cap)
 import reference_scoring
 
 CFG = FcConfig(0.01, 0.01)
+
+# FcConfig's whole domain, 0 < p_ns <= p_min < 1.
+fc_configs = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).flatmap(
+    lambda p_min: st.builds(FcConfig, st.just(p_min),
+                            st.floats(0.0, p_min, exclude_min=True)))
 
 
 def close(a, b, tol=1e-9):
@@ -104,22 +110,33 @@ def test_logloss_noise_miss_clamped():
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.floats(1e-15, 0.5), st.floats(0.0, 0.5),
+@given(fc_configs,
        st.dictionaries(st.integers(0, 5),
                        st.one_of(st.floats(0.0, 1.0, exclude_min=True),
                                  st.sampled_from((1.0, 0.99, 0.5))),
                        max_size=5),
        st.integers(0, 6), st.booleans())
-def test_logloss_within_bound(p_ns, p_min, q, o, marked_ns):
-    # with p_min >= p_ns a hit scores a weight of at least p_ns too
-    cfg = FcConfig(max(p_min, p_ns), p_ns)
-    assert 0.0 <= logloss_rule_ns(o, q, marked_ns, cfg) <= -math.log(p_ns)
+def test_logloss_within_bound(cfg, q, o, marked_ns):
+    assert 0.0 <= logloss_rule_ns(o, q, marked_ns, cfg) <= \
+        -math.log(cfg.p_ns)
 
 
-def test_logloss_rejects_zero_p_ns():
-    # a miss would score -ln 0
-    with pytest.raises(ValueError, match="bounded log-loss needs p_ns > 0"):
-        logloss_rule_ns(1, {1: 0.5}, False, FcConfig(0.01, 0.0))
+def test_fc_config_domain():
+    # outside 0 < p_ns <= p_min < 1 a miss would score -ln 0, or a hit
+    # on a weight below p_ns would score past -ln p_ns
+    nan = float("nan")
+    for p_min, p_ns in ((0.01, 0.0), (0.01, -0.1), (0.0, 0.0),
+                        (0.005, 0.01), (0.01, 0.5), (1.0, 0.01), (1.0, 1.0),
+                        (-0.01, -0.02), (nan, 0.01), (0.01, nan)):
+        with pytest.raises(ConfigError, match="0 < p_ns <= p_min < 1"):
+            FcConfig(p_min, p_ns)
+    # domain edges
+    for p_min, p_ns in ((0.01, 0.01), (5e-324, 5e-324), (0.999, 0.999),
+                        (0.999, 5e-324)):
+        FcConfig(p_min, p_ns)
+    # one exception class, which the CLI turns into exit code 2
+    assert synth.ConfigError is harness.ConfigError is ConfigError
+    assert issubclass(ConfigError, ValueError)
 
 
 def test_rules_match_reference():
@@ -127,7 +144,7 @@ def test_rules_match_reference():
     # equal the earlier two-rule code exactly, on maps with entries at
     # and around p_min and on maps that sum above 1 (as queues' do)
     rng = np.random.default_rng(3)
-    for cfg in (CFG, FcConfig(0.0, 0.01), FcConfig(0.05, 0.2)):
+    for cfg in (CFG, FcConfig(5e-324, 5e-324), FcConfig(0.2, 0.2)):
         levels = [cfg.p_min, 0.005, 0.3, 0.6, 1.0]
         for _ in range(2000):
             q = {}
@@ -221,14 +238,6 @@ def test_quad_empty():
 
 def test_quad_miss():
     assert close(quad_rule({1: 0.5}, 2, CFG), 1.0 + 0.25)
-
-
-def test_quad_allows_zero_p_ns():
-    # no miss is scored as noise, so nothing takes -ln 0
-    cfg = FcConfig(0.01, 0.0)
-    assert quad_rule({1: 0.5}, 2, cfg) == 1.25
-    assert quad_rule({1: 0.5, 2: 0.5}, 3, cfg) == 1.5
-    assert quad_rule({1: 1.0}, 1, cfg) == 0.0
 
 
 def test_quad_equals_distance_to_kronecker():

@@ -163,8 +163,11 @@ def test_prequential_ratio_equal_to_d_does_not_deviate():
 
 
 def test_eval_config_rejects_out_of_domain():
+    # p_min and p_ns need 0 < p_ns <= p_min < 1, also as a pair
     for kw in ({"p_ns": 0.0}, {"p_ns": 1.0}, {"p_ns": -0.1},
                {"p_ns": float("nan")}, {"p_min": -0.01}, {"p_min": 1.0},
+               {"p_min": 0.0}, {"p_ns": 0.5}, {"p_min": 0.005},
+               {"p_min": 0.02, "p_ns": 0.05},
                {"c_ns": -1}, {"window": 0}, {"window": -3},
                {"dev_ds": (0.5,)}, {"dev_ds": (1.5, 0.99)},
                {"dev_ds": (math.inf,)}, {"dev_ds": (1.5, 2.0, 1.5)},
@@ -172,7 +175,12 @@ def test_eval_config_rejects_out_of_domain():
         with pytest.raises(ConfigError):
             EvalConfig(**kw)
     # domain edges
-    EvalConfig(p_min=0.0, p_ns=0.999, c_ns=0, window=1, dev_ds=(1.0,))
+    EvalConfig(p_min=0.999, p_ns=0.999, c_ns=0, window=1, dev_ds=(1.0,))
+    EvalConfig(p_min=5e-324, p_ns=5e-324)
+    # the scoring thresholds are checked once, and fc() hands them on
+    ecfg = EvalConfig(p_min=0.05, p_ns=0.02)
+    assert ecfg.fc() is ecfg.fc()
+    assert (ecfg.fc().p_min, ecfg.fc().p_ns) == (0.05, 0.02)
 
 
 # --- predictor registry -----------------------------------------------------
@@ -472,6 +480,8 @@ def test_cli_exit_codes(tmp_path):
                  ["--method", "ema:0.1", "--method", "box:10",
                   "--n-seqs", "0"],
                  ["--method", "ema:0.1", "--p-ns", "0"],
+                 ["--method", "ema:0.1", "--p-min", "0"],
+                 ["--method", "ema:0.1", "--p-ns", "0.5"],
                  ["--method", "ema:0.1", "--referee-window", "0"],
                  ["--method", "ema:0.1", "--c-ns", "-1"],
                  ["--method", "ema:0.1", "--d", "0.5"],
@@ -531,8 +541,10 @@ def test_cli_exit_codes(tmp_path):
     assert r.returncode == 2
     assert len(r.stderr.decode().strip().splitlines()) == 1
     assert not out.exists()
-    # config files: a value of the wrong type, a misspelt key
-    for i, text in enumerate(("p_ns=abc\n", "c_ns=2.5\n", "pns=0.5\n")):
+    # config files: a value of the wrong type, a misspelt key, and a
+    # p_min that is in range but below the default p_ns
+    for i, text in enumerate(("p_ns=abc\n", "c_ns=2.5\n", "pns=0.5\n",
+                              "p_min=0.005\n")):
         cfg = tmp_path / ("bad%d.cfg" % i)
         cfg.write_text(text)
         r = subprocess.run([sys.executable, "-m", "smatrack.cli", "run",
@@ -542,6 +554,7 @@ def test_cli_exit_codes(tmp_path):
                            capture_output=True, env=env)
         assert r.returncode == 2, text
         assert len(r.stderr.decode().strip().splitlines()) == 1, text
+        assert not (tmp_path / "x").exists(), text
     # a token file with no tokens, empty or blank lines only: run and
     # trace fail before the output directory is made (it used to score a
     # perfect 0.0, or write a header-only trace)
@@ -608,5 +621,5 @@ def test_eval_config_file_then_flags(tmp_path):
     assert _eval_config(None, None, None, None, None, ()) == EvalConfig()
     assert _eval_config(str(cfg), None, None, None, None, ()) == \
         EvalConfig(p_ns=0.001, c_ns=1, window=50)
-    assert _eval_config(str(cfg), 0.02, 0.05, 3, 7, (1.2,)) == \
-        EvalConfig(p_min=0.02, p_ns=0.05, c_ns=3, window=7, dev_ds=(1.2,))
+    assert _eval_config(str(cfg), 0.05, 0.02, 3, 7, (1.2,)) == \
+        EvalConfig(p_min=0.05, p_ns=0.02, c_ns=3, window=7, dev_ds=(1.2,))

@@ -2,7 +2,8 @@
 is a semi-distribution with no zero entries, predict() has no side
 effects, a stream gives the same run every time, and the kinds that
 prune keep their state bounded on an open-ended stream. The queue-based
-kinds keep their two maps of queues apart."""
+kinds keep their two maps of queues apart. run_prequential keeps every
+kind's scores in their ranges at every valid (p_min, p_ns)."""
 
 import math
 
@@ -11,9 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smatrack.harness import PREDICTOR_KINDS, make_predictor
+from smatrack.harness import (PREDICTOR_KINDS, EvalConfig, ExperimentSpec,
+                              gen_stream, make_predictor, run_prequential)
 from smatrack.predictors import EMA_FLOOR, Dyal, Queues
 from smatrack.sd_core import SUM_SLACK
+from smatrack.synth import GenConfig
+from test_eval import fc_configs
 
 SD_KINDS = ("ema", "harmonic-ema", "box", "dyal")
 PARAMS = {
@@ -114,6 +118,32 @@ def test_same_stream_same_run(method, stream):
         two.update(o)
         assert list(one.predict().items()) == list(two.predict().items())
     assert state(one) == state(two)
+
+
+@pytest.mark.parametrize("kind", PREDICTOR_KINDS)
+@settings(max_examples=50, deadline=None)
+@given(data=st.data(), fc=fc_configs,
+       stream_kind=st.sampled_from(("stationary-single", "nonstat-single",
+                                    "multi-item")),
+       seed=st.integers(0, 2 ** 32 - 1), c_ns=st.integers(0, 3),
+       window=st.one_of(st.none(), st.integers(1, 50)))
+def test_prequential_scores_in_range(kind, data, fc, stream_kind, seed,
+                                     c_ns, window):
+    spec = ExperimentSpec(kind=stream_kind, roster=[], seq_len=150,
+                          gen=GenConfig(o_min=2, desired_len=150))
+    stream = gen_stream(spec, np.random.default_rng(seed))
+    pred = make_predictor(kind, data.draw(PARAMS[kind].map(repr)))
+    m = run_prequential(pred, stream.observations,
+                        EvalConfig(fc.p_min, fc.p_ns, c_ns, window),
+                        schedule=stream.schedule,
+                        track_item=None if stream_kind == "multi-item" else 1)
+    # every step scores at most -ln p_ns; the mean of n such scores may
+    # round a few ulps past it
+    assert 0.0 <= m["avg_logloss_ns"] <= -math.log(fc.p_ns) * (1 + 1e-12)
+    assert 0.0 <= m["avg_quad"] <= 2.0
+    rates = [v for k, v in m.items() if k.startswith("dev_rate")]
+    assert len(rates) == (4 if stream_kind == "multi-item" else 2)
+    assert all(0.0 <= r <= 1.0 for r in rates)
 
 
 @settings(max_examples=12, deadline=None)

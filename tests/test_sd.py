@@ -69,9 +69,12 @@ def test_filter_cap_postconditions(m):
     assert sum(out.values()) <= 1.0 - CFG.p_ns + 1e-12
 
 
+# p_min at the smallest positive float filters out only zeros; p_ns = 0.2
+# scales most maps down.
 @settings(max_examples=500, deadline=None)
-@given(pr_maps, st.sampled_from([FcConfig(0.01, 0.01), FcConfig(0.0, 0.2),
-                                 FcConfig(0.05, 0.001)]))
+@given(pr_maps, st.sampled_from([FcConfig(0.01, 0.01),
+                                 FcConfig(5e-324, 5e-324),
+                                 FcConfig(0.2, 0.2), FcConfig(0.05, 0.001)]))
 def test_filter_cap_matches_two_pass_reference(m, cfg):
     out = filter_cap(m, cfg)
     want = reference_scoring.filter_cap(m, cfg)
