@@ -6,7 +6,7 @@ import bisect
 import math
 from collections import deque
 
-from .sd_core import FcConfig, filter_cap
+from .sd_core import ConfigError, FcConfig, filter_cap
 
 
 class Referee:
@@ -15,9 +15,11 @@ class Referee:
     counts cover only the last W observations."""
 
     def __init__(self, c_ns=2, window=None):
+        if not c_ns >= 0:
+            raise ConfigError("c_ns must be >= 0, got %r" % (c_ns,))
         if window is not None and not window >= 1:
-            raise ValueError("window must be None or >= 1, got %r"
-                             % (window,))
+            raise ConfigError("referee window must be >= 1, got %r"
+                              % (window,))
         self.c_ns = c_ns
         self.window = window
         self.recent_freq = {}

@@ -16,45 +16,35 @@ from .evaluation import (Referee, dev_ratio, multidev, optimal_logloss,
 from .sd_core import ConfigError, FcConfig, filter_cap
 
 
-# kind -> (parameter type, domain test, domain, constructor);
-# ts-queues is another name for queues, kept for existing rosters and
-# result files.
+# kind -> (parameter type, constructor); the constructor checks the
+# parameter's domain. ts-queues is another name for queues, kept for
+# existing rosters and result files.
 _PREDICTORS = {
-    "ema": (float, lambda v: 0.0 < v <= 1.0, "beta in (0, 1]",
-            lambda v: predictors.Ema(beta=v)),
-    "harmonic-ema": (float, lambda v: 0.0 <= v <= 1.0, "beta_min in [0, 1]",
+    "ema": (float, predictors.Ema),
+    "harmonic-ema": (float,
                      lambda v: predictors.Ema(harmonic=True, beta_min=v)),
-    "queues": (int, lambda v: v >= 1, "integer qcap >= 1",
-               lambda v: predictors.Queues(qcap=v)),
-    "ts-queues": (int, lambda v: v >= 1, "integer qcap >= 1",
-                  lambda v: predictors.Queues(qcap=v)),
-    "box": (int, lambda v: v >= 1, "integer k >= 1",
-            lambda v: predictors.Box(k=v)),
-    "dyal": (float, lambda v: 0.0 <= v <= 1.0, "beta_min in [0, 1]",
-             lambda v: predictors.Dyal(beta_min=v)),
+    "queues": (int, predictors.Queues),
+    "ts-queues": (int, predictors.Queues),
+    "box": (int, predictors.Box),
+    "dyal": (float, predictors.Dyal),
 }
 PREDICTOR_KINDS = tuple(_PREDICTORS)
 
 
-def predictor_param(kind, param):
-    """The parameter of a kind:param predictor, parsed and checked;
-    ConfigError for an unknown kind or an out-of-domain value."""
+def make_predictor(kind, param):
+    """The kind:param predictor; ConfigError for an unknown kind or a
+    parameter outside its constructor's domain."""
     if kind not in _PREDICTORS:
         raise ConfigError("unknown predictor kind: %r" % (kind,))
-    parse, ok, domain = _PREDICTORS[kind][:3]
+    parse, make = _PREDICTORS[kind]
     try:
         value = parse(param)
     except (TypeError, ValueError):
-        value = None
-    if value is None or not ok(value):
-        raise ConfigError("method %s:%s: need %s" % (kind, param, domain))
-    return value
-
-
-def make_predictor(kind, param):
-    # Checked before the lookup, so an unknown kind is a ConfigError.
-    value = predictor_param(kind, param)
-    return _PREDICTORS[kind][3](value)
+        value = math.nan  # outside every domain, so make names it
+    try:
+        return make(value)
+    except ValueError as e:
+        raise ConfigError("method %s:%s: %s" % (kind, param, e))
 
 
 @dataclass(frozen=True)
@@ -66,13 +56,9 @@ class EvalConfig:
     dev_ds: tuple = (1.5, 2.0)
 
     def __post_init__(self):
-        # FcConfig checks p_min and p_ns.
+        # FcConfig checks p_min and p_ns, Referee c_ns and window.
         object.__setattr__(self, "_fc", FcConfig(self.p_min, self.p_ns))
-        if not self.c_ns >= 0:
-            raise ConfigError("c_ns must be >= 0, got %r" % (self.c_ns,))
-        if self.window is not None and not self.window >= 1:
-            raise ConfigError("referee window must be >= 1, got %r"
-                              % (self.window,))
+        Referee(self.c_ns, self.window)
         for d in self.dev_ds:
             if not 1.0 <= d < math.inf:
                 raise ConfigError("deviation threshold d must be finite "
@@ -180,7 +166,7 @@ class ExperimentSpec:
             if label in seen:
                 raise ConfigError("roster label %r appears twice" % (label,))
             seen.add(label)
-            predictor_param(pkind, param)
+            make_predictor(pkind, param)
 
 
 def ingest_sequence(path):

@@ -3,12 +3,23 @@
 All predictors follow the same prequential contract: predict() returns
 the current item -> probability map (without mutating state), then
 update(o) consumes the observation. predict() at time t never depends
-on the observation at t.
+on the observation at t. Each constructor raises ValueError("need
+<domain>") for an argument outside its domain.
 """
 
 import math
+import numbers
 import statistics
 from collections import deque
+
+
+def _need(ok, domain):
+    if not ok:
+        raise ValueError("need " + domain)
+
+
+def _is_count(v):
+    return isinstance(v, numbers.Integral) and v >= 1
 
 
 def decay_rate(beta, beta_min):
@@ -64,6 +75,8 @@ class Ema:
     weights below EMA_FLOOR and resets the scale to 1."""
 
     def __init__(self, beta=0.01, harmonic=False, beta_min=0.001):
+        _need(0.0 < beta <= 1.0, "beta in (0, 1]")
+        _need(0.0 <= beta_min <= 1.0, "beta_min in [0, 1]")
         self.harmonic = harmonic
         self.beta_min = beta_min
         self.beta = 1.0 if harmonic else beta
@@ -117,9 +130,14 @@ class Queues:
     far, or ever with qcap 1) to that stamp, and q_map holds the queues
     of 2 or more stamps. An item moves to q_map on its second sighting.
     On an open-ended stream most items are seen once, and predict()
-    walks only q_map."""
+    walks only q_map. prune_every=None turns the prune off."""
 
     def __init__(self, qcap=3, s1=100, s2=100000, prune_every=1000):
+        _need(_is_count(qcap), "integer qcap >= 1")
+        _need(_is_count(s1), "integer s1 >= 1")
+        _need(_is_count(s2), "integer s2 >= 1")
+        _need(prune_every is None or _is_count(prune_every),
+              "integer prune_every >= 1, or None")
         self.qcap = qcap
         self.s1 = s1
         self.s2 = s2
@@ -190,6 +208,7 @@ class Box:
     PR = count in window / window length."""
 
     def __init__(self, k=100):
+        _need(_is_count(k), "integer k >= 1")
         self.k = k
         self.window = deque()
         self.counts = {}
@@ -221,6 +240,9 @@ class Dyal:
 
     def __init__(self, beta_min=0.01, qcap=3, sig_thresh=5.0, p_min=0.01,
                  s1=100, s2=100000, prune_every=1000):
+        _need(0.0 <= beta_min <= 1.0, "beta_min in [0, 1]")
+        _need(sig_thresh >= 0.0, "sig_thresh >= 0")
+        _need(0.0 <= p_min <= 1.0, "p_min in [0, 1]")
         self.beta_min = beta_min
         self.sig_thresh = sig_thresh
         self.p_min = p_min

@@ -31,6 +31,12 @@ class GenConfig:
     start_high: bool = True  # oscillate mode starts at the high rate
 
     def __post_init__(self):
+        # Outside these, gen_sequence can hang: on weights of 0 or less
+        # (p_min), or on weights that sum past 1 (p_ns).
+        if not self.p_min > 0.0:
+            raise ConfigError("p_min must be > 0, got %r" % (self.p_min,))
+        if not self.p_ns >= 0.0:
+            raise ConfigError("p_ns must be >= 0, got %r" % (self.p_ns,))
         if self.p_min + self.p_ns >= 1.0:
             raise ConfigError("p_min + p_ns must be below 1")
         if not (self.p_min < self.p_max <= 1.0):

@@ -56,10 +56,26 @@ def test_referee_window_eviction():
 
 def test_referee_rejects_window_below_one():
     for w in (0, -1):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError) as e:
             Referee(window=w)
+        assert str(e.value) == "referee window must be >= 1, got %r" % w
     assert Referee(window=None).window is None
     assert Referee(window=1).is_ns(5) is True
+
+
+def test_referee_rejects_negative_c_ns():
+    # c_ns = -1 would mark nothing as noise; EvalConfig's check is this
+    # one, with the message the CLI prints
+    for c_ns in (-1, math.nan):
+        with pytest.raises(ConfigError) as e:
+            Referee(c_ns=c_ns)
+        assert str(e.value) == "c_ns must be >= 0, got %r" % c_ns
+    with pytest.raises(ConfigError) as e:
+        EvalConfig(c_ns=-1)
+    assert str(e.value) == "c_ns must be >= 0, got -1"
+    with pytest.raises(ConfigError) as e:
+        EvalConfig(window=0)
+    assert str(e.value) == "referee window must be >= 1, got 0"
 
 
 def test_referee_window_count_consistency():

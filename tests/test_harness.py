@@ -211,13 +211,32 @@ def test_make_predictor_kinds():
 
 
 def test_make_predictor_unknown():
-    for kind, param in [("nope", "1"), ("ema", "abc"), ("queues", "2.5"),
-                        ("queues", "0"), ("ts-queues", "0"), ("box", "0"),
-                        ("ema", "0"), ("ema", "1.5"), ("ema", "nan"),
-                        ("harmonic-ema", "-0.1"), ("harmonic-ema", "2"),
-                        ("dyal", "-1"), ("dyal", "1.5")]:
-        with pytest.raises(ConfigError):
-            make_predictor(kind, param)
+    # the CLI prints these messages after "error: "; the domain text
+    # comes from the constructor
+    for method, message in [
+            ("nope:1", "unknown predictor kind: 'nope'"),
+            ("bogus:1", "unknown predictor kind: 'bogus'"),
+            ("ema:abc", "method ema:abc: need beta in (0, 1]"),
+            ("ema:0", "method ema:0: need beta in (0, 1]"),
+            ("ema:1.5", "method ema:1.5: need beta in (0, 1]"),
+            ("ema:nan", "method ema:nan: need beta in (0, 1]"),
+            ("ema:inf", "method ema:inf: need beta in (0, 1]"),
+            ("harmonic-ema:-0.1",
+             "method harmonic-ema:-0.1: need beta_min in [0, 1]"),
+            ("harmonic-ema:2",
+             "method harmonic-ema:2: need beta_min in [0, 1]"),
+            ("queues:0", "method queues:0: need integer qcap >= 1"),
+            ("queues:2.5", "method queues:2.5: need integer qcap >= 1"),
+            ("queues:abc", "method queues:abc: need integer qcap >= 1"),
+            ("ts-queues:0", "method ts-queues:0: need integer qcap >= 1"),
+            ("box:0", "method box:0: need integer k >= 1"),
+            ("box:-3", "method box:-3: need integer k >= 1"),
+            ("dyal:-1", "method dyal:-1: need beta_min in [0, 1]"),
+            ("dyal:1.5", "method dyal:1.5: need beta_min in [0, 1]"),
+            ("dyal:abc", "method dyal:abc: need beta_min in [0, 1]")]:
+        with pytest.raises(ConfigError) as e:
+            make_predictor(*method.split(":", 1))
+        assert str(e.value) == message
 
 
 def test_ts_queues_state_bounded():

@@ -811,9 +811,46 @@ def test_dyal_weaken_edges_matches_reference_without_queues():
 
 @pytest.mark.parametrize("pred", [Ema(0.1), Ema(harmonic=True),
                                   Queues(), SingleCellMle(), Box(10),
-                                  Dyal()])
+                                  Dyal(),
+                                  # domain edges
+                                  Ema(beta=1),
+                                  Ema(harmonic=True, beta_min=0),
+                                  Ema(beta_min=1),
+                                  Queues(qcap=1, prune_every=None),
+                                  Queues(qcap=1, s1=1, s2=1, prune_every=1),
+                                  Box(k=1),
+                                  Dyal(beta_min=0, p_min=0, sig_thresh=0),
+                                  Dyal(beta_min=1, p_min=1,
+                                       sig_thresh=math.inf)])
 def test_fresh_predictor_predicts_empty(pred):
     assert pred.predict() == {}
+
+
+# argument -> values outside its domain, per class; Dyal hands its queue
+# arguments to Queues
+OUT_OF_DOMAIN = {
+    Ema: {"beta": (0, -0.1, 1.5, math.inf, math.nan),
+          "beta_min": (-0.1, 1.5, math.inf, math.nan)},
+    Queues: {"qcap": (0, -1, 2.5, 3.0, math.nan),
+             "s1": (0, -1, 2.5, math.nan),
+             "s2": (0, -1, 2.5, math.inf, math.nan),
+             "prune_every": (0, -1, 2.5, math.nan)},
+    Box: {"k": (0, -3, 2.5, 100.0, math.nan)},
+    Dyal: {"beta_min": (-0.1, 1.5, math.inf, math.nan),
+           "sig_thresh": (-1, -math.inf, math.nan),
+           "p_min": (-0.1, 1.5, math.nan),
+           "qcap": (0, 2.5), "s1": (0,), "s2": (0,), "prune_every": (0,)},
+}
+
+
+@pytest.mark.parametrize("cls,arg,value", [
+    (cls, arg, v) for cls, args in OUT_OF_DOMAIN.items()
+    for arg, values in args.items() for v in values],
+    ids=lambda x: getattr(x, "__name__", str(x)))
+def test_constructor_rejects_out_of_domain(cls, arg, value):
+    # the message names the argument: "need <domain>"
+    with pytest.raises(ValueError, match=r"^need (integer )?%s\b" % arg):
+        cls(**{arg: value})
 
 
 def test_predict_does_not_mutate():

@@ -158,6 +158,19 @@ def test_gen_config_validation():
         GenConfig(p_max=0.001)
 
 
+def test_gen_config_rejects_thresholds_that_hang():
+    # gen_sequence never returned on these: weights of 0 or less
+    # (p_min), or weights summing past 1 (p_ns)
+    for kw in ({"p_min": 0.0}, {"p_min": -0.1}, {"p_min": math.nan},
+               {"p_ns": -0.5}, {"p_ns": math.nan}):
+        with pytest.raises(ConfigError):
+            GenConfig(o_min=2, desired_len=300, **kw)
+    # domain edge
+    cfg = GenConfig(p_ns=0.0, o_min=2, desired_len=300)
+    assert len(gen_sequence(cfg, np.random.default_rng(0))
+               .observations) >= 300
+
+
 def test_gen_config_rejects_empty_periods():
     # o_min = 0 lets a period end before it starts, so the generators
     # would append empty periods forever; l_min cannot be negative
