@@ -159,12 +159,14 @@ def test_gen_config_validation():
 
 
 def test_gen_config_rejects_thresholds_that_hang():
-    # gen_sequence never returned on these: weights of 0 or less
-    # (p_min), or weights summing past 1 (p_ns)
-    for kw in ({"p_min": 0.0}, {"p_min": -0.1}, {"p_min": math.nan},
-               {"p_ns": -0.5}, {"p_ns": math.nan}):
-        with pytest.raises(ConfigError):
-            GenConfig(o_min=2, desired_len=300, **kw)
+    # gen_sequence never returned at p_min 0 or -0.1 (weights of 0 or
+    # less) or at p_ns -0.5 (weights summing past 1); NaN lies outside
+    # both domains too
+    for field, value in (("p_min", 0.0), ("p_min", -0.1),
+                         ("p_min", math.nan), ("p_ns", -0.5),
+                         ("p_ns", math.nan)):
+        with pytest.raises(ConfigError, match="^%s must" % field):
+            GenConfig(o_min=2, desired_len=300, **{field: value})
     # domain edge
     cfg = GenConfig(p_ns=0.0, o_min=2, desired_len=300)
     assert len(gen_sequence(cfg, np.random.default_rng(0))
