@@ -92,7 +92,7 @@ def _gen_options(f):
 def _gen_fields(seq_len, tp, mode, **gen):
     """The ExperimentSpec fields that the generator options set."""
     return {"seq_len": seq_len, "tp": tp, "mode": mode,
-            "gen": synth.GenConfig(desired_len=seq_len, **gen)}
+            "gen": synth.GenConfig(**gen)}
 
 
 @click.group()
@@ -111,7 +111,7 @@ def cli():
 @click.option("--out", type=click.Path(), required=True)
 def gen(kind, n, seed, out, **gen_opts):
     """Generate a synthetic stream: stream.txt plus schedule.csv."""
-    spec = ExperimentSpec(kind=_GEN_KINDS[kind], roster=[],
+    spec = ExperimentSpec(kind=_GEN_KINDS[kind], roster=[], seed=seed,
                           **_gen_fields(n, **gen_opts))
     stream = harness.gen_stream(spec, np.random.default_rng(seed))
     os.makedirs(out, exist_ok=True)
@@ -149,8 +149,6 @@ def run(kind, methods, n_seqs, seq_len, seed, input_path, cfg_file, p_min,
         p_ns, c_ns, referee_window, dev, out, **gen_opts):
     """Score a roster of predictors; writes per_seq.csv, aggregate.csv
     and sign_tests.csv."""
-    if kind == "real-file" and not input_path:
-        raise click.UsageError("--input is required with --kind real-file")
     roster = [_parse_method(m) for m in methods]
     spec = ExperimentSpec(
         kind=kind, roster=roster, out_dir=out, n_seqs=n_seqs, seed=seed,

@@ -6,7 +6,7 @@ import bisect
 import math
 from collections import deque
 
-from .sd_core import ConfigError, FcConfig, filter_cap
+from .sd_core import SUM_SLACK, ConfigError, FcConfig, filter_cap
 
 
 class Referee:
@@ -115,12 +115,23 @@ def multidev(o, q, p, p_min=0.01):
 
 
 class Schedule:
-    """Ground-truth SD per time step: a list of (start_t, sd) with
-    strictly increasing 1-based start times."""
+    """Ground-truth SD per time step: a list of (start_t, sd) whose start
+    times increase strictly from 1. Each sd is a semi-distribution with
+    weights in (0, 1], or ValueError: at() bisects the start times, and
+    optimal_logloss takes the log of every weight."""
 
     def __init__(self, entries):
         self.entries = list(entries)
-        self._starts = [s for s, _ in self.entries]
+        self._starts = starts = [s for s, _ in self.entries]
+        if starts and starts[0] != 1 or any(
+                b <= a for a, b in zip(starts, starts[1:])):
+            raise ValueError("need start times increasing strictly from "
+                             "1, got %r" % (starts,))
+        for start, sd in self.entries:
+            if not (all(0.0 < v <= 1.0 for v in sd.values())
+                    and sum(sd.values()) <= 1.0 + SUM_SLACK):
+                raise ValueError("need weights in (0, 1] summing to at "
+                                 "most 1, got %r at t=%r" % (sd, start))
 
     def at(self, t):
         k = bisect.bisect_right(self._starts, t) - 1

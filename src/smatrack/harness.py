@@ -6,7 +6,7 @@ import csv
 import math
 import os
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -145,7 +145,7 @@ class ExperimentSpec:
     roster: list                   # of (label, predictor kind, param)
     out_dir: str = None
     n_seqs: int = 200
-    seq_len: int = 10000
+    seq_len: int = 10000           # generated length (multi-item: at least)
     seed: int = 0
     tp: float = 0.1                # stationary-single
     mode: str = "oscillate"        # nonstat-single
@@ -161,6 +161,10 @@ class ExperimentSpec:
         if self.seq_len < 1:
             raise ConfigError("seq_len must be >= 1, got %r"
                               % (self.seq_len,))
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0, got %r" % (self.seed,))
+        if self.kind == "real-file" and not self.input_path:
+            raise ConfigError("kind 'real-file' needs an input_path")
         seen = set()
         for label, pkind, param in self.roster:
             if label in seen:
@@ -190,7 +194,8 @@ def ingest_sequence(path):
 
 
 def gen_stream(spec, rng):
-    """One synthetic stream of the spec's kind, drawn with rng."""
+    """One synthetic stream of the spec's kind, drawn with rng. seq_len
+    sets its length; for multi-item it replaces gen.desired_len."""
     if spec.kind == "stationary-single":
         return synth.gen_binary_stationary(spec.tp, spec.seq_len, rng)
     gen = spec.gen or synth.GenConfig()
@@ -198,7 +203,7 @@ def gen_stream(spec, rng):
         return synth.gen_single_nonstationary(spec.mode, gen,
                                               spec.seq_len, rng)
     if spec.kind == "multi-item":
-        return synth.gen_sequence(gen, rng)
+        return synth.gen_sequence(replace(gen, desired_len=spec.seq_len), rng)
     raise ConfigError("kind %r does not generate streams" % (spec.kind,))
 
 

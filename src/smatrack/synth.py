@@ -8,6 +8,7 @@ tests can tell the two apart cheaply.
 
 import csv
 import io
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -48,24 +49,6 @@ class GenConfig:
             raise ConfigError("o_min must be >= 1, got %r" % (self.o_min,))
         if self.l_min < 0:
             raise ConfigError("l_min must be >= 0, got %r" % (self.l_min,))
-
-
-class ItemAllocator:
-    """Hands out fresh salient ids (1, 2, ...) and unique noise ids."""
-
-    def __init__(self):
-        self.next_salient = 1
-        self.next_noise = NOISE_BASE
-
-    def fresh(self):
-        i = self.next_salient
-        self.next_salient += 1
-        return i
-
-    def noise(self):
-        i = self.next_noise
-        self.next_noise += 1
-        return i
 
 
 @dataclass
@@ -116,11 +99,11 @@ def gen_single_nonstationary(mode, cfg, n, rng):
     return GeneratedStream(obs[:n], Schedule(entries))
 
 
-def gen_sd(cfg, rng, alloc):
+def gen_sd(cfg, rng, fresh):
     """Draw a fresh SD: probabilities drawn uniformly from the remaining
     mass (capped at p_max, floored at p_min) until less than
     p_ns + p_min is left. recycle reassigns a shuffled permutation to
-    items 1..k; otherwise every item id is brand new."""
+    items 1..k; otherwise each item takes the next id from fresh."""
     probs = []
     left = 1.0
     while left > cfg.p_ns + cfg.p_min:
@@ -131,22 +114,22 @@ def gen_sd(cfg, rng, alloc):
     if cfg.recycle:
         order = rng.permutation(len(probs))
         return {i + 1: probs[order[i]] for i in range(len(probs))}
-    return {alloc.fresh(): p for p in probs}
+    return {next(fresh): p for p in probs}
 
 
-def draw_item(p, rng, alloc):
-    """Sample a salient item proportional to its probability, or a fresh
-    unique noise id with the unallocated probability."""
+def draw_item(p, rng, noise):
+    """Sample a salient item proportional to its probability, or, with
+    the unallocated probability, the next id of the iterator noise."""
     x = rng.random()
     acc = 0.0
     for i, pr in p.items():
         acc += pr
         if x < acc:
             return i
-    return alloc.noise()
+    return next(noise)
 
 
-def gen_subseq(p, cfg, rng, alloc):
+def gen_subseq(p, cfg, rng, noise):
     """Draw iid from p until every salient item has at least o_min
     occurrences and the length is at least l_min."""
     if not p:
@@ -154,7 +137,7 @@ def gen_subseq(p, cfg, rng, alloc):
     counts = dict.fromkeys(p, 0)
     seq = []
     while min(counts.values()) < cfg.o_min or len(seq) < cfg.l_min:
-        o = draw_item(p, rng, alloc)
+        o = draw_item(p, rng, noise)
         seq.append(o)
         if o in counts:
             counts[o] += 1
@@ -165,13 +148,14 @@ def gen_sequence(cfg, rng):
     """Concatenate stable subsequences, regenerating the SD each time,
     until the stream reaches desired_len. The last subsequence is not
     cut, so desired_len is a lower bound on the length."""
-    alloc = ItemAllocator()
+    fresh = itertools.count(1)
+    noise = itertools.count(NOISE_BASE)
     obs = []
     entries = []
     while len(obs) < cfg.desired_len:
-        p = gen_sd(cfg, rng, alloc)
+        p = gen_sd(cfg, rng, fresh)
         entries.append((len(obs) + 1, p))
-        obs.extend(gen_subseq(p, cfg, rng, alloc))
+        obs.extend(gen_subseq(p, cfg, rng, noise))
     return GeneratedStream(obs, Schedule(entries))
 
 

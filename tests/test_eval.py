@@ -374,6 +374,30 @@ def test_schedule_lookup():
     assert s.at(100) == {1: 0.9}
 
 
+def test_schedule_rejects_entries_outside_its_domain():
+    # unsorted starts were bisected as they came, so t = 1, 2, 5 and 6
+    # all read the 0.1 entry; a weight of 0 killed optimal_logloss with
+    # a math domain error
+    for entries in ([(5, {1: 0.9}), (1, {1: 0.1})],
+                    [(1, {1: 0.5}), (1, {1: 0.5})],
+                    [(0, {1: 0.5})], [(2, {1: 0.5})]):
+        with pytest.raises(ValueError, match="^need start times "
+                           "increasing strictly from 1, got "):
+            Schedule(entries)
+    for sd in ({1: 0.0, 2: 0.5}, {1: -0.1}, {1: math.nan}, {1: 1.5},
+               {1: 0.6, 2: 0.6}):
+        with pytest.raises(ValueError, match=r"^need weights in \(0, 1\] "
+                           "summing to at most 1, got "):
+            Schedule([(1, {1: 0.5}), (3, sd)])
+
+
+def test_schedule_accepts_its_domain_edges():
+    assert Schedule([(1, {1: 1.0})]).at(7) == {1: 1.0}
+    for tp in np.linspace(0.001, 0.999, 999).tolist() + [1e-9, 1 - 1e-9]:
+        s = Schedule([(1, {1: tp, 0: 1 - tp}), (2, {1: 1 - tp, 0: tp})])
+        assert s.at(2) == {1: 1 - tp, 0: tp}
+
+
 def test_optimal_logloss_half():
     rng = np.random.default_rng(3)
     sched = Schedule([(1, {1: 0.5})])

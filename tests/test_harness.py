@@ -350,6 +350,21 @@ def test_experiment_multi_item_has_optimal(tmp_path):
     assert any(m == "optimal" for _s, m, _p, _k, _v in res["rows"])
 
 
+@pytest.mark.parametrize("gen", [None, synth.GenConfig(o_min=3)])
+def test_seq_len_sets_the_multi_item_length(gen):
+    # seq_len, not gen.desired_len, sets the length: the stream stops in
+    # the first period to reach seq_len (with desired_len it ran past
+    # 10,000 observations)
+    spec = ExperimentSpec(kind="multi-item", roster=[], seq_len=500, gen=gen)
+    stream = harness.gen_stream(spec, np.random.default_rng(3))
+    cfg = synth.GenConfig(o_min=(gen or synth.GenConfig()).o_min,
+                          desired_len=500)
+    assert stream.observations == \
+        synth.gen_sequence(cfg, np.random.default_rng(3)).observations
+    assert len(stream.observations) >= 500
+    assert stream.schedule.entries[-1][0] <= 500
+
+
 def test_experiment_real_file(tmp_path):
     p = tmp_path / "seq.txt"
     p.write_text("\n".join(["a", "b"] * 200) + "\n")
@@ -369,6 +384,19 @@ def test_experiment_rejects_bad_roster(tmp_path):
 def test_experiment_rejects_no_sequences(tmp_path):
     with pytest.raises(ConfigError):
         _small_spec(tmp_path, n_seqs=0)
+
+
+def test_experiment_rejects_bad_inputs(tmp_path):
+    # a real-file run without a file used to die in open() with a bare
+    # TypeError, a negative seed in numpy
+    for kw, msg in (({"kind": "real-file"},
+                     "kind 'real-file' needs an input_path"),
+                    ({"kind": "real-file", "input_path": ""},
+                     "kind 'real-file' needs an input_path"),
+                    ({"seed": -1}, "seed must be >= 0, got -1")):
+        with pytest.raises(ConfigError) as e:
+            _small_spec(tmp_path, **kw)
+        assert str(e.value) == msg
 
 
 def test_experiment_rejects_bad_kind(tmp_path):
@@ -488,7 +516,8 @@ def test_cli_exit_codes(tmp_path):
     env = dict(os.environ)
     # config errors: unknown method kind, out-of-domain parameters, a
     # duplicated label, no sequences, out-of-domain scoring options and
-    # generator options; each is one line on stderr and makes no output
+    # generator options, a negative seed and a real-file run without
+    # --input; each is one line on stderr and makes no output
     # directory. A zero o_min that got through would make the generators
     # loop forever, so these runs have a timeout.
     out = tmp_path / "x"
@@ -511,7 +540,9 @@ def test_cli_exit_codes(tmp_path):
                  ["--method", "ema:0.1", "--kind", "nonstat-single",
                   "--o-min", "0"],
                  ["--method", "ema:0.1", "--kind", "nonstat-single",
-                  "--mode", "uniform", "--l-min", "-1"]):
+                  "--mode", "uniform", "--l-min", "-1"],
+                 ["--method", "ema:0.1", "--seed", "-1"],
+                 ["--method", "ema:0.1", "--kind", "real-file"]):
         r = subprocess.run([sys.executable, "-m", "smatrack.cli", "run",
                             "--kind", "stationary-single", "--seq-len",
                             "500", *args, "--out", str(out)],
@@ -524,7 +555,8 @@ def test_cli_exit_codes(tmp_path):
                  ["--kind", "binary", "--tp", "0"],
                  ["--kind", "multi", "--p-max", "0"],
                  ["--kind", "multi", "--n", "0"],
-                 ["--kind", "binary", "--n", "-5"]):
+                 ["--kind", "binary", "--n", "-5"],
+                 ["--kind", "binary", "--seed", "-1"]):
         r = subprocess.run([sys.executable, "-m", "smatrack.cli", "gen",
                             *args, "--out", str(out)],
                            capture_output=True, env=env, timeout=60)

@@ -1,12 +1,13 @@
 import csv
 import io
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from smatrack.synth import (NOISE_BASE, ConfigError, GenConfig, ItemAllocator,
-                            draw_item, gen_binary_stationary, gen_sd,
+from smatrack.synth import (NOISE_BASE, ConfigError, GenConfig, draw_item,
+                            gen_binary_stationary, gen_sd,
                             gen_sequence, gen_single_nonstationary,
                             gen_subseq, schedule_to_csv, stream_to_text)
 
@@ -114,7 +115,7 @@ def test_gen_sd_mass_and_min():
     rng = np.random.default_rng(7)
     cfg = GenConfig()
     for _ in range(200):
-        sd = gen_sd(cfg, rng, ItemAllocator())
+        sd = gen_sd(cfg, rng, itertools.count(1))
         assert sum(sd.values()) <= 1.0 - cfg.p_ns + 1e-12
         assert all(v >= cfg.p_min for v in sd.values())
 
@@ -122,7 +123,7 @@ def test_gen_sd_mass_and_min():
 def test_gen_sd_support_size_around_five():
     rng = np.random.default_rng(8)
     cfg = GenConfig(p_max=1.0)
-    sizes = [len(gen_sd(cfg, rng, ItemAllocator())) for _ in range(1000)]
+    sizes = [len(gen_sd(cfg, rng, itertools.count(1))) for _ in range(1000)]
     mean = sum(sizes) / len(sizes)
     assert 3 <= mean <= 7
 
@@ -130,7 +131,7 @@ def test_gen_sd_support_size_around_five():
 def test_gen_sd_p_max_cap():
     rng = np.random.default_rng(9)
     cfg = GenConfig(p_max=0.1)
-    sd = gen_sd(cfg, rng, ItemAllocator())
+    sd = gen_sd(cfg, rng, itertools.count(1))
     assert all(v <= 0.1 for v in sd.values())
     assert len(sd) >= 9  # at least ~0.98/0.1 items needed
 
@@ -138,16 +139,16 @@ def test_gen_sd_p_max_cap():
 def test_gen_sd_recycle_support():
     rng = np.random.default_rng(10)
     cfg = GenConfig(recycle=True)
-    sd = gen_sd(cfg, rng, ItemAllocator())
+    sd = gen_sd(cfg, rng, itertools.count(1))
     assert set(sd) == set(range(1, len(sd) + 1))
 
 
 def test_gen_sd_new_items_are_fresh():
     rng = np.random.default_rng(11)
     cfg = GenConfig(recycle=False)
-    alloc = ItemAllocator()
-    a = gen_sd(cfg, rng, alloc)
-    b = gen_sd(cfg, rng, alloc)
+    fresh = itertools.count(1)
+    a = gen_sd(cfg, rng, fresh)
+    b = gen_sd(cfg, rng, fresh)
     assert not (set(a) & set(b))
 
 
@@ -192,23 +193,23 @@ def test_gen_config_rejects_empty_periods():
 
 def test_draw_item_point_mass():
     rng = np.random.default_rng(12)
-    alloc = ItemAllocator()
-    assert all(draw_item({5: 1.0}, rng, alloc) == 5 for _ in range(100))
+    noise = itertools.count(NOISE_BASE)
+    assert all(draw_item({5: 1.0}, rng, noise) == 5 for _ in range(100))
 
 
 def test_draw_item_empty_is_noise():
     rng = np.random.default_rng(13)
-    alloc = ItemAllocator()
-    ids = {draw_item({}, rng, alloc) for _ in range(10)}
+    noise = itertools.count(NOISE_BASE)
+    ids = {draw_item({}, rng, noise) for _ in range(10)}
     assert len(ids) == 10
     assert all(i >= NOISE_BASE for i in ids)
 
 
 def test_draw_item_frequency():
     rng = np.random.default_rng(14)
-    alloc = ItemAllocator()
+    noise = itertools.count(NOISE_BASE)
     n = 100000
-    hits = sum(draw_item({1: 0.5}, rng, alloc) == 1 for _ in range(n))
+    hits = sum(draw_item({1: 0.5}, rng, noise) == 1 for _ in range(n))
     sigma = math.sqrt(n * 0.25)
     assert abs(hits - n / 2) <= 3 * sigma
 
@@ -216,14 +217,15 @@ def test_draw_item_frequency():
 def test_gen_subseq_point_mass():
     cfg = GenConfig(o_min=3)
     seq = gen_subseq({1: 1.0}, cfg, np.random.default_rng(15),
-                     ItemAllocator())
+                     itertools.count(NOISE_BASE))
     assert seq == [1, 1, 1]
 
 
 def test_gen_subseq_counts_met():
     cfg = GenConfig(o_min=10)
     p = {1: 0.5, 2: 0.5}
-    seq = gen_subseq(p, cfg, np.random.default_rng(16), ItemAllocator())
+    seq = gen_subseq(p, cfg, np.random.default_rng(16),
+                     itertools.count(NOISE_BASE))
     assert len(seq) >= 20
     assert seq.count(1) >= 10 and seq.count(2) >= 10
 
@@ -232,7 +234,8 @@ def test_gen_subseq_expected_length():
     cfg = GenConfig(o_min=20)
     p = {1: 0.8, 2: 0.1}
     lengths = [len(gen_subseq(p, cfg, np.random.default_rng(s),
-                              ItemAllocator())) for s in range(50)]
+                              itertools.count(NOISE_BASE)))
+               for s in range(50)]
     mean = sum(lengths) / len(lengths)
     # dominated by the rarest item: about o_min / 0.1
     assert 150 <= mean <= 300
@@ -241,7 +244,7 @@ def test_gen_subseq_expected_length():
 def test_gen_subseq_empty_rejected():
     with pytest.raises(ValueError):
         gen_subseq({}, GenConfig(), np.random.default_rng(0),
-                   ItemAllocator())
+                   itertools.count(NOISE_BASE))
 
 
 # --- gen_sequence -----------------------------------------------------------
