@@ -209,9 +209,9 @@ def trace(input_path, method, concat_k, track_item, out):
     """Learning-rate (and optional estimate) trajectories on a token
     file; self-concatenation makes drift visible as rate spikes."""
     _label, kind, param = _parse_method(method)
-    pred = harness.make_predictor(kind, param)
     if kind != "dyal":
         raise click.UsageError("rate traces require a dyal method")
+    pred = harness.make_predictor(kind, param)
     obs = harness.ingest_sequence(input_path)
     if not obs:
         raise ConfigError("%s holds no tokens" % (input_path,))

@@ -21,8 +21,7 @@ from .sd_core import ConfigError, FcConfig, filter_cap
 # existing rosters and result files.
 _PREDICTORS = {
     "ema": (float, predictors.Ema),
-    "harmonic-ema": (float,
-                     lambda v: predictors.Ema(harmonic=True, beta_min=v)),
+    "harmonic-ema": (float, lambda v: predictors.Ema(1.0, v)),
     "queues": (int, predictors.Queues),
     "ts-queues": (int, predictors.Queues),
     "box": (int, predictors.Box),
@@ -48,16 +47,15 @@ def make_predictor(kind, param):
 
 
 @dataclass(frozen=True)
-class EvalConfig:
-    p_min: float = 0.01
-    p_ns: float = 0.01
+class EvalConfig(FcConfig):
+    """The scoring thresholds, the noise referee's c_ns and window, and
+    the deviation thresholds d."""
     c_ns: int = 2
     window: int = None
     dev_ds: tuple = (1.5, 2.0)
 
     def __post_init__(self):
-        # FcConfig checks p_min and p_ns, Referee c_ns and window.
-        object.__setattr__(self, "_fc", FcConfig(self.p_min, self.p_ns))
+        super().__post_init__()
         Referee(self.c_ns, self.window)
         for d in self.dev_ds:
             if not 1.0 <= d < math.inf:
@@ -70,7 +68,8 @@ class EvalConfig:
                               "metric name" % (self.dev_ds,))
 
     def fc(self):
-        return self._fc
+        """The scoring thresholds, which an EvalConfig holds itself."""
+        return self
 
 
 def run_prequential(pred, obs, ecfg, schedule=None, track_item=None):
@@ -78,7 +77,6 @@ def run_prequential(pred, obs, ecfg, schedule=None, track_item=None):
     loss are always reported; deviation metrics require a ground-truth
     schedule (against the tracked item in the single-item setting, or
     all salient items otherwise). Returns the metrics as a dict."""
-    fc = ecfg.fc()
     ref = Referee(ecfg.c_ns, ecfg.window)
     n = len(obs)
     loss_sum = 0.0
@@ -86,10 +84,10 @@ def run_prequential(pred, obs, ecfg, schedule=None, track_item=None):
     dev_single = {d: 0 for d in ecfg.dev_ds}
     dev_obs = {d: 0 for d in ecfg.dev_ds}
     dev_any = {d: 0 for d in ecfg.dev_ds}
-    neg_log_pns = -math.log(fc.p_ns)
+    neg_log_pns = -math.log(ecfg.p_ns)
     for t, o in enumerate(obs, start=1):
         q = pred.predict()
-        loss, quad = score(o, filter_cap(q, fc), ref.is_ns(o), neg_log_pns)
+        loss, quad = score(o, filter_cap(q, ecfg), ref.is_ns(o), neg_log_pns)
         loss_sum += loss
         quad_sum += quad
         if schedule is not None:
@@ -99,7 +97,7 @@ def run_prequential(pred, obs, ecfg, schedule=None, track_item=None):
                 for d in ecfg.dev_ds:
                     dev_single[d] += r > d
             else:
-                worst, r = multidev(o, q, p, fc.p_min)
+                worst, r = multidev(o, q, p, ecfg.p_min)
                 for d in ecfg.dev_ds:
                     dev_obs[d] += r > d
                     dev_any[d] += worst > d
@@ -139,10 +137,10 @@ EXPERIMENT_KINDS = ("stationary-single", "nonstat-single", "multi-item",
                     "real-file")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentSpec:
     kind: str                      # one of EXPERIMENT_KINDS
-    roster: list                   # of (label, predictor kind, param)
+    roster: tuple                  # of (label, predictor kind, param)
     out_dir: str = None
     n_seqs: int = 200
     seq_len: int = 10000           # generated length (multi-item: at least)
@@ -165,6 +163,7 @@ class ExperimentSpec:
             raise ConfigError("seed must be >= 0, got %r" % (self.seed,))
         if self.kind == "real-file" and not self.input_path:
             raise ConfigError("kind 'real-file' needs an input_path")
+        object.__setattr__(self, "roster", tuple(self.roster))
         seen = set()
         for label, pkind, param in self.roster:
             if label in seen:

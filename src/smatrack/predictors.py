@@ -23,7 +23,10 @@ def _is_count(v):
 
 
 def decay_rate(beta, beta_min):
-    """Harmonic decay: 1 -> 1/2 -> 1/3 -> ..., floored at beta_min."""
+    """Harmonic decay: 1 -> 1/2 -> 1/3 -> ..., floored at beta_min. Ema
+    and Dyal skip the call for a rate equal to its floor, which the call
+    returns unchanged for any floor of 2**-53 or more; a rate that starts
+    at 1 takes over 9e15 calls to sink below 2**-53."""
     return max(1.0 / (1.0 / beta + 1.0), beta_min)
 
 
@@ -65,8 +68,9 @@ EMA_CAP = round(2 / EMA_FLOOR)
 class Ema:
     """Sparse EMA over a growing item set: weaken every weight by
     (1 - beta), then boost the observed item by beta. The weight map is
-    always a semi-distribution. With harmonic=True the rate decays as
-    1/(1/beta + 1) down to beta_min after every update.
+    always a semi-distribution. The rate starts at beta and decays as
+    1/(1/beta + 1) down to beta_min after every update: beta_min = beta
+    (the default) keeps it fixed, and beta = 1 gives harmonic EMA.
 
     Forward decay (Cormode et al., ICDE 2009): weights holds w_i / scale,
     where scale is the product of (1 - beta) since the last fold, so an
@@ -74,12 +78,13 @@ class Ema:
     grows past EMA_CAP entries, multiplies the scale back in, drops the
     weights below EMA_FLOOR and resets the scale to 1."""
 
-    def __init__(self, beta=0.01, harmonic=False, beta_min=0.001):
+    def __init__(self, beta=0.01, beta_min=None):
         _need(0.0 < beta <= 1.0, "beta in (0, 1]")
-        _need(0.0 <= beta_min <= 1.0, "beta_min in [0, 1]")
-        self.harmonic = harmonic
+        if beta_min is None:
+            beta_min = beta
+        _need(0.0 <= beta_min <= beta, "beta_min in [0, %g]" % beta)
         self.beta_min = beta_min
-        self.beta = 1.0 if harmonic else beta
+        self.beta = beta
         self.weights = {}
         self.scale = 1.0
 
@@ -112,7 +117,7 @@ class Ema:
                             if (v := s * g) >= EMA_FLOOR}
             g = 1.0
         self.scale = g
-        if self.harmonic:
+        if b != self.beta_min:
             self.beta = decay_rate(b, self.beta_min)
 
 
@@ -250,12 +255,6 @@ class Dyal:
                              prune_every=prune_every)
         self.ema_map = {}
         self.rate_map = {}
-        # A rate at this floor decays to itself, so weaken_edges skips
-        # the call; None where that does not hold (decay_rate(0, 0)
-        # divides by zero).
-        self._fixed_rate = (beta_min if beta_min > 0.0 and
-                            decay_rate(beta_min, beta_min) == beta_min
-                            else None)
 
     def predict(self):
         return dict(self.ema_map)
@@ -280,7 +279,8 @@ class Dyal:
         else:
             beta = self.rate_map[o]
             delta = min((1.0 - ema_pr) * beta, free)
-            self.rate_map[o] = decay_rate(beta, self.beta_min)
+            if beta != self.beta_min:
+                self.rate_map[o] = decay_rate(beta, self.beta_min)
         self.ema_map[o] = ema_pr + delta
 
     def weaken_edges(self, o):
@@ -292,11 +292,10 @@ class Dyal:
         One loop, since it visits every edge on every update:
         Queues.pr_count and the significance test are inlined, the
         chi-squared bound skips binomial_significance where it cannot
-        reach sig_thresh, and a rate at its fixed floor skips
-        decay_rate. Each edge Dyal makes has its queue in q_map: it is
-        made only for a queue of 2 or more stamps, and pruned with it.
-        The items() snapshot is safe because only the visited edge
-        changes."""
+        reach sig_thresh, and a rate at its floor skips decay_rate. Each
+        edge Dyal makes has its queue in q_map: it is made only for a
+        queue of 2 or more stamps, and pruned with it. The items()
+        snapshot is safe because only the visited edge changes."""
         ema_map = self.ema_map
         rate_map = self.rate_map
         q_map = self.queues.q_map
@@ -305,7 +304,6 @@ class Dyal:
         beta_min = self.beta_min
         sig = self.sig_thresh
         slack = CHI2_SLACK
-        fixed = self._fixed_rate
         used = 0.0
         for i, beta in list(rate_map.items()):
             e = ema_map[i]
@@ -339,7 +337,7 @@ class Dyal:
                     del ema_map[i]
                     del rate_map[i]
                     continue
-                if beta != fixed:
+                if beta != beta_min:
                     rate_map[i] = decay_rate(beta, beta_min)
             ema_map[i] = e
             used += e

@@ -20,7 +20,7 @@ from .sd_core import ConfigError
 NOISE_BASE = 2 ** 32
 
 
-@dataclass
+@dataclass(frozen=True)
 class GenConfig:
     p_min: float = 0.01
     p_ns: float = 0.01

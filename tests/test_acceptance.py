@@ -199,7 +199,7 @@ def test_c8_exactness():
     rng = np.random.default_rng(88)
 
     # harmonic EMA == running average, exactly
-    e = Ema(harmonic=True, beta_min=0.0)
+    e = Ema(1.0, 0.0)
     count = 0
     ok_h = True
     for t in range(1, 2001):

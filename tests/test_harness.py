@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 import os
 
@@ -14,6 +15,7 @@ from smatrack.harness import (ConfigError, EvalConfig, ExperimentSpec,
                               run_experiment, run_prequential,
                               run_self_concat)
 from smatrack.predictors import Box, Dyal, Ema, Queues
+from smatrack.sd_core import FcConfig
 import reference_scoring
 
 
@@ -119,7 +121,7 @@ def test_prequential_matches_per_step_reference(kind, stream):
 
 def test_prequential_single_item_dev_metrics():
     s = synth.gen_binary_stationary(0.1, 2000, np.random.default_rng(1))
-    res = run_prequential(Ema(harmonic=True, beta_min=0.001),
+    res = run_prequential(Ema(1.0, 0.001),
                           s.observations, EvalConfig(),
                           schedule=s.schedule, track_item=1)
     assert "dev_rate_d1.5" in res
@@ -181,6 +183,10 @@ def test_eval_config_rejects_out_of_domain():
     ecfg = EvalConfig(p_min=0.05, p_ns=0.02)
     assert ecfg.fc() is ecfg.fc()
     assert (ecfg.fc().p_min, ecfg.fc().p_ns) == (0.05, 0.02)
+    # an EvalConfig is its own FcConfig; its fields keep their order
+    assert isinstance(ecfg, FcConfig)
+    assert EvalConfig(0.05, 0.02, 3, 7, (1.2,)) == EvalConfig(
+        p_min=0.05, p_ns=0.02, c_ns=3, window=7, dev_ds=(1.2,))
 
 
 # --- predictor registry -----------------------------------------------------
@@ -198,9 +204,8 @@ def test_make_predictor_kinds():
         assert p.predict() == {}
     # each kind builds its class with the parameter in its place
     for kind, param, cls, attrs in [
-            ("ema", "0.25", Ema, {"beta": 0.25, "harmonic": False}),
-            ("harmonic-ema", "0.001", Ema,
-             {"beta_min": 0.001, "harmonic": True}),
+            ("ema", "0.25", Ema, {"beta": 0.25, "beta_min": 0.25}),
+            ("harmonic-ema", "0.001", Ema, {"beta": 1.0, "beta_min": 0.001}),
             ("queues", "3", Queues, {"qcap": 3}),
             ("ts-queues", "4", Queues, {"qcap": 4}),
             ("box", "100", Box, {"k": 100}),
@@ -397,6 +402,21 @@ def test_experiment_rejects_bad_inputs(tmp_path):
         with pytest.raises(ConfigError) as e:
             _small_spec(tmp_path, **kw)
         assert str(e.value) == msg
+
+
+def test_experiment_spec_is_frozen(tmp_path):
+    # an assignment would get past __post_init__'s checks: a roster
+    # entry appended twice merged its results and sign-tested the label
+    # against itself, and seq_len 0 scored empty streams as 0.0
+    spec = _small_spec(tmp_path)
+    assert spec.roster == (("ema:0.05", "ema", "0.05"),
+                           ("queues:3", "queues", "3"))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.seq_len = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.roster = [("box:5", "box", "5")] * 2
+    with pytest.raises(AttributeError):
+        spec.roster.append(("box:5", "box", "5"))
 
 
 def test_experiment_rejects_bad_kind(tmp_path):
@@ -637,6 +657,14 @@ def test_cli_exit_codes(tmp_path):
         assert r.returncode == 2, args
         assert len(r.stderr.decode().strip().splitlines()) == 1, args
         assert not out.exists(), args
+    # trace checks the kind before it builds the predictor, so a method
+    # that is not dyal is named as such whatever its parameter
+    r = subprocess.run([sys.executable, "-m", "smatrack.cli", "trace",
+                        "--input", str(tokens), "--method", "ema:5",
+                        "--out", str(out)], capture_output=True, env=env)
+    assert r.returncode == 2
+    assert r.stderr.decode() == "error: rate traces require a dyal method\n"
+    assert not out.exists()
     # runtime error: unreadable input file
     r = subprocess.run([sys.executable, "-m", "smatrack.cli",
                         "ingest-check", "/nonexistent/nope.txt"],

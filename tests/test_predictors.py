@@ -54,15 +54,38 @@ def test_decay_rate_harmonic_series():
 
 
 def test_decay_rate_floor():
-    assert decay_rate(0.001, 0.001) == 0.001
     assert close(decay_rate(0.5, 0.001), 1 / 3)
+    # Ema and Dyal skip decay_rate for a rate equal to its floor; that
+    # gives what the call would wherever the call returns the floor
+    # unchanged, which holds for every floor from 2**-53 to 1
+    floors = np.concatenate([np.logspace(-53 * math.log10(2), 0, 20001),
+                             2.0 ** -np.random.default_rng(9).uniform(
+                                 0, 53, 20000), [2.0 ** -53, 0.001, 1.0]])
+    assert all(decay_rate(m, m) == m for m in floors.tolist())
+
+
+def test_ema_rate_starts_at_beta_and_decays_to_beta_min():
+    e = Ema(1.0, 0.25)
+    rates = []
+    for o in range(6):
+        rates.append(e.beta)
+        e.update(o)
+    assert all(close(r, w, 1e-15) for r, w in
+               zip(rates, [1, 1 / 2, 1 / 3, 1 / 4, 1 / 4, 1 / 4]))
+    assert e.beta == 0.25
+    e = Ema(0.3)  # beta_min defaults to beta: a fixed rate
+    for o in range(6):
+        e.update(o)
+        assert e.beta == 0.3
+    with pytest.raises(ValueError, match=r"^need beta_min in \[0, 0\.1\]$"):
+        Ema(0.1, beta_min=0.2)
 
 
 def test_harmonic_equals_running_average():
     # rate schedule 1, 1/2, 1/3, ... with no floor reproduces the
     # empirical frequency exactly
     rng = np.random.default_rng(0)
-    e = Ema(harmonic=True, beta_min=0.0)
+    e = Ema(1.0, 0.0)
     count = 0
     for t in range(1, 2001):
         o = int(rng.random() < 0.3)
@@ -95,17 +118,20 @@ def test_ema_step_size_cap():
         prev = cur
 
 
-EMA_CASES = ([dict(beta=b) for b in (0.001, 0.01, 0.05, 0.2, 0.5)] +
-             [dict(harmonic=True, beta_min=m)
+# Ema arguments -> the ReferenceEma keywords it must match: a fixed
+# rate beta, and harmonic EMA, which starts at 1 and decays to beta_min
+EMA_CASES = ([((b,), dict(beta=b)) for b in (0.001, 0.01, 0.05, 0.2, 0.5)] +
+             [((1.0, m), dict(harmonic=True, beta_min=m))
               for m in (0.0, 0.001, 0.01, 0.1)])
+EMA_IDS = [repr(kw) for _, kw in EMA_CASES]
 
 
-@pytest.mark.parametrize("kw", EMA_CASES, ids=repr)
-def test_ema_matches_reference_above_floor(kw):
+@pytest.mark.parametrize("args,kw", EMA_CASES, ids=EMA_IDS)
+def test_ema_matches_reference_above_floor(args, kw):
     # four items in shuffled blocks: each recurs within 7 steps, so no
     # weight nears EMA_FLOOR and no fold drops one
     rng = np.random.default_rng(5)
-    e, ref = Ema(**kw), ReferenceEma(**kw)
+    e, ref = Ema(*args), ReferenceEma(**kw)
     for _ in range(1500):
         for o in rng.permutation(4).tolist():
             e.update(o)
@@ -116,8 +142,8 @@ def test_ema_matches_reference_above_floor(kw):
             assert all(abs(got[i] - v) <= 1e-12 * v for i, v in want.items())
 
 
-@pytest.mark.parametrize("kw", EMA_CASES, ids=repr)
-def test_ema_tracks_reference_on_open_streams(kw):
+@pytest.mark.parametrize("args,kw", EMA_CASES, ids=EMA_IDS)
+def test_ema_tracks_reference_on_open_streams(args, kw):
     # A fold drops a weight below EMA_FLOOR, which the reference keeps.
     # Both then add the same boosts, so the gap only decays. On a stream
     # that never fills EMA_CAP entries every fold follows a halving of
@@ -126,7 +152,7 @@ def test_ema_tracks_reference_on_open_streams(kw):
     # 1e-12 covers rounding.
     bound = 2 * EMA_FLOOR + 1e-12
     rng = np.random.default_rng(6)
-    e, ref = Ema(**kw), ReferenceEma(**kw)
+    e, ref = Ema(*args), ReferenceEma(**kw)
     for t in range(6000):
         r = rng.random()
         o = 10 ** 6 + t if r < 0.1 else int(rng.integers(0, 3 if r < 0.6
@@ -155,7 +181,7 @@ def test_ema_state_bounded_at_tiny_rate():
 def test_harmonic_ema_repeated_item_at_most_one():
     # rates 1, 1/2, 1/3, ...: the third step's weight rounded to
     # 1.0000000000000002 before the clamp
-    e = Ema(harmonic=True, beta_min=0.0)
+    e = Ema(1.0, 0.0)
     for _ in range(7):
         e.update(0)
         (v,) = e.predict().values()
@@ -809,13 +835,13 @@ def test_dyal_weaken_edges_matches_reference_without_queues():
 
 # --- shared contract --------------------------------------------------------
 
-@pytest.mark.parametrize("pred", [Ema(0.1), Ema(harmonic=True),
+@pytest.mark.parametrize("pred", [Ema(0.1), Ema(1.0, 0.001),
                                   Queues(), SingleCellMle(), Box(10),
                                   Dyal(),
                                   # domain edges
                                   Ema(beta=1),
-                                  Ema(harmonic=True, beta_min=0),
-                                  Ema(beta_min=1),
+                                  Ema(1.0, 0),
+                                  Ema(1.0, 1.0),
                                   Queues(qcap=1, prune_every=None),
                                   Queues(qcap=1, s1=1, s2=1, prune_every=1),
                                   Box(k=1),

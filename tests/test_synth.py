@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import itertools
 import math
@@ -172,6 +173,14 @@ def test_gen_config_rejects_thresholds_that_hang():
     cfg = GenConfig(p_ns=0.0, o_min=2, desired_len=300)
     assert len(gen_sequence(cfg, np.random.default_rng(0))
                .observations) >= 300
+
+
+def test_gen_config_is_frozen():
+    # p_min set to 0 after the checks made gen_sequence hang
+    cfg = GenConfig(o_min=2, desired_len=300)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.p_min = 0.0
+    assert cfg.p_min == 0.01
 
 
 def test_gen_config_rejects_empty_periods():
