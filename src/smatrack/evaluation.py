@@ -117,8 +117,8 @@ def multidev(o, q, p, p_min=0.01):
 class Schedule:
     """Ground-truth SD per time step: a list of (start_t, sd) whose start
     times increase strictly from 1. Each sd is a semi-distribution with
-    weights in (0, 1], or ValueError: at() bisects the start times, and
-    optimal_logloss takes the log of every weight."""
+    weights in (0, 1], or ValueError: at() and per_step() read the start
+    times, and optimal_logloss takes the log of every weight."""
 
     def __init__(self, entries):
         self.entries = list(entries)
@@ -139,15 +139,23 @@ class Schedule:
             raise ValueError("time %d precedes the schedule" % t)
         return self.entries[k][1]
 
+    def per_step(self, n):
+        """[at(t) for t in 1..n], one segment at a time."""
+        if n >= 1 and not self.entries:
+            raise ValueError("time 1 precedes the schedule")
+        out = []
+        for (start, sd), end in zip(self.entries, self._starts[1:] + [n + 1]):
+            out += [sd] * (min(end, n + 1) - start)
+        return out
 
-def optimal_logloss(obs, schedule):
-    """Mean loss of the generating distribution itself: -ln P(o) for
-    salient observations, -ln u(P) for noise."""
+
+def optimal_logloss(obs, truth):
+    """Mean loss of the generating distribution itself, truth[t] being the
+    SD at obs[t]: -ln P(o) for salient observations, -ln u(P) for noise."""
     if not obs:
         return 0.0
     total = 0.0
-    for t, o in enumerate(obs, start=1):
-        p = schedule.at(t)
+    for o, p in zip(obs, truth, strict=True):
         if o in p:
             total += -math.log(p[o])
         else:

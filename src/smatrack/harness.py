@@ -2,11 +2,13 @@
 and the scoring stack, and writes per-sequence, aggregate, sign-test,
 and trace CSVs."""
 
+import bisect
 import csv
 import math
 import os
 import statistics
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -72,45 +74,47 @@ class EvalConfig(FcConfig):
         return self
 
 
-def run_prequential(pred, obs, ecfg, schedule=None, track_item=None):
-    """One predict-score-update pass over a sequence. Log-loss and quad
-    loss are always reported; deviation metrics require a ground-truth
-    schedule (against the tracked item in the single-item setting, or
-    all salient items otherwise). Returns the metrics as a dict."""
-    ref = Referee(ecfg.c_ns, ecfg.window)
+def run_prequential(pred, obs, ecfg, marks, schedule=None, track_item=None):
+    """One predict-score-update pass over a sequence, with marks[t] the
+    referee's noise mark for obs[t]. Log-loss and quad loss are always
+    reported; deviation metrics require schedule, the true SD of each
+    step (Schedule.per_step), against the tracked item in the single-item
+    setting, or all salient items otherwise. Returns the metrics as a dict."""
     n = len(obs)
     loss_sum = 0.0
     quad_sum = 0.0
-    dev_single = {d: 0 for d in ecfg.dev_ds}
-    dev_obs = {d: 0 for d in ecfg.dev_ds}
-    dev_any = {d: 0 for d in ecfg.dev_ds}
+    ratios = []  # per step: the tracked or the observed item's ratio
+    worsts = []  # per step, multi-item: the worst ratio over the support
     neg_log_pns = -math.log(ecfg.p_ns)
-    for t, o in enumerate(obs, start=1):
+    truth = schedule if schedule is not None else repeat(None, n)
+    for o, marked_ns, p in zip(obs, marks, truth, strict=True):
         q = pred.predict()
-        loss, quad = score(o, filter_cap(q, ecfg), ref.is_ns(o), neg_log_pns)
+        loss, quad = score(o, filter_cap(q, ecfg), marked_ns, neg_log_pns)
         loss_sum += loss
         quad_sum += quad
-        if schedule is not None:
-            p = schedule.at(t)
+        if p is not None:
             if track_item is not None:
-                r = dev_ratio(q.get(track_item, 0.0), p[track_item])
-                for d in ecfg.dev_ds:
-                    dev_single[d] += r > d
+                ratios.append(dev_ratio(q.get(track_item, 0.0),
+                                        p[track_item]))
             else:
                 worst, r = multidev(o, q, p, ecfg.p_min)
-                for d in ecfg.dev_ds:
-                    dev_obs[d] += r > d
-                    dev_any[d] += worst > d
+                ratios.append(r)
+                worsts.append(worst)
         pred.update(o)
     metrics = {"avg_logloss_ns": loss_sum / n if n else 0.0,
                "avg_quad": quad_sum / n if n else 0.0}
     if schedule is not None and n:
+        # No ratio is NaN: those past bisect_right(d) are the ratios > d.
+        ratios.sort()
+        worsts.sort()
         for d in ecfg.dev_ds:
+            past = (n - bisect.bisect_right(ratios, d)) / n
             if track_item is not None:
-                metrics["dev_rate_d%g" % d] = dev_single[d] / n
+                metrics["dev_rate_d%g" % d] = past
             else:
-                metrics["dev_rate_obs_d%g" % d] = dev_obs[d] / n
-                metrics["dev_rate_any_d%g" % d] = dev_any[d] / n
+                metrics["dev_rate_obs_d%g" % d] = past
+                metrics["dev_rate_any_d%g" % d] = (
+                    n - bisect.bisect_right(worsts, d)) / n
     return metrics
 
 
@@ -224,14 +228,20 @@ def run_experiment(spec):
         seqs = [(k, gen_stream(spec, np.random.default_rng(s)))
                 for k, s in enumerate(seeds)]
 
+    ecfg = spec.eval_cfg
     for seq_id, stream in seqs:
+        # Noise marks and per-step truth depend only on the stream.
+        obs = stream.observations
+        ref = Referee(ecfg.c_ns, ecfg.window)
+        marks = [ref.is_ns(o) for o in obs]
+        truth = None
         if stream.schedule is not None:
-            opt = optimal_logloss(stream.observations, stream.schedule)
+            truth = stream.schedule.per_step(len(obs))
+            opt = optimal_logloss(obs, truth)
             rows.append((seq_id, "optimal", "", "avg_logloss_ns", opt))
         for label, pkind, param in spec.roster:
             pred = make_predictor(pkind, param)
-            metrics = run_prequential(pred, stream.observations,
-                                      spec.eval_cfg, schedule=stream.schedule,
+            metrics = run_prequential(pred, obs, ecfg, marks, schedule=truth,
                                       track_item=1 if single else None)
             for metric, value in metrics.items():
                 rows.append((seq_id, label, param, metric, value))

@@ -83,6 +83,9 @@ class Ema:
         if beta_min is None:
             beta_min = beta
         _need(0.0 <= beta_min <= beta, "beta_min in [0, %g]" % beta)
+        # decay_rate(beta, 0.0) is 0.0 once 1/beta overflows
+        _need(beta_min > 0.0 or 1.0 / beta < math.inf,
+              "beta_min > 0 when 1/beta overflows")
         self.beta_min = beta_min
         self.beta = beta
         self.weights = {}

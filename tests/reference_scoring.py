@@ -73,10 +73,18 @@ def multidev(o, q, p, d, mode, p_min=0.01):
     raise ValueError("mode must be 'obs' or 'any'")
 
 
+def noise_marks(obs, ecfg):
+    """The referee's mark for each observation, which run_prequential
+    takes as its marks."""
+    ref = Referee(ecfg.c_ns, ecfg.window)
+    return [ref.is_ns(o) for o in obs]
+
+
 def prequential(pred, obs, ecfg, schedule=None, track_item=None):
     """run_prequential's metrics, recomputed one step and one threshold
-    at a time through the references above. Sums run in the same order
-    as run_prequential's."""
+    at a time through the references above, with the referee run
+    alongside and each step's truth looked up by Schedule.at. Sums run
+    in the same order as run_prequential's."""
     fc = ecfg.fc()
     ref = Referee(ecfg.c_ns, ecfg.window)
     n = len(obs)

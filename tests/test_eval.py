@@ -224,7 +224,9 @@ def avg_logloss(q, obs, c_ns):
     total = 0.0
     for o in obs:
         total += logloss_rule_ns(o, q, r.is_ns(o), CFG)
-    m = run_prequential(FixedPredictor(q), obs, EvalConfig(c_ns=c_ns))
+    ecfg = EvalConfig(c_ns=c_ns)
+    m = run_prequential(FixedPredictor(q), obs, ecfg,
+                        reference_scoring.noise_marks(obs, ecfg))
     assert m["avg_logloss_ns"] == total / len(obs)
     return total / len(obs)
 
@@ -374,6 +376,24 @@ def test_schedule_lookup():
     assert s.at(100) == {1: 0.9}
 
 
+def test_schedule_per_step_matches_at():
+    # n before, at and past the last start
+    for s in (Schedule([(1, {1: 0.5})]),
+              Schedule([(1, {1: 0.5}), (4, {1: 0.9}), (5, {2: 0.3})])):
+        last = s.entries[-1][0]
+        for n in (0, 1, last - 1, last, last + 1, 3 * last + 7):
+            got = s.per_step(n)
+            assert got == [s.at(t) for t in range(1, n + 1)]
+            assert all(g is s.at(t) for t, g in enumerate(got, start=1))
+    empty = Schedule([])
+    assert empty.per_step(0) == []
+    for probe in (lambda: empty.at(1), lambda: empty.per_step(1),
+                  lambda: empty.per_step(5)):
+        with pytest.raises(ValueError,
+                           match="^time 1 precedes the schedule$"):
+            probe()
+
+
 def test_schedule_rejects_entries_outside_its_domain():
     # unsorted starts were bisected as they came, so t = 1, 2, 5 and 6
     # all read the 0.1 entry; a weight of 0 killed optimal_logloss with
@@ -403,20 +423,23 @@ def test_optimal_logloss_half():
     sched = Schedule([(1, {1: 0.5})])
     obs = [1 if rng.random() < 0.5 else 10 ** 9 + t
            for t in range(100000)]
-    v = optimal_logloss(obs, sched)
+    v = optimal_logloss(obs, sched.per_step(len(obs)))
     assert close(v, math.log(2), 1e-9)  # both branches score -ln 0.5
 
 
 def test_optimal_logloss_point_mass():
     sched = Schedule([(1, {1: 1.0})])
-    assert optimal_logloss([1, 1, 1], sched) == 0.0
+    assert optimal_logloss([1, 1, 1], sched.per_step(3)) == 0.0
+    with pytest.raises(ValueError):  # one truth per step
+        optimal_logloss([1, 1, 1, 1], sched.per_step(3))
 
 
 def test_optimal_logloss_many_small():
     k = 100
     sched = Schedule([(1, {i: 0.01 for i in range(1, k + 1)})])
     obs = list(range(1, k + 1))
-    assert close(optimal_logloss(obs, sched), -math.log(0.01))
+    assert close(optimal_logloss(obs, sched.per_step(len(obs))),
+                 -math.log(0.01))
 
 
 # --- sign test --------------------------------------------------------------

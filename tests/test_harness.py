@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import inspect
 import math
 import os
 
@@ -17,6 +18,7 @@ from smatrack.harness import (ConfigError, EvalConfig, ExperimentSpec,
 from smatrack.predictors import Box, Dyal, Ema, Queues
 from smatrack.sd_core import FcConfig
 import reference_scoring
+from reference_scoring import noise_marks
 
 
 def close(a, b, tol=1e-9):
@@ -61,13 +63,37 @@ def test_ingest_deterministic(tmp_path):
 # --- run_prequential --------------------------------------------------------
 
 def test_prequential_empty_predictor_all_ns():
-    res = run_prequential(EmptyPredictor(), [1, 1, 1], EvalConfig())
+    obs, ecfg = [1, 1, 1], EvalConfig()
+    res = run_prequential(EmptyPredictor(), obs, ecfg, noise_marks(obs, ecfg))
     assert res["avg_logloss_ns"] == 0.0
 
 
 def test_prequential_bounded():
-    res = run_prequential(Dyal(), [1, 1, 1, 1, 2, 2, 2, 2], EvalConfig())
+    obs, ecfg = [1, 1, 1, 1, 2, 2, 2, 2], EvalConfig()
+    res = run_prequential(Dyal(), obs, ecfg, noise_marks(obs, ecfg))
     assert 0.0 <= res["avg_logloss_ns"] <= -math.log(0.01)
+
+
+def test_prequential_needs_one_mark_and_one_truth_per_step():
+    obs, ecfg = [1, 2, 1, 1], EvalConfig()
+    marks = noise_marks(obs, ecfg)
+    truth = Schedule([(1, {1: 0.5})]).per_step(len(obs))
+    for short_marks, short_truth in ((marks[:-1], truth),
+                                     (marks, truth[:-1])):
+        with pytest.raises(ValueError):
+            run_prequential(Dyal(), obs, ecfg, short_marks,
+                            schedule=short_truth)
+
+
+def test_benchmark_bound_names():
+    # The benchmark binds the pass's arguments by name (obs for its
+    # reference check, schedule for its scheduled-step count) and wraps
+    # make_predictor with two arguments.
+    params = inspect.signature(run_prequential).parameters
+    assert list(params)[:2] == ["pred", "obs"]
+    assert "schedule" in params
+    inspect.signature(make_predictor).bind("ema", "0.1")
+    assert isinstance(make_predictor("ema", "0.1"), Ema)
 
 
 def test_prequential_agrees_with_reference_scorer():
@@ -76,7 +102,8 @@ def test_prequential_agrees_with_reference_scorer():
     rng = np.random.default_rng(0)
     obs = rng.integers(0, 5, size=300).tolist()
     pred_a = Ema(beta=0.05)
-    res = run_prequential(pred_a, obs, EvalConfig())
+    res = run_prequential(pred_a, obs, EvalConfig(),
+                          noise_marks(obs, EvalConfig()))
     pred_b = Ema(beta=0.05)
     ref = Referee(c_ns=2)
     loss = quad = 0.0
@@ -110,7 +137,9 @@ def test_prequential_matches_per_step_reference(kind, stream):
         track = 1
     ecfg = EvalConfig(dev_ds=(1.0, 1.5, 2.0, 4.0))
     res = run_prequential(make_predictor(kind, _PARAMS[kind]),
-                          s.observations, ecfg, schedule=s.schedule,
+                          s.observations, ecfg,
+                          noise_marks(s.observations, ecfg),
+                          schedule=s.schedule.per_step(len(s.observations)),
                           track_item=track)
     want = reference_scoring.prequential(
         make_predictor(kind, _PARAMS[kind]), s.observations, ecfg,
@@ -123,7 +152,9 @@ def test_prequential_single_item_dev_metrics():
     s = synth.gen_binary_stationary(0.1, 2000, np.random.default_rng(1))
     res = run_prequential(Ema(1.0, 0.001),
                           s.observations, EvalConfig(),
-                          schedule=s.schedule, track_item=1)
+                          noise_marks(s.observations, EvalConfig()),
+                          schedule=s.schedule.per_step(len(s.observations)),
+                          track_item=1)
     assert "dev_rate_d1.5" in res
     assert 0.0 <= res["dev_rate_d1.5"] <= 1.0
 
@@ -132,7 +163,8 @@ def test_prequential_multi_item_dev_metrics():
     s = synth.gen_sequence(synth.GenConfig(o_min=10, desired_len=2000),
                            np.random.default_rng(2))
     res = run_prequential(Dyal(), s.observations, EvalConfig(),
-                          schedule=s.schedule)
+                          noise_marks(s.observations, EvalConfig()),
+                          schedule=s.schedule.per_step(len(s.observations)))
     assert "dev_rate_obs_d1.5" in res
     assert "dev_rate_any_d2" in res
     assert res["dev_rate_obs_d1.5"] <= res["dev_rate_any_d1.5"] + 1e-12
@@ -153,13 +185,14 @@ def test_prequential_ratio_equal_to_d_does_not_deviate():
     pred = FixedPredictor({1: 0.5, 2: 0.25, 9: 0.01})
     obs = [1, 2, 9, 1]
     ecfg = EvalConfig(dev_ds=(1.5, 2.0))
-    m = run_prequential(pred, obs, ecfg, schedule=sched)
+    marks, truth = noise_marks(obs, ecfg), sched.per_step(len(obs))
+    m = run_prequential(pred, obs, ecfg, marks, schedule=truth)
     assert m == reference_scoring.prequential(pred, obs, ecfg,
                                               schedule=sched)
     assert m["dev_rate_any_d1.5"] == m["dev_rate_obs_d1.5"] == 1.0
     assert m["dev_rate_any_d2"] == 0.0
     assert m["dev_rate_obs_d2"] == 0.25   # only the noise step
-    m = run_prequential(pred, obs, ecfg, schedule=sched,
+    m = run_prequential(pred, obs, ecfg, marks, schedule=truth,
                         track_item=2)
     assert m["dev_rate_d1.5"] == 1.0 and m["dev_rate_d2"] == 0.0
 

@@ -81,6 +81,23 @@ def test_ema_rate_starts_at_beta_and_decays_to_beta_min():
         Ema(0.1, beta_min=0.2)
 
 
+def test_ema_rate_never_decays_to_zero():
+    # Below about 5.6e-309, 1 / beta overflows and decay_rate(beta, 0.0)
+    # is 0.0, a rate that gives every new item a weight of 0.0.
+    for beta in (5e-324, 1e-309, 5.5e-309):
+        with pytest.raises(ValueError,
+                           match=r"^need beta_min > 0 when 1/beta overflows$"):
+            Ema(beta, 0.0)
+    for e in (Ema(5e-324), Ema(5e-324, 5e-324), Ema(1e-309, 5e-324),
+              Ema(5.6e-309, 0.0)):
+        for o in range(4):
+            e.update(o)
+            assert e.beta > 0.0
+        q = e.predict()
+        assert sorted(q) == [0, 1, 2, 3]
+        assert all(v > 0.0 for v in q.values())
+
+
 def test_harmonic_equals_running_average():
     # rate schedule 1, 1/2, 1/3, ... with no floor reproduces the
     # empirical frequency exactly

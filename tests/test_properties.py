@@ -17,6 +17,7 @@ from smatrack.harness import (PREDICTOR_KINDS, EvalConfig, ExperimentSpec,
 from smatrack.predictors import EMA_FLOOR, Dyal, Queues
 from smatrack.sd_core import SUM_SLACK
 from smatrack.synth import GenConfig
+from reference_scoring import noise_marks
 from test_eval import fc_configs
 
 SD_KINDS = ("ema", "harmonic-ema", "box", "dyal")
@@ -133,9 +134,10 @@ def test_prequential_scores_in_range(kind, data, fc, stream_kind, seed,
                           gen=GenConfig(o_min=2, desired_len=150))
     stream = gen_stream(spec, np.random.default_rng(seed))
     pred = make_predictor(kind, data.draw(PARAMS[kind].map(repr)))
-    m = run_prequential(pred, stream.observations,
-                        EvalConfig(fc.p_min, fc.p_ns, c_ns, window),
-                        schedule=stream.schedule,
+    obs = stream.observations
+    ecfg = EvalConfig(fc.p_min, fc.p_ns, c_ns, window)
+    m = run_prequential(pred, obs, ecfg, noise_marks(obs, ecfg),
+                        schedule=stream.schedule.per_step(len(obs)),
                         track_item=None if stream_kind == "multi-item" else 1)
     # every step scores at most -ln p_ns; the mean of n such scores may
     # round a few ulps past it
