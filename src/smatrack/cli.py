@@ -89,9 +89,17 @@ def _gen_options(f):
     return f
 
 
-def _gen_fields(seq_len, tp, mode, **gen):
-    """The ExperimentSpec fields that the generator options set."""
-    return {"seq_len": seq_len, "tp": tp, "mode": mode,
+def _gen_fields(kind, seq_len, tp, mode, **gen):
+    """The ExperimentSpec fields that the stream options set; UsageError
+    for the first option given, in --help order, that kind does not read."""
+    ctx = click.get_current_context()
+    unread = harness.unread_fields(kind, mode)
+    for p in ctx.command.params:
+        if p.name in unread and ctx.get_parameter_source(p.name) is \
+                click.core.ParameterSource.COMMANDLINE:
+            raise click.UsageError("%s is not read by --kind %s"
+                                   % (p.opts[0], ctx.params["kind"]))
+    return {"kind": kind, "seq_len": seq_len, "tp": tp, "mode": mode,
             "gen": synth.GenConfig(**gen)}
 
 
@@ -111,8 +119,8 @@ def cli():
 @click.option("--out", type=click.Path(), required=True)
 def gen(kind, n, seed, out, **gen_opts):
     """Generate a synthetic stream: stream.txt plus schedule.csv."""
-    spec = ExperimentSpec(kind=_GEN_KINDS[kind], roster=[], seed=seed,
-                          **_gen_fields(n, **gen_opts))
+    spec = ExperimentSpec(roster=[], seed=seed,
+                          **_gen_fields(_GEN_KINDS[kind], n, **gen_opts))
     stream = harness.gen_stream(spec, np.random.default_rng(seed))
     os.makedirs(out, exist_ok=True)
     with open(os.path.join(out, "stream.txt"), "w") as f:
@@ -151,8 +159,8 @@ def run(kind, methods, n_seqs, seq_len, seed, input_path, cfg_file, p_min,
     and sign_tests.csv."""
     roster = [_parse_method(m) for m in methods]
     spec = ExperimentSpec(
-        kind=kind, roster=roster, out_dir=out, n_seqs=n_seqs, seed=seed,
-        **_gen_fields(seq_len, **gen_opts),
+        roster=roster, out_dir=out, n_seqs=n_seqs, seed=seed,
+        **_gen_fields(kind, seq_len, **gen_opts),
         eval_cfg=_eval_config(cfg_file, p_min, p_ns, c_ns, referee_window,
                               dev),
         input_path=input_path)
@@ -223,12 +231,12 @@ def trace(input_path, method, concat_k, track_item, out):
     rates, est = harness.run_self_concat(obs, concat_k, pred, track_item)
     path = os.path.join(out, "rate_trace.csv")
     harness._write_csv(path, ["t", "max_rate", "median_rate", "out_degree"],
-                       [(t + 1, repr(mx), repr(md), deg)
-                        for t, (mx, md, deg) in enumerate(rates)])
+                       ((t + 1, repr(mx), repr(md), deg)
+                        for t, (mx, md, deg) in enumerate(rates)))
     if track_item is not None:
         harness._write_csv(os.path.join(out, "estimate_trace.csv"),
                            ["t", "estimate"],
-                           [(t + 1, repr(v)) for t, v in enumerate(est)])
+                           ((t + 1, repr(v)) for t, v in enumerate(est)))
     click.echo("wrote %s" % path)
 
 

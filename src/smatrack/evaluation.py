@@ -2,7 +2,6 @@
 quadratic loss, deviation rates, the optimal-loss oracle, and paired
 sign tests."""
 
-import bisect
 import math
 from collections import deque
 
@@ -117,8 +116,8 @@ def multidev(o, q, p, p_min=0.01):
 class Schedule:
     """Ground-truth SD per time step: a list of (start_t, sd) whose start
     times increase strictly from 1. Each sd is a semi-distribution with
-    weights in (0, 1], or ValueError: at() and per_step() read the start
-    times, and optimal_logloss takes the log of every weight."""
+    weights in (0, 1], or ValueError: per_step() reads the start times,
+    and optimal_logloss takes the log of every weight."""
 
     def __init__(self, entries):
         self.entries = list(entries)
@@ -133,14 +132,8 @@ class Schedule:
                 raise ValueError("need weights in (0, 1] summing to at "
                                  "most 1, got %r at t=%r" % (sd, start))
 
-    def at(self, t):
-        k = bisect.bisect_right(self._starts, t) - 1
-        if k < 0:
-            raise ValueError("time %d precedes the schedule" % t)
-        return self.entries[k][1]
-
     def per_step(self, n):
-        """[at(t) for t in 1..n], one segment at a time."""
+        """The SD of each step t = 1..n, one segment at a time."""
         if n >= 1 and not self.entries:
             raise ValueError("time 1 precedes the schedule")
         out = []

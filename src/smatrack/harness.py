@@ -137,8 +137,30 @@ def run_self_concat(obs, k, dyal, track_item=None):
     return rates, estimates
 
 
-EXPERIMENT_KINDS = ("stationary-single", "nonstat-single", "multi-item",
-                    "real-file")
+# kind -> (the item a single-item kind tracks, the fields it reads, gen's
+# by their own names, and its stream maker). A maker looks its generator
+# up in synth when called, so that a wrapper bound there is the one run.
+_SEEDED = ("n_seqs", "seq_len", "seed")
+_EXPERIMENTS = {
+    "stationary-single": (1, _SEEDED + ("tp",), lambda s, rng:
+        synth.gen_binary_stationary(s.tp, s.seq_len, rng)),
+    "nonstat-single": (1, _SEEDED + ("mode", "o_min", "l_min"), lambda s, rng:
+        synth.gen_single_nonstationary(s.mode, s.gen, s.seq_len, rng)),
+    "multi-item": (None, _SEEDED + ("o_min", "l_min", "p_max", "recycle"),
+        lambda s, rng: synth.gen_sequence(
+            replace(s.gen, desired_len=s.seq_len), rng)),
+    "real-file": (None, ("input_path",), None),
+}
+EXPERIMENT_KINDS = tuple(_EXPERIMENTS)
+
+
+def unread_fields(kind, mode):
+    """The fields other kinds read that a spec of this kind and mode does
+    not. A kind that reads mode reads l_min in uniform mode only."""
+    read = _EXPERIMENTS[kind][1]
+    oscillate = "mode" in read and mode != "uniform"
+    return {f for _, fields, _ in _EXPERIMENTS.values() for f in fields
+            if f not in read or oscillate and f == "l_min"}
 
 
 @dataclass(frozen=True)
@@ -147,13 +169,13 @@ class ExperimentSpec:
     roster: tuple                  # of (label, predictor kind, param)
     out_dir: str = None
     n_seqs: int = 200
-    seq_len: int = 10000           # generated length (multi-item: at least)
+    seq_len: int = 10000           # generated length, or a lower bound on it
     seed: int = 0
-    tp: float = 0.1                # stationary-single
-    mode: str = "oscillate"        # nonstat-single
-    gen: synth.GenConfig = None    # nonstat-single / multi-item
+    tp: float = 0.1
+    mode: str = "oscillate"
+    gen: synth.GenConfig = field(default_factory=synth.GenConfig)
     eval_cfg: EvalConfig = field(default_factory=EvalConfig)
-    input_path: str = None         # real-file
+    input_path: str = None
 
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
@@ -182,7 +204,7 @@ def ingest_sequence(path):
     try:
         with open(path, encoding="utf-8") as f:
             text = f.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise IOError("cannot read %s: %s" % (path, e))
     ids = {}
     obs = []
@@ -198,16 +220,11 @@ def ingest_sequence(path):
 
 def gen_stream(spec, rng):
     """One synthetic stream of the spec's kind, drawn with rng. seq_len
-    sets its length; for multi-item it replaces gen.desired_len."""
-    if spec.kind == "stationary-single":
-        return synth.gen_binary_stationary(spec.tp, spec.seq_len, rng)
-    gen = spec.gen or synth.GenConfig()
-    if spec.kind == "nonstat-single":
-        return synth.gen_single_nonstationary(spec.mode, gen,
-                                              spec.seq_len, rng)
-    if spec.kind == "multi-item":
-        return synth.gen_sequence(replace(gen, desired_len=spec.seq_len), rng)
-    raise ConfigError("kind %r does not generate streams" % (spec.kind,))
+    sets its length, in place of gen.desired_len."""
+    make = _EXPERIMENTS[spec.kind][2]
+    if make is None:
+        raise ConfigError("kind %r does not generate streams" % (spec.kind,))
+    return make(spec, rng)
 
 
 def run_experiment(spec):
@@ -216,7 +233,6 @@ def run_experiment(spec):
     corresponding CSVs when spec.out_dir is set."""
     rows = []  # (seq_id, method, param, metric, value)
     losses_by_method = {}
-    single = spec.kind in ("stationary-single", "nonstat-single")
 
     if spec.kind == "real-file":
         obs = ingest_sequence(spec.input_path)
@@ -242,7 +258,7 @@ def run_experiment(spec):
         for label, pkind, param in spec.roster:
             pred = make_predictor(pkind, param)
             metrics = run_prequential(pred, obs, ecfg, marks, schedule=truth,
-                                      track_item=1 if single else None)
+                                      track_item=_EXPERIMENTS[spec.kind][0])
             for metric, value in metrics.items():
                 rows.append((seq_id, label, param, metric, value))
             losses_by_method.setdefault(label, []).append(

@@ -11,6 +11,7 @@ lets the sum reach 1 - p_ns + SUM_SLACK, so -ln of the unallocated mass
 could pass the bound or, for p_ns below SUM_SLACK, fail on -ln 0.
 """
 
+import bisect
 import math
 
 from smatrack.evaluation import Referee
@@ -73,6 +74,15 @@ def multidev(o, q, p, d, mode, p_min=0.01):
     raise ValueError("mode must be 'obs' or 'any'")
 
 
+def schedule_at(schedule, t):
+    """The SD of step t, by a bisect over the start times: a lookup
+    apart from Schedule.per_step's walk."""
+    k = bisect.bisect_right(schedule.entries, t, key=lambda e: e[0]) - 1
+    if k < 0:
+        raise ValueError("time %d precedes the schedule" % t)
+    return schedule.entries[k][1]
+
+
 def noise_marks(obs, ecfg):
     """The referee's mark for each observation, which run_prequential
     takes as its marks."""
@@ -83,7 +93,7 @@ def noise_marks(obs, ecfg):
 def prequential(pred, obs, ecfg, schedule=None, track_item=None):
     """run_prequential's metrics, recomputed one step and one threshold
     at a time through the references above, with the referee run
-    alongside and each step's truth looked up by Schedule.at. Sums run
+    alongside and each step's truth looked up by schedule_at. Sums run
     in the same order as run_prequential's."""
     fc = ecfg.fc()
     ref = Referee(ecfg.c_ns, ecfg.window)
@@ -95,7 +105,7 @@ def prequential(pred, obs, ecfg, schedule=None, track_item=None):
         loss += logloss_rule_ns(o, q, ref.is_ns(o), fc)
         quad += quad_rule(q, o, fc)
         if schedule is not None:
-            p = schedule.at(t)
+            p = schedule_at(schedule, t)
             for d in ecfg.dev_ds:
                 if track_item is not None:
                     keys = [("dev_rate_d%g" % d,

@@ -16,6 +16,7 @@ from smatrack.harness import EvalConfig, run_prequential
 from smatrack.sd_core import (SUM_SLACK, ConfigError, FcConfig,
                               distortion_threshold, filter_cap)
 import reference_scoring
+from reference_scoring import schedule_at
 
 CFG = FcConfig(0.01, 0.01)
 
@@ -370,10 +371,10 @@ def test_multidev_matches_per_threshold_reference(o):
 
 def test_schedule_lookup():
     s = Schedule([(1, {1: 0.5}), (4, {1: 0.9})])
-    assert s.at(1) == {1: 0.5}
-    assert s.at(3) == {1: 0.5}
-    assert s.at(4) == {1: 0.9}
-    assert s.at(100) == {1: 0.9}
+    assert schedule_at(s, 1) == {1: 0.5}
+    assert schedule_at(s, 3) == {1: 0.5}
+    assert schedule_at(s, 4) == {1: 0.9}
+    assert schedule_at(s, 100) == {1: 0.9}
 
 
 def test_schedule_per_step_matches_at():
@@ -383,11 +384,12 @@ def test_schedule_per_step_matches_at():
         last = s.entries[-1][0]
         for n in (0, 1, last - 1, last, last + 1, 3 * last + 7):
             got = s.per_step(n)
-            assert got == [s.at(t) for t in range(1, n + 1)]
-            assert all(g is s.at(t) for t, g in enumerate(got, start=1))
+            assert got == [schedule_at(s, t) for t in range(1, n + 1)]
+            assert all(g is schedule_at(s, t)
+                       for t, g in enumerate(got, start=1))
     empty = Schedule([])
     assert empty.per_step(0) == []
-    for probe in (lambda: empty.at(1), lambda: empty.per_step(1),
+    for probe in (lambda: schedule_at(empty, 1), lambda: empty.per_step(1),
                   lambda: empty.per_step(5)):
         with pytest.raises(ValueError,
                            match="^time 1 precedes the schedule$"):
@@ -412,10 +414,10 @@ def test_schedule_rejects_entries_outside_its_domain():
 
 
 def test_schedule_accepts_its_domain_edges():
-    assert Schedule([(1, {1: 1.0})]).at(7) == {1: 1.0}
+    assert schedule_at(Schedule([(1, {1: 1.0})]), 7) == {1: 1.0}
     for tp in np.linspace(0.001, 0.999, 999).tolist() + [1e-9, 1 - 1e-9]:
         s = Schedule([(1, {1: tp, 0: 1 - tp}), (2, {1: 1 - tp, 0: tp})])
-        assert s.at(2) == {1: 1 - tp, 0: tp}
+        assert schedule_at(s, 2) == {1: 1 - tp, 0: tp}
 
 
 def test_optimal_logloss_half():

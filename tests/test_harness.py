@@ -54,6 +54,16 @@ def test_ingest_missing_file():
         ingest_sequence("/nonexistent/nope.txt")
 
 
+def test_ingest_names_a_file_that_is_not_utf8(tmp_path):
+    # the decode error used to reach the CLI without the file's name
+    p = tmp_path / "seq.txt"
+    p.write_bytes(b"a\n\xff\n")
+    with pytest.raises(OSError) as e:
+        ingest_sequence(str(p))
+    assert str(e.value).startswith("cannot read %s: 'utf-8' codec can't "
+                                   "decode byte 0xff" % p)
+
+
 def test_ingest_deterministic(tmp_path):
     p = tmp_path / "seq.txt"
     p.write_text("\n".join("abcab" * 100) + "\n")
@@ -392,15 +402,54 @@ def test_experiment_multi_item_has_optimal(tmp_path):
 def test_seq_len_sets_the_multi_item_length(gen):
     # seq_len, not gen.desired_len, sets the length: the stream stops in
     # the first period to reach seq_len (with desired_len it ran past
-    # 10,000 observations)
-    spec = ExperimentSpec(kind="multi-item", roster=[], seq_len=500, gen=gen)
+    # 10,000 observations). None leaves gen at its default.
+    kw = {} if gen is None else {"gen": gen}
+    spec = ExperimentSpec(kind="multi-item", roster=[], seq_len=500, **kw)
     stream = harness.gen_stream(spec, np.random.default_rng(3))
-    cfg = synth.GenConfig(o_min=(gen or synth.GenConfig()).o_min,
-                          desired_len=500)
+    cfg = synth.GenConfig(o_min=spec.gen.o_min, desired_len=500)
     assert stream.observations == \
         synth.gen_sequence(cfg, np.random.default_rng(3)).observations
     assert len(stream.observations) >= 500
     assert stream.schedule.entries[-1][0] <= 500
+
+
+# A value other than ExperimentSpec's default for each field of the kind
+# table.
+_OTHER = {"n_seqs": 3, "seq_len": 700, "seed": 5, "tp": 0.7, "mode": "uniform",
+          "o_min": 7, "l_min": 2000, "p_max": 0.3, "recycle": True,
+          "input_path": "t.txt"}
+
+
+@pytest.mark.parametrize("kind, mode, reads", [
+    ("stationary-single", "oscillate", 4), ("nonstat-single", "uniform", 6),
+    ("nonstat-single", "oscillate", 5), ("multi-item", "oscillate", 7),
+    ("real-file", "oscillate", 1)])
+def test_each_kind_reads_the_fields_its_table_entry_names(kind, mode, reads):
+    # A field the table says the kind does not read leaves gen_stream's
+    # stream as it is, and one it reads moves it; n_seqs and seed act
+    # through run_experiment, which draws each stream's rng from them.
+    unread = harness.unread_fields(kind, mode)
+    assert unread <= set(_OTHER) and len(_OTHER) - len(unread) == reads
+    if kind == "real-file":
+        assert unread == set(_OTHER) - {"input_path"}
+        return
+    other = dict(_OTHER, mode="oscillate") if mode == "uniform" else _OTHER
+
+    def stream(**changed):
+        kw = {"kind": kind, "roster": [], "seq_len": 400, "mode": mode,
+              "o_min": 5, **changed}
+        gen = {f: kw.pop(f) for f in ("o_min", "l_min", "p_max", "recycle")
+               if f in kw}
+        spec = ExperimentSpec(gen=synth.GenConfig(**gen), **kw)
+        made = harness.gen_stream(spec, np.random.default_rng(11))
+        return made.observations, made.schedule.entries
+
+    base = stream()
+    for f, v in other.items():
+        if f in unread:
+            assert stream(**{f: v}) == base, f
+        elif f not in ("n_seqs", "seed"):
+            assert stream(**{f: v}) != base, f
 
 
 def test_experiment_real_file(tmp_path):
@@ -483,11 +532,13 @@ def test_cli_gen_and_run_roundtrip(tmp_path):
 
 @pytest.mark.parametrize("kind", ["binary", "nonstat", "multi"])
 def test_cli_gen_matches_generator(tmp_path, kind):
-    # gen writes the stream and schedule of the matching synth generator
+    # gen writes the stream and schedule of the matching synth generator;
+    # each kind is given only the options it reads
     out = tmp_path / "gen"
-    r = CliRunner().invoke(cli, ["gen", "--kind", kind, "--tp", "0.2",
-                                 "--mode", "uniform", "--o-min", "5",
-                                 "--l-min", "20", "--n", "400",
+    opts = {"binary": ["--tp", "0.2"],
+            "nonstat": ["--mode", "uniform", "--o-min", "5", "--l-min", "20"],
+            "multi": ["--o-min", "5", "--l-min", "20"]}[kind]
+    r = CliRunner().invoke(cli, ["gen", "--kind", kind, *opts, "--n", "400",
                                  "--seed", "7", "--out", str(out)])
     assert r.exit_code == 0, r.output
     rng = np.random.default_rng(7)
@@ -589,13 +640,11 @@ def test_cli_exit_codes(tmp_path):
                  ["--method", "ema:0.1", "--kind", "multi-item",
                   "--seq-len", "-5"],
                  ["--method", "ema:0.1", "--tp", "0"],
-                 ["--method", "ema:0.1", "--p-max", "0"],
                  ["--method", "ema:0.1", "--kind", "nonstat-single",
                   "--o-min", "0"],
                  ["--method", "ema:0.1", "--kind", "nonstat-single",
                   "--mode", "uniform", "--l-min", "-1"],
-                 ["--method", "ema:0.1", "--seed", "-1"],
-                 ["--method", "ema:0.1", "--kind", "real-file"]):
+                 ["--method", "ema:0.1", "--seed", "-1"]):
         r = subprocess.run([sys.executable, "-m", "smatrack.cli", "run",
                             "--kind", "stationary-single", "--seq-len",
                             "500", *args, "--out", str(out)],
@@ -604,7 +653,6 @@ def test_cli_exit_codes(tmp_path):
         assert len(r.stderr.decode().strip().splitlines()) == 1, args
         assert not out.exists(), args
     for args in (["--kind", "multi", "--o-min", "0"],
-                 ["--kind", "nonstat", "--l-min", "-1"],
                  ["--kind", "binary", "--tp", "0"],
                  ["--kind", "multi", "--p-max", "0"],
                  ["--kind", "multi", "--n", "0"],
@@ -615,6 +663,45 @@ def test_cli_exit_codes(tmp_path):
                            capture_output=True, env=env, timeout=60)
         assert r.returncode == 2, args
         assert len(r.stderr.decode().strip().splitlines()) == 1, args
+        assert not out.exists(), args
+    # A stream option the kind does not read: the first one given, in
+    # --help order, is named. The last three cases ran with an option
+    # their kind does not read (the base --seq-len 500 for real-file),
+    # so they moved to a kind that reads it and still fail for their
+    # own reason.
+    tokens = tmp_path / "tok.txt"
+    tokens.write_text("a\nb\na\n")
+    tok = str(tokens)
+    for args, msg in (
+            (["run", "--kind", "real-file", "--input", tok, "--method",
+              "box:10", "--tp", "0.7", "--o-min", "3", "--mode", "uniform",
+              "--n-seqs", "9", "--seed", "4"],
+             "--n-seqs is not read by --kind real-file"),
+            (["run", "--kind", "multi-item", "--input", tok, "--method",
+              "box:10", "--tp", "0.7", "--mode", "uniform"],
+             "--tp is not read by --kind multi-item"),
+            (["gen", "--kind", "binary", "--o-min", "3", "--recycle",
+              "--p-max", "0.5"], "--o-min is not read by --kind binary"),
+            (["run", "--kind", "nonstat-single", "--method", "box:10",
+              "--l-min", "50"],
+             "--l-min is not read by --kind nonstat-single"),
+            (["run", "--kind", "multi-item", "--method", "box:10",
+              "--input", tok], "--input is not read by --kind multi-item"),
+            (["run", "--kind", "real-file", "--input", tok, "--method",
+              "box:10", "--tp", "0.7"],
+             "--tp is not read by --kind real-file"),
+            (["run", "--kind", "multi-item", "--seq-len", "500", "--method",
+              "ema:0.1", "--p-max", "0"], "p_max must be in (p_min, 1]"),
+            (["run", "--kind", "real-file", "--method", "ema:0.1"],
+             "kind 'real-file' needs an input_path"),
+            (["gen", "--kind", "nonstat", "--mode", "uniform", "--l-min",
+              "-1"], "l_min must be >= 0")):
+        r = subprocess.run([sys.executable, "-m", "smatrack.cli", *args,
+                            "--out", str(out)],
+                           capture_output=True, env=env, timeout=60)
+        assert r.returncode == 2, args
+        err = r.stderr.decode().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: " + msg), err
         assert not out.exists(), args
     # compare: a CSV without the needed columns, a non-numeric value
     for i, text in enumerate(("seq_id,method,value\n0,a,1.0\n",
@@ -636,8 +723,6 @@ def test_cli_exit_codes(tmp_path):
                        capture_output=True, env=env)
     assert r.returncode == 2
     assert len(r.stderr.decode().strip().splitlines()) == 1
-    tokens = tmp_path / "tok.txt"
-    tokens.write_text("a\nb\na\n")
     r = subprocess.run([sys.executable, "-m", "smatrack.cli", "run",
                         "--kind", "real-file", "--input", str(tokens),
                         "--method", "ema:0.1", "--config", str(tmp_path),
@@ -703,6 +788,21 @@ def test_cli_exit_codes(tmp_path):
                         "ingest-check", "/nonexistent/nope.txt"],
                        capture_output=True, env=env)
     assert r.returncode == 1
+    # a token file that is not UTF-8 is a runtime error too, named in the
+    # one stderr line, and run and trace make no output directory
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"a\n\xff\n")
+    for args in (["run", "--kind", "real-file", "--method", "ema:0.1",
+                  "--input", str(bad), "--out", str(out)],
+                 ["trace", "--input", str(bad), "--out", str(out)],
+                 ["ingest-check", str(bad)]):
+        r = subprocess.run([sys.executable, "-m", "smatrack.cli", *args],
+                           capture_output=True, env=env)
+        assert r.returncode == 1, args
+        err = r.stderr.decode().splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            "error: cannot read %s: 'utf-8' codec can't decode" % bad), err
+        assert not out.exists(), args
     # success
     p = tmp_path / "ok.txt"
     p.write_text("a\n")
