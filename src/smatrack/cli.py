@@ -7,7 +7,6 @@ file). Exit codes: 0 success, 2 configuration error, 1 runtime error.
 """
 
 import csv
-import os
 import sys
 
 import click
@@ -27,6 +26,16 @@ def _parse_method(text):
     return text, kind, param
 
 
+def _read_lines(path, error):
+    """The file's lines, split as csv reads them; error, an exception
+    type, names a file that is not UTF-8."""
+    try:
+        with open(path, newline="", encoding="utf-8") as f:
+            return f.readlines()
+    except UnicodeDecodeError as e:
+        raise error("cannot read %s: %s" % (path, e))
+
+
 # --config keys and their types; flags of the same names win.
 _CONFIG_KEYS = {"p_min": float, "p_ns": float, "c_ns": int,
                 "referee_window": int}
@@ -37,22 +46,21 @@ def _read_config_file(path):
     ConfigError for a key not in _CONFIG_KEYS or a value of the wrong
     type."""
     out = {}
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise click.UsageError("bad config line: %r" % (line,))
-            k, v = (x.strip() for x in line.split("=", 1))
-            if k not in _CONFIG_KEYS:
-                raise ConfigError("config key %r: must be one of %s"
-                                  % (k, ", ".join(_CONFIG_KEYS)))
-            try:
-                out[k] = _CONFIG_KEYS[k](v)
-            except ValueError:
-                raise ConfigError("config %s=%s: not a valid %s"
-                                  % (k, v, _CONFIG_KEYS[k].__name__))
+    for line in _read_lines(path, ConfigError):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise click.UsageError("bad config line: %r" % (line,))
+        k, v = (x.strip() for x in line.split("=", 1))
+        if k not in _CONFIG_KEYS:
+            raise ConfigError("config key %r: must be one of %s"
+                              % (k, ", ".join(_CONFIG_KEYS)))
+        try:
+            out[k] = _CONFIG_KEYS[k](v)
+        except ValueError:
+            raise ConfigError("config %s=%s: not a valid %s"
+                              % (k, v, _CONFIG_KEYS[k].__name__))
     return out
 
 
@@ -122,11 +130,7 @@ def gen(kind, n, seed, out, **gen_opts):
     spec = ExperimentSpec(roster=[], seed=seed,
                           **_gen_fields(_GEN_KINDS[kind], n, **gen_opts))
     stream = harness.gen_stream(spec, np.random.default_rng(seed))
-    os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, "stream.txt"), "w") as f:
-        f.write(synth.stream_to_text(stream))
-    with open(os.path.join(out, "schedule.csv"), "w") as f:
-        f.write(synth.schedule_to_csv(stream.schedule))
+    harness.write_stream(out, stream)
     click.echo("wrote %d observations to %s" % (len(stream.observations),
                                                 out))
 
@@ -180,21 +184,20 @@ def run(kind, methods, n_seqs, seq_len, seed, input_path, cfg_file, p_min,
 def compare(per_seq, method_a, method_b, metric):
     """Paired sign test between two methods from a per_seq.csv."""
     vals = {method_a: {}, method_b: {}}
-    with open(per_seq, newline="") as f:
-        reader = csv.DictReader(f)
-        for col in ("seq_id", "method", "metric", "value"):
-            if col not in (reader.fieldnames or ()):
-                raise click.UsageError("%s has no %r column" % (per_seq, col))
-        for row in reader:
-            if row["metric"] == metric and row["method"] in vals:
-                try:
-                    seq, value = int(row["seq_id"]), float(row["value"])
-                except (TypeError, ValueError):
-                    raise click.UsageError(
-                        "%s line %d: seq_id %r, value %r: need an integer "
-                        "and a number" % (per_seq, reader.line_num,
-                                          row["seq_id"], row["value"]))
-                vals[row["method"]][seq] = value
+    reader = csv.DictReader(_read_lines(per_seq, click.UsageError))
+    for col in ("seq_id", "method", "metric", "value"):
+        if col not in (reader.fieldnames or ()):
+            raise click.UsageError("%s has no %r column" % (per_seq, col))
+    for row in reader:
+        if row["metric"] == metric and row["method"] in vals:
+            try:
+                seq, value = int(row["seq_id"]), float(row["value"])
+            except (TypeError, ValueError):
+                raise click.UsageError(
+                    "%s line %d: seq_id %r, value %r: need an integer "
+                    "and a number" % (per_seq, reader.line_num,
+                                      row["seq_id"], row["value"]))
+            vals[row["method"]][seq] = value
     common = sorted(set(vals[method_a]) & set(vals[method_b]))
     if not common:
         raise click.UsageError("no common sequences for those methods")
@@ -227,17 +230,8 @@ def trace(input_path, method, concat_k, track_item, out):
     if track_item is not None and not 0 <= track_item <= max(obs):
         raise ConfigError("--track-item %d: the file's ids are 0 to %d"
                           % (track_item, max(obs)))
-    os.makedirs(out, exist_ok=True)
-    rates, est = harness.run_self_concat(obs, concat_k, pred, track_item)
-    path = os.path.join(out, "rate_trace.csv")
-    harness._write_csv(path, ["t", "max_rate", "median_rate", "out_degree"],
-                       ((t + 1, repr(mx), repr(md), deg)
-                        for t, (mx, md, deg) in enumerate(rates)))
-    if track_item is not None:
-        harness._write_csv(os.path.join(out, "estimate_trace.csv"),
-                           ["t", "estimate"],
-                           ((t + 1, repr(v)) for t, v in enumerate(est)))
-    click.echo("wrote %s" % path)
+    steps = harness.self_concat(obs, concat_k, pred, track_item)
+    click.echo("wrote %s" % harness.write_trace(out, steps, track_item))
 
 
 @cli.command("ingest-check")

@@ -1,14 +1,14 @@
 """Experiment runner: wires generators or ingested files to predictors
-and the scoring stack, and writes per-sequence, aggregate, sign-test,
-and trace CSVs."""
+and the scoring stack, and writes every output file: generated streams,
+per-sequence, aggregate, sign-test and trace CSVs."""
 
-import bisect
 import csv
 import math
 import os
 import statistics
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field, replace
-from itertools import repeat
+from itertools import combinations, repeat
 
 import numpy as np
 
@@ -104,37 +104,28 @@ def run_prequential(pred, obs, ecfg, marks, schedule=None, track_item=None):
     metrics = {"avg_logloss_ns": loss_sum / n if n else 0.0,
                "avg_quad": quad_sum / n if n else 0.0}
     if schedule is not None and n:
-        # No ratio is NaN: those past bisect_right(d) are the ratios > d.
-        ratios.sort()
-        worsts.sort()
         for d in ecfg.dev_ds:
-            past = (n - bisect.bisect_right(ratios, d)) / n
+            past = sum(1 for r in ratios if r > d) / n
             if track_item is not None:
                 metrics["dev_rate_d%g" % d] = past
             else:
                 metrics["dev_rate_obs_d%g" % d] = past
-                metrics["dev_rate_any_d%g" % d] = (
-                    n - bisect.bisect_right(worsts, d)) / n
+                metrics["dev_rate_any_d%g" % d] = sum(
+                    1 for r in worsts if r > d) / n
     return metrics
 
 
-def run_self_concat(obs, k, dyal, track_item=None):
-    """Run a predictor over the sequence repeated k times. Returns
-    (rates, estimates): per step, the learning-rate spread (max rate,
-    median rate, out-degree) after the update and, with track_item set,
-    that item's estimate before it (otherwise estimates is empty).
-    Recurring max-rate spikes past the first pass are evidence that the
-    sequence's distribution drifts."""
-    rates = []
-    estimates = []
+def self_concat(obs, k, dyal, track_item=None):
+    """Run dyal over the sequence repeated k times, yielding per step the
+    tracked item's estimate before the update (None with no track_item),
+    then the max rate, median rate and out-degree after it. Max-rate spikes
+    recurring past the first pass show that the distribution drifts."""
     for _ in range(k):
         for o in obs:
-            if track_item is not None:
-                estimates.append(dyal.predict().get(track_item, 0.0))
+            est = None if track_item is None else \
+                dyal.predict().get(track_item, 0.0)
             dyal.update(o)
-            rates.append((dyal.max_rate(), dyal.median_rate(),
-                          len(dyal.ema_map)))
-    return rates, estimates
+            yield est, dyal.max_rate(), dyal.median_rate(), len(dyal.ema_map)
 
 
 # kind -> (the item a single-item kind tracks, the fields it reads, gen's
@@ -265,20 +256,13 @@ def run_experiment(spec):
                 metrics["avg_logloss_ns"])
 
     aggregates = _aggregate(rows)
-    tests = []
-    labels = [label for label, _, _ in spec.roster]
-    for i in range(len(labels)):
-        for j in range(i + 1, len(labels)):
-            a, b = labels[i], labels[j]
-            wa, wb, ties, p = sign_test(losses_by_method[a],
-                                        losses_by_method[b])
-            tests.append((a, b, wa, wb, ties, p))
+    tests = [(a, b, *sign_test(losses_by_method[a], losses_by_method[b]))
+             for (a, _, _), (b, _, _) in combinations(spec.roster, 2)]
 
     if spec.out_dir:
-        os.makedirs(spec.out_dir, exist_ok=True)
         _write_csv(os.path.join(spec.out_dir, "per_seq.csv"),
                    ["seq_id", "method", "param", "metric", "value"],
-                   [(s, m, p, k, repr(v)) for s, m, p, k, v in rows])
+                   ((s, m, p, k, repr(v)) for s, m, p, k, v in rows))
         _write_csv(os.path.join(spec.out_dir, "aggregate.csv"),
                    ["method", "param", "metric", "mean", "std"],
                    [(m, p, k, repr(mu), repr(sd))
@@ -305,8 +289,45 @@ def _aggregate(rows):
     return out
 
 
-def _write_csv(path, header, rows):
+@contextmanager
+def _csv_out(path, header=None):
+    """A csv writer on a new file at path, in UTF-8 with "\n" line ends,
+    its directory made if need be; header, if given, is the first row."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f, lineterminator="\n")
-        w.writerow(header)
+        if header:
+            w.writerow(header)
+        yield w
+
+
+def _write_csv(path, header, rows):
+    with _csv_out(path, header) as w:
         w.writerows(rows)
+
+
+def write_stream(out_dir, stream):
+    """stream.txt, one observation per line, and schedule.csv."""
+    with _csv_out(os.path.join(out_dir, "stream.txt")) as w:
+        w.writerows((o,) for o in stream.observations)
+    _write_csv(os.path.join(out_dir, "schedule.csv"),
+               ["start_t", "item_id", "prob"],
+               ((t, i, repr(sd[i])) for t, sd in stream.schedule.entries
+                for i in sorted(sd)))
+
+
+def write_trace(out_dir, steps, track_item):
+    """Write rate_trace.csv and, with track_item set, estimate_trace.csv
+    from self_concat's steps as they come. Returns the rate trace's path."""
+    path = os.path.join(out_dir, "rate_trace.csv")
+    with ExitStack() as files:
+        rates = files.enter_context(_csv_out(
+            path, ["t", "max_rate", "median_rate", "out_degree"]))
+        if track_item is not None:
+            est = files.enter_context(_csv_out(os.path.join(
+                out_dir, "estimate_trace.csv"), ["t", "estimate"]))
+        for t, (e, mx, md, deg) in enumerate(steps, 1):
+            rates.writerow((t, repr(mx), repr(md), deg))
+            if track_item is not None:
+                est.writerow((t, repr(e)))
+    return path

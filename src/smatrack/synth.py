@@ -6,8 +6,6 @@ ids; noise observations get globally unique ids offset by 2**32 so
 tests can tell the two apart cheaply.
 """
 
-import csv
-import io
 import itertools
 import math
 from dataclasses import dataclass
@@ -158,17 +156,3 @@ def gen_sequence(cfg, rng):
         obs.extend(gen_subseq(p, cfg, rng, noise))
     return GeneratedStream(obs, Schedule(entries))
 
-
-def stream_to_text(stream):
-    """Item-per-line export of the observations."""
-    return "".join("%d\n" % o for o in stream.observations)
-
-
-def schedule_to_csv(schedule):
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["start_t", "item_id", "prob"])
-    for start_t, sd in schedule.entries:
-        for i in sorted(sd):
-            w.writerow([start_t, i, repr(sd[i])])
-    return buf.getvalue()

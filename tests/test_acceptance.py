@@ -354,7 +354,7 @@ def test_c10_pr_spread_bounds():
 
 def test_ingestion_properties(tmp_path):
     from smatrack.evaluation import Referee
-    from smatrack.harness import ingest_sequence, run_self_concat
+    from smatrack.harness import ingest_sequence, self_concat
 
     p = tmp_path / "seq.txt"
     p.write_text("\n".join("abcab" * 200) + "\n")
@@ -372,15 +372,15 @@ def test_ingestion_properties(tmp_path):
     # self-concat probe: flat max-rate on a stationary input, recurring
     # spikes when the input drifts
     stat = rng.integers(0, 3, size=300).tolist()
-    trace, _ = run_self_concat(stat, 10, Dyal(beta_min=0.01))
-    ok_flat = max(mx for mx, _, _ in trace[600:]) <= 0.2
+    trace = [mx for _, mx, _, _ in self_concat(stat, 10, Dyal(beta_min=0.01))]
+    ok_flat = max(trace[600:]) <= 0.2
 
     drift = rng.integers(0, 3, size=150).tolist() + \
         rng.integers(10, 13, size=150).tolist()
-    trace, _ = run_self_concat(drift, 10, Dyal(beta_min=0.01))
+    trace = [mx for _, mx, _, _ in self_concat(drift, 10,
+                                               Dyal(beta_min=0.01))]
     spikes = sum(1 for k in range(1, 10)
-                 if max(mx for mx, _, _ in trace[k * 300:(k + 1) * 300])
-                 >= 0.2)
+                 if max(trace[k * 300:(k + 1) * 300]) >= 0.2)
     ok_spike = spikes >= 8
 
     ok = ok_intern and ok_window and ok_flat and ok_spike

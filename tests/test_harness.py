@@ -13,8 +13,7 @@ from smatrack.cli import cli
 from smatrack.evaluation import Referee, Schedule
 from smatrack.harness import (ConfigError, EvalConfig, ExperimentSpec,
                               ingest_sequence, make_predictor,
-                              run_experiment, run_prequential,
-                              run_self_concat)
+                              run_experiment, run_prequential, self_concat)
 from smatrack.predictors import Box, Dyal, Ema, Queues
 from smatrack.sd_core import FcConfig
 import reference_scoring
@@ -302,9 +301,9 @@ def test_ts_queues_state_bounded():
 def test_self_concat_stationary_flat():
     rng = np.random.default_rng(3)
     obs = rng.integers(0, 3, size=400).tolist()
-    trace, _ = run_self_concat(obs, 10, Dyal(beta_min=0.01))
-    first_pass = [mx for mx, _, _ in trace[:400]]
-    rest = [mx for mx, _, _ in trace[2 * 400:]]
+    trace = [mx for _, mx, _, _ in self_concat(obs, 10, Dyal(beta_min=0.01))]
+    first_pass = trace[:400]
+    rest = trace[2 * 400:]
     # after the first pass the max rate settles near the floor
     assert max(rest) <= 0.2
     assert sum(rest) / len(rest) < sum(first_pass) / len(first_pass)
@@ -315,10 +314,10 @@ def test_self_concat_drifting_spikes():
     # two very different halves: repeating them re-triggers learning
     obs = rng.integers(0, 3, size=200).tolist() + \
         rng.integers(10, 13, size=200).tolist()
-    trace, _ = run_self_concat(obs, 10, Dyal(beta_min=0.01))
+    trace = [mx for _, mx, _, _ in self_concat(obs, 10, Dyal(beta_min=0.01))]
     spikes = 0
     for k in range(1, 10):
-        seg = [mx for mx, _, _ in trace[k * 400:(k + 1) * 400]]
+        seg = trace[k * 400:(k + 1) * 400]
         if max(seg) >= 0.2:
             spikes += 1
     assert spikes >= 8  # a spike in (nearly) every later pass
@@ -326,13 +325,14 @@ def test_self_concat_drifting_spikes():
 
 def test_self_concat_k1_length():
     obs = [1, 2, 3]
-    rates, estimates = run_self_concat(obs, 1, Dyal())
-    assert len(rates) == 3 and estimates == []
+    steps = list(self_concat(obs, 1, Dyal()))
+    assert len(steps) == 3 and all(e is None for e, *_ in steps)
 
 
 def test_self_concat_tracks_estimates():
     obs = [1, 2, 1, 1, 3, 1] * 20
-    rates, est = run_self_concat(obs, 2, Dyal(), track_item=1)
+    steps = list(self_concat(obs, 2, Dyal(), track_item=1))
+    est = [e for e, *_ in steps]
     dyal = Dyal()
     want = []
     for o in obs * 2:
@@ -342,7 +342,8 @@ def test_self_concat_tracks_estimates():
     assert est[0] == 0.0 and est[-1] > 0.5
     # tracking only reads predict(), so the rates are those of an
     # untracked run
-    assert rates == run_self_concat(obs, 2, Dyal())[0]
+    assert [s[1:] for s in steps] == \
+        [s[1:] for s in self_concat(obs, 2, Dyal())]
 
 
 # --- run_experiment ---------------------------------------------------------
@@ -549,10 +550,12 @@ def test_cli_gen_matches_generator(tmp_path, kind):
                                                           400, rng),
         "multi": lambda: synth.gen_sequence(gcfg, rng),
     }[kind]()
-    assert (out / "stream.txt").read_text() == \
-        synth.stream_to_text(stream)
-    assert (out / "schedule.csv").read_text() == \
-        synth.schedule_to_csv(stream.schedule)
+    assert (out / "stream.txt").read_bytes() == \
+        "".join("%d\n" % o for o in stream.observations).encode()
+    assert (out / "schedule.csv").read_bytes() == "".join(
+        ["start_t,item_id,prob\n"] +
+        ["%d,%d,%r\n" % (t, i, sd[i]) for t, sd in stream.schedule.entries
+         for i in sorted(sd)]).encode()
 
 
 def test_cli_compare(tmp_path):
@@ -603,6 +606,30 @@ def test_cli_trace(tmp_path):
     r = runner.invoke(cli, ["trace", "--input", str(p), "--track-item", "2",
                             "--out", str(tmp_path / "trace2")])
     assert r.exit_code == 0, r.output
+
+
+def test_cli_trace_memory_does_not_grow_with_k(tmp_path):
+    # trace writes each step's rows as they come, so its peak memory is
+    # the interned input plus Dyal's state, whatever --self-concat is
+    import tracemalloc
+    rng = np.random.default_rng(0)
+    p = tmp_path / "seq.txt"
+    p.write_text("".join("w%d\n" % i for i in rng.integers(0, 5, 1000)))
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for k in (5, 50):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            r = CliRunner().invoke(cli, [
+                "trace", "--input", str(p), "--self-concat", str(k),
+                "--track-item", "0", "--out", str(tmp_path / str(k))])
+            assert r.exit_code == 0, r.output
+            peaks[k] = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # 45,000 more steps; holding each row took about 100 bytes a step
+    assert peaks[50] <= peaks[5] + 256 * 1024, peaks
 
 
 def test_cli_ingest_check(tmp_path):
@@ -665,13 +692,17 @@ def test_cli_exit_codes(tmp_path):
         assert len(r.stderr.decode().strip().splitlines()) == 1, args
         assert not out.exists(), args
     # A stream option the kind does not read: the first one given, in
-    # --help order, is named. The last three cases ran with an option
-    # their kind does not read (the base --seq-len 500 for real-file),
-    # so they moved to a kind that reads it and still fail for their
-    # own reason.
+    # --help order, is named. The three cases after those ran with an
+    # option their kind does not read (the base --seq-len 500 for
+    # real-file), so they moved to a kind that reads it and still fail
+    # for their own reason. Last, a --config file and a compare
+    # --per-seq file that are not UTF-8 are named; compare takes no --out.
     tokens = tmp_path / "tok.txt"
     tokens.write_text("a\nb\na\n")
     tok = str(tokens)
+    bad_cfg, bad_csv = tmp_path / "latin1.cfg", tmp_path / "latin1.csv"
+    bad_cfg.write_bytes(b"p_ns=0.01\n\xff\n")
+    bad_csv.write_bytes(b"seq_id,method,param,metric,value\n0,\xff,,m,1\n")
     for args, msg in (
             (["run", "--kind", "real-file", "--input", tok, "--method",
               "box:10", "--tp", "0.7", "--o-min", "3", "--mode", "uniform",
@@ -695,9 +726,15 @@ def test_cli_exit_codes(tmp_path):
             (["run", "--kind", "real-file", "--method", "ema:0.1"],
              "kind 'real-file' needs an input_path"),
             (["gen", "--kind", "nonstat", "--mode", "uniform", "--l-min",
-              "-1"], "l_min must be >= 0")):
-        r = subprocess.run([sys.executable, "-m", "smatrack.cli", *args,
-                            "--out", str(out)],
+              "-1"], "l_min must be >= 0"),
+            (["run", "--kind", "real-file", "--input", tok, "--method",
+              "box:10", "--config", str(bad_cfg)],
+             "cannot read %s: 'utf-8' codec can't decode" % bad_cfg),
+            (["compare", "--per-seq", str(bad_csv), "--a", "a", "--b", "b"],
+             "cannot read %s: 'utf-8' codec can't decode" % bad_csv)):
+        if args[0] != "compare":
+            args = [*args, "--out", str(out)]
+        r = subprocess.run([sys.executable, "-m", "smatrack.cli", *args],
                            capture_output=True, env=env, timeout=60)
         assert r.returncode == 2, args
         err = r.stderr.decode().splitlines()

@@ -1,6 +1,5 @@
 import csv
 import dataclasses
-import io
 import itertools
 import math
 
@@ -10,7 +9,7 @@ import pytest
 from smatrack.synth import (NOISE_BASE, ConfigError, GenConfig, draw_item,
                             gen_binary_stationary, gen_sd,
                             gen_sequence, gen_single_nonstationary,
-                            gen_subseq, schedule_to_csv, stream_to_text)
+                            gen_subseq)
 
 
 # --- binary stationary ------------------------------------------------------
@@ -313,11 +312,15 @@ def test_generation_deterministic():
     assert a.schedule.entries == b.schedule.entries
 
 
-def test_stream_roundtrip():
+def test_stream_roundtrip(tmp_path):
+    from smatrack.harness import write_stream
     cfg = GenConfig(o_min=10, desired_len=1000)
     s = gen_sequence(cfg, np.random.default_rng(21))
-    obs = [int(line) for line in stream_to_text(s).splitlines()]
-    rows = list(csv.reader(io.StringIO(schedule_to_csv(s.schedule))))
+    write_stream(str(tmp_path / "gen"), s)
+    obs = [int(line) for line in
+           (tmp_path / "gen" / "stream.txt").read_text().splitlines()]
+    with open(tmp_path / "gen" / "schedule.csv", newline="") as f:
+        rows = list(csv.reader(f))
     assert rows[0] == ["start_t", "item_id", "prob"]
     entries = {}
     for start, item, prob in rows[1:]:
