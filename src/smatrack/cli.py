@@ -197,6 +197,11 @@ def compare(per_seq, method_a, method_b, metric):
                     "%s line %d: seq_id %r, value %r: need an integer "
                     "and a number" % (per_seq, reader.line_num,
                                       row["seq_id"], row["value"]))
+            if seq in vals[row["method"]]:
+                raise click.UsageError(
+                    "%s line %d: a second %s row for seq %d, method %s"
+                    % (per_seq, reader.line_num, metric, seq,
+                       row["method"]))
             vals[row["method"]][seq] = value
     common = sorted(set(vals[method_a]) & set(vals[method_b]))
     if not common:
@@ -224,8 +229,6 @@ def trace(input_path, method, concat_k, track_item, out):
         raise click.UsageError("rate traces require a dyal method")
     pred = harness.make_predictor(kind, param)
     obs = harness.ingest_sequence(input_path)
-    if not obs:
-        raise ConfigError("%s holds no tokens" % (input_path,))
     # Ids are interned 0, 1, ... in first-seen order.
     if track_item is not None and not 0 <= track_item <= max(obs):
         raise ConfigError("--track-item %d: the file's ids are 0 to %d"

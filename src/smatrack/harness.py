@@ -123,7 +123,7 @@ def self_concat(obs, k, dyal, track_item=None):
     for _ in range(k):
         for o in obs:
             est = None if track_item is None else \
-                dyal.predict().get(track_item, 0.0)
+                dyal.ema_map.get(track_item, 0.0)
             dyal.update(o)
             yield est, dyal.max_rate(), dyal.median_rate(), len(dyal.ema_map)
 
@@ -191,21 +191,27 @@ class ExperimentSpec:
 
 def ingest_sequence(path):
     """Read a one-token-per-line file, interning tokens to ids in
-    first-seen order; empty lines are skipped."""
-    try:
-        with open(path, encoding="utf-8") as f:
-            text = f.read()
-    except (OSError, UnicodeDecodeError) as e:
-        raise IOError("cannot read %s: %s" % (path, e))
+    first-seen order; empty lines are skipped. Every separator that
+    str.splitlines knows ends a line, form feed and U+2028 among them.
+    ConfigError for a file that holds no tokens."""
     ids = {}
     obs = []
-    for line in text.splitlines():
-        tok = line.strip()
-        if not tok:
-            continue
-        if tok not in ids:
-            ids[tok] = len(ids)
-        obs.append(ids[tok])
+    try:
+        with open(path, encoding="utf-8") as f:
+            # whole lines, about 64 KB at a time, so that memory does not
+            # grow with the text
+            while lines := f.readlines(1 << 16):
+                for tok in "".join(lines).splitlines():
+                    tok = tok.strip()
+                    if not tok:
+                        continue
+                    if tok not in ids:
+                        ids[tok] = len(ids)
+                    obs.append(ids[tok])
+    except (OSError, UnicodeDecodeError) as e:
+        raise IOError("cannot read %s: %s" % (path, e))
+    if not obs:
+        raise ConfigError("%s holds no tokens" % (path,))
     return obs
 
 
@@ -226,10 +232,8 @@ def run_experiment(spec):
     losses_by_method = {}
 
     if spec.kind == "real-file":
-        obs = ingest_sequence(spec.input_path)
-        if not obs:
-            raise ConfigError("%s holds no tokens" % (spec.input_path,))
-        seqs = [(0, synth.GeneratedStream(obs, None))]
+        seqs = [(0, synth.GeneratedStream(ingest_sequence(spec.input_path),
+                                          None))]
     else:
         seeds = np.random.SeedSequence(spec.seed).spawn(spec.n_seqs)
         seqs = [(k, gen_stream(spec, np.random.default_rng(s)))

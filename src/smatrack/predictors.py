@@ -132,16 +132,17 @@ class Queues:
     would total clock - oldest + 1. A heart-beat prune keeps the state
     bounded: queues whose newest stamp is s2 or more steps old are
     dropped, and when there are 2*s1 queues they are cut back to the s1
-    freshest.
+    freshest. The estimate needs two stamps, so qcap is at least 2.
 
     Two disjoint maps hold the queues: first maps an item seen once (so
-    far, or ever with qcap 1) to that stamp, and q_map holds the queues
-    of 2 or more stamps. An item moves to q_map on its second sighting.
-    On an open-ended stream most items are seen once, and predict()
-    walks only q_map. prune_every=None turns the prune off."""
+    far) to that stamp, and q_map holds the queues of 2 or more stamps.
+    An item moves to q_map on its second sighting. On an open-ended
+    stream most items are seen once, and predict() walks only q_map.
+    prune_every=None turns the prune off."""
 
     def __init__(self, qcap=3, s1=100, s2=100000, prune_every=1000):
-        _need(_is_count(qcap), "integer qcap >= 1")
+        _need(isinstance(qcap, numbers.Integral) and qcap >= 2,
+              "integer qcap >= 2")
         _need(_is_count(s1), "integer s1 >= 1")
         _need(_is_count(s2), "integer s2 >= 1")
         _need(prune_every is None or _is_count(prune_every),
@@ -183,7 +184,7 @@ class Queues:
             if len(q) > self.qcap:
                 q.pop()
         else:
-            stamp = self.first.pop(o, None) if self.qcap > 1 else None
+            stamp = self.first.pop(o, None)
             if stamp is None:
                 self.first[o] = c
             else:
@@ -262,9 +263,6 @@ class Dyal:
     def predict(self):
         return dict(self.ema_map)
 
-    def _queue_rate(self, q_count):
-        return min(1.0, max(1.0 / q_count, self.beta_min))
-
     def update(self, o):
         q_pr, q_count = self.queues.pr_count(o)  # before the queue update
         for i in self.queues.update(o):
@@ -277,7 +275,7 @@ class Dyal:
         # An unseen o (ema_pr 0.0) always resets: the score is inf there.
         if q_pr > ema_pr and binomial_significance(
                 ema_pr, q_pr, q_count) >= self.sig_thresh:
-            self.rate_map[o] = self._queue_rate(q_count)
+            self.rate_map[o] = max(1.0 / q_count, self.beta_min)
             delta = min(q_pr - ema_pr, free)
         else:
             beta = self.rate_map[o]
@@ -297,8 +295,10 @@ class Dyal:
         chi-squared bound skips binomial_significance where it cannot
         reach sig_thresh, and a rate at its floor skips decay_rate. Each
         edge Dyal makes has its queue in q_map: it is made only for a
-        queue of 2 or more stamps, and pruned with it. The items()
-        snapshot is safe because only the visited edge changes."""
+        queue of 2 or more stamps, and pruned with it. So a reset sets a
+        PR above 0 and a rate of at most 1, and an edge is dropped only
+        below p_min or at 0.0. The items() snapshot is safe because only
+        the visited edge changes."""
         ema_map = self.ema_map
         rate_map = self.rate_map
         q_map = self.queues.q_map
@@ -313,37 +313,28 @@ class Dyal:
             if i == o:
                 used += e
                 continue
-            q = q_map.get(i)
-            if q is None:
-                q_pr, q_count = 0.0, 0
-            else:
-                q_count = clock - q[-1] + 1
-                q_pr = (len(q) - 1) / (q_count - 1)
+            q = q_map[i]
+            q_count = clock - q[-1] + 1
+            q_pr = (len(q) - 1) / (q_count - 1)
             if e < p_min and q_pr < p_min:
-                del ema_map[i]
-                del rate_map[i]
-                continue
-            if e > q_pr and (
+                e = 0.0
+            elif e > q_pr and (
                     e >= 1.0
                     or q_count * ((d := e - q_pr) * d / (e * (1.0 - e))
                                   + slack) >= sig) and (
                     binomial_significance(e, q_pr, q_count) >= sig):
-                if q_pr == 0.0:
-                    del ema_map[i]
-                    del rate_map[i]
-                    continue
                 e = q_pr
-                rate_map[i] = self._queue_rate(q_count)
+                rate_map[i] = max(1.0 / q_count, beta_min)
             else:
                 e *= (1.0 - beta)
-                if not e:  # a rate of 1, or underflow
-                    del ema_map[i]
-                    del rate_map[i]
-                    continue
                 if beta != beta_min:
                     rate_map[i] = decay_rate(beta, beta_min)
-            ema_map[i] = e
-            used += e
+            if e:
+                ema_map[i] = e
+                used += e
+            else:  # below p_min, or weakened to 0.0 (a rate of 1, underflow)
+                del ema_map[i]
+                del rate_map[i]
         free = 1.0 - used
         return free if free > 0.0 else 0.0
 

@@ -43,9 +43,20 @@ def test_ingest_interning(tmp_path):
 def test_ingest_empty_and_blank_lines(tmp_path):
     p = tmp_path / "seq.txt"
     p.write_text("")
-    assert ingest_sequence(str(p)) == []
+    with pytest.raises(ConfigError, match=r"seq\.txt holds no tokens$"):
+        ingest_sequence(str(p))
     p.write_text("a\n\n\nb\na\n")
     assert ingest_sequence(str(p)) == [0, 1, 0]
+
+
+def test_ingest_splits_at_every_line_separator(tmp_path):
+    # text mode ends lines at \n, \r and \r\n; str.splitlines also at
+    # \x0b, \x0c, \x1c-\x1e, \x85, \u2028 and \u2029; blanks around a
+    # token go, blanks inside it stay
+    p = tmp_path / "seq.txt"
+    p.write_text("a\x0bb\r\nc\x0ca\x1cd e\x1d\x1eb\x85c\rd e\u2028"
+                 "\u2029 f \n\na", encoding="utf-8", newline="")
+    assert ingest_sequence(str(p)) == [0, 1, 2, 0, 3, 1, 2, 3, 4, 0]
 
 
 def test_ingest_missing_file():
@@ -239,8 +250,8 @@ def test_make_predictor_kinds():
                         ("box", "100"), ("dyal", "0.01"),
                         # domain edges
                         ("ema", "1"), ("harmonic-ema", "0"),
-                        ("harmonic-ema", "1"), ("queues", "1"),
-                        ("ts-queues", "1"), ("box", "1"), ("dyal", "0"),
+                        ("harmonic-ema", "1"), ("queues", "2"),
+                        ("ts-queues", "2"), ("box", "1"), ("dyal", "0"),
                         ("dyal", "1")]:
         p = make_predictor(kind, param)
         assert p.predict() == {}
@@ -272,10 +283,11 @@ def test_make_predictor_unknown():
              "method harmonic-ema:-0.1: need beta_min in [0, 1]"),
             ("harmonic-ema:2",
              "method harmonic-ema:2: need beta_min in [0, 1]"),
-            ("queues:0", "method queues:0: need integer qcap >= 1"),
-            ("queues:2.5", "method queues:2.5: need integer qcap >= 1"),
-            ("queues:abc", "method queues:abc: need integer qcap >= 1"),
-            ("ts-queues:0", "method ts-queues:0: need integer qcap >= 1"),
+            ("queues:0", "method queues:0: need integer qcap >= 2"),
+            ("queues:1", "method queues:1: need integer qcap >= 2"),
+            ("queues:2.5", "method queues:2.5: need integer qcap >= 2"),
+            ("queues:abc", "method queues:abc: need integer qcap >= 2"),
+            ("ts-queues:0", "method ts-queues:0: need integer qcap >= 2"),
             ("box:0", "method box:0: need integer k >= 1"),
             ("box:-3", "method box:-3: need integer k >= 1"),
             ("dyal:-1", "method dyal:-1: need beta_min in [0, 1]"),
@@ -696,13 +708,21 @@ def test_cli_exit_codes(tmp_path):
     # option their kind does not read (the base --seq-len 500 for
     # real-file), so they moved to a kind that reads it and still fail
     # for their own reason. Last, a --config file and a compare
-    # --per-seq file that are not UTF-8 are named; compare takes no --out.
+    # --per-seq file that are not UTF-8 are named, a token file with no
+    # tokens is refused by ingest-check as by run and trace, and compare
+    # names the line of a second row for one sequence and method;
+    # compare and ingest-check take no --out.
     tokens = tmp_path / "tok.txt"
     tokens.write_text("a\nb\na\n")
     tok = str(tokens)
     bad_cfg, bad_csv = tmp_path / "latin1.cfg", tmp_path / "latin1.csv"
     bad_cfg.write_bytes(b"p_ns=0.01\n\xff\n")
     bad_csv.write_bytes(b"seq_id,method,param,metric,value\n0,\xff,,m,1\n")
+    no_tokens, twice = tmp_path / "no-tokens.txt", tmp_path / "twice.csv"
+    no_tokens.write_text("\n  \n")
+    twice.write_text("seq_id,method,param,metric,value\n"
+                     "0,a,,avg_logloss_ns,0.5\n0,b,,avg_logloss_ns,0.6\n"
+                     "0,a,,avg_logloss_ns,0.7\n")
     for args, msg in (
             (["run", "--kind", "real-file", "--input", tok, "--method",
               "box:10", "--tp", "0.7", "--o-min", "3", "--mode", "uniform",
@@ -731,8 +751,13 @@ def test_cli_exit_codes(tmp_path):
               "box:10", "--config", str(bad_cfg)],
              "cannot read %s: 'utf-8' codec can't decode" % bad_cfg),
             (["compare", "--per-seq", str(bad_csv), "--a", "a", "--b", "b"],
-             "cannot read %s: 'utf-8' codec can't decode" % bad_csv)):
-        if args[0] != "compare":
+             "cannot read %s: 'utf-8' codec can't decode" % bad_csv),
+            (["ingest-check", str(no_tokens)],
+             "%s holds no tokens" % no_tokens),
+            (["compare", "--per-seq", str(twice), "--a", "a", "--b", "b"],
+             "%s line 4: a second avg_logloss_ns row for seq 0, method a"
+             % twice)):
+        if args[0] in ("gen", "run"):
             args = [*args, "--out", str(out)]
         r = subprocess.run([sys.executable, "-m", "smatrack.cli", *args],
                            capture_output=True, env=env, timeout=60)

@@ -300,12 +300,9 @@ def test_queues_update_allocates():
     s.update(1)
     assert s.first == {2: 2} and s.q_map == {1: [3, 1]}
     assert s.predict() == {1: 1 / 2}
-    # with qcap 1 no item leaves its grace period
-    s = Queues(qcap=1)
-    for o in [1, 1, 2, 1]:
-        s.update(o)
-    assert s.first == {1: 4, 2: 3} and s.q_map == {}
-    assert s.pr_count(1) == (0.0, 1) and s.predict() == {}
+    # with qcap 1 no item would leave its grace period, so it is refused
+    with pytest.raises(ValueError, match=r"^need integer qcap >= 2$"):
+        Queues(qcap=1)
 
 
 def test_queues_aaaabbbb():
@@ -475,7 +472,7 @@ def test_timestamp_equals_plain_queues():
     # stale drop and the size cut fire
     rng = np.random.default_rng(11)
     for _ in range(100):
-        kw = dict(qcap=int(rng.integers(1, 6)), s1=int(rng.integers(1, 5)),
+        kw = dict(qcap=int(rng.integers(2, 6)), s1=int(rng.integers(1, 5)),
                   s2=int(rng.integers(5, 40)),
                   prune_every=int(rng.integers(1, 12)))
         stamps = Queues(**kw)
@@ -492,7 +489,7 @@ def test_queues_match_reference_on_open_streams():
     # count) for every item, the same predictions and the same prune sets
     rng = np.random.default_rng(18)
     for _ in range(60):
-        kw = dict(qcap=int(rng.integers(1, 6)), s1=int(rng.integers(1, 6)),
+        kw = dict(qcap=int(rng.integers(2, 6)), s1=int(rng.integers(1, 6)),
                   s2=int(rng.integers(5, 60)),
                   prune_every=int(rng.integers(1, 12)))
         s, ref = Queues(**kw), ReferenceQueues(**kw)
@@ -590,9 +587,9 @@ class _Stamps:
 
 def _gate_cases(rng):
     """(e, queue length n, count c) for one edge, as weaken_edges sees it:
-    n stamps over c steps give q = (n - 1) / (c - 1); n = 0 means no
-    queue (q 0, count 0). e runs from near 0 to 1, q from far below e
-    to within an ulp of it, c from 2 to 2**62."""
+    n >= 2 stamps over c steps give q = (n - 1) / (c - 1). e runs from
+    near 0 to 1, q from far below e to within an ulp of it, c from 2 to
+    2**62."""
     while True:
         u = rng.random()
         if u < 0.3:
@@ -604,7 +601,8 @@ def _gate_cases(rng):
         else:
             e = rng.random()
         if rng.random() < 0.05:
-            yield e, 0, 0
+            # once an edge with no queue, which Dyal cannot reach; the
+            # draw stays so that the other cases stay as they were
             continue
         c = int(10.0 ** rng.uniform(0.31, 18.6))
         u = rng.random()
@@ -639,7 +637,7 @@ def test_chi2_pretest_never_skips_a_significant_edge(monkeypatch):
     for e, n, c in _gate_cases(rng):
         if cases >= 100000:
             break
-        q_pr = (n - 1) / (c - 1) if n else 0.0
+        q_pr = (n - 1) / (c - 1)
         if not e > q_pr:
             continue
         score = binomial_significance(e, q_pr, c)
@@ -649,18 +647,18 @@ def test_chi2_pretest_never_skips_a_significant_edge(monkeypatch):
             d.sig_thresh = sig
             d.ema_map, d.rate_map = {1: e}, {1: 0.5}
             d.queues.clock = c
-            d.queues.q_map = {1: _Stamps(n, 1)} if n else {}
+            d.queues.q_map = {1: _Stamps(n, 1)}
             calls.clear()
             d.weaken_edges(0)
             cases += 1
             if score >= sig:
                 assert calls == [(e, q_pr, c)], (e, n, c, score, sig)
-                assert d.ema_map.get(1) == (q_pr or None)
+                assert d.ema_map.get(1) == q_pr
             else:
                 below += 1
                 skipped += not calls
     # the test is not vacuous: the gate skips the call for more than a
-    # quarter of the scores below sig (about 39 % here)
+    # quarter of the scores below sig (about 35 % here)
     assert 4 * skipped > below
 
 
@@ -702,6 +700,8 @@ def test_dyal_weaken_edges_example():
     d = Dyal(beta_min=0.01)
     d.ema_map = {1: 0.5}
     d.rate_map = {1: 0.1}
+    d.queues.clock = 5
+    d.queues.q_map[1] = [5, 3, 1]  # q_pr 2/4 = ema: no reset
     free = d.weaken_edges(2)
     assert close(d.ema_map[1], 0.45)
     assert close(d.rate_map[1], 1 / 11)
@@ -802,13 +802,12 @@ def _dropping_zero_edges(ref):
 
 
 @pytest.mark.parametrize("sig_thresh", [0.0, 5.0])
-@pytest.mark.parametrize("qcap", [1, 3])
+@pytest.mark.parametrize("qcap", [2, 3])
 @pytest.mark.parametrize("beta_min", [0.0, 0.001, 0.01, 0.5, 1.0])
 def test_dyal_matches_reference(beta_min, qcap, sig_thresh):
     # the one-loop weaken_edges against Dyal as first written, pruning
     # on: every map (values and key order), prediction, free mass and
-    # trace row must be equal, not close. With qcap 1 no queue leaves
-    # its grace period, so both must stay without edges.
+    # trace row must be equal, not close.
     rng = np.random.default_rng(17)
     for _ in range(6):
         kw = dict(beta_min=beta_min, qcap=qcap, sig_thresh=sig_thresh,
@@ -830,9 +829,10 @@ def test_dyal_matches_reference(beta_min, qcap, sig_thresh):
                 (ref.max_rate(), ref.median_rate(), len(ref.ema_map))
 
 
-def test_dyal_weaken_edges_matches_reference_without_queues():
-    # edges with no queue (state set by hand) read as PR 0, count 0; a
-    # weight at exactly p_min stays, a rate of 1 weakens edge 4 to 0.0,
+def test_dyal_weaken_edges_drops_match_reference():
+    # state set by hand, each edge with its queue: edge 2 is below p_min
+    # on both and is dropped, edge 5's weight at exactly p_min keeps it
+    # though its queue is below p_min, a rate of 1 weakens edge 4 to 0.0,
     # which is dropped, and o's untouched weight of 1 leaves no free mass
     for beta_min in (0.0, 0.01, 1.0):
         for o in (3, 4):
@@ -840,6 +840,12 @@ def test_dyal_weaken_edges_matches_reference_without_queues():
             for x in (d, ref):
                 x.ema_map = {1: 0.5, 2: 0.005, 3: 1.0, 4: 0.2, 5: 0.01}
                 x.rate_map = {1: 0.1, 2: 0.5, 3: beta_min, 4: 1.0, 5: 0.1}
+                x.queues.clock = 1000
+                # q_pr 1/2, 1/999, 1/10, 1/3 and 1/111
+                x.queues.q_map = {1: [1000, 998, 996], 2: [2, 1],
+                                  3: [995, 990], 4: [1000, 997],
+                                  5: [1000, 889]}
+            assert d.queues.pr_count(5)[0] < d.p_min
             _dropping_zero_edges(ref)
             free = d.weaken_edges(o)
             assert free == ref.weaken_edges(o)
@@ -859,8 +865,8 @@ def test_dyal_weaken_edges_matches_reference_without_queues():
                                   Ema(beta=1),
                                   Ema(1.0, 0),
                                   Ema(1.0, 1.0),
-                                  Queues(qcap=1, prune_every=None),
-                                  Queues(qcap=1, s1=1, s2=1, prune_every=1),
+                                  Queues(qcap=2, prune_every=None),
+                                  Queues(qcap=2, s1=1, s2=1, prune_every=1),
                                   Box(k=1),
                                   Dyal(beta_min=0, p_min=0, sig_thresh=0),
                                   Dyal(beta_min=1, p_min=1,
@@ -874,7 +880,7 @@ def test_fresh_predictor_predicts_empty(pred):
 OUT_OF_DOMAIN = {
     Ema: {"beta": (0, -0.1, 1.5, math.inf, math.nan),
           "beta_min": (-0.1, 1.5, math.inf, math.nan)},
-    Queues: {"qcap": (0, -1, 2.5, 3.0, math.nan),
+    Queues: {"qcap": (1, 0, -1, 2.5, 3.0, math.nan),
              "s1": (0, -1, 2.5, math.nan),
              "s2": (0, -1, 2.5, math.inf, math.nan),
              "prune_every": (0, -1, 2.5, math.nan)},
@@ -882,7 +888,8 @@ OUT_OF_DOMAIN = {
     Dyal: {"beta_min": (-0.1, 1.5, math.inf, math.nan),
            "sig_thresh": (-1, -math.inf, math.nan),
            "p_min": (-0.1, 1.5, math.nan),
-           "qcap": (0, 2.5), "s1": (0,), "s2": (0,), "prune_every": (0,)},
+           "qcap": (1, 0, 2.5), "s1": (0,), "s2": (0,),
+           "prune_every": (0,)},
 }
 
 

@@ -24,8 +24,8 @@ SD_KINDS = ("ema", "harmonic-ema", "box", "dyal")
 PARAMS = {
     "ema": st.floats(0.0, 1.0, exclude_min=True),
     "harmonic-ema": st.floats(0.0, 1.0),
-    "queues": st.integers(1, 12),
-    "ts-queues": st.integers(1, 12),
+    "queues": st.integers(2, 12),
+    "ts-queues": st.integers(2, 12),
     "box": st.integers(1, 30),
     "dyal": st.floats(0.0, 1.0),
 }
@@ -184,7 +184,7 @@ def test_state_bounded_on_open_ended_stream(kind, seed, fresh):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.sampled_from(("queues", "dyal")), st.integers(1, 6),
+@given(st.sampled_from(("queues", "dyal")), st.integers(2, 6),
        st.integers(1, 5), st.integers(1, 60), st.integers(1, 12), streams)
 def test_queue_tiers(kind, qcap, s1, s2, prune_every, stream):
     # pruning on, with a small s1: first and q_map never share an item,
