@@ -183,26 +183,34 @@ def run(kind, methods, n_seqs, seq_len, seed, input_path, cfg_file, p_min,
 @click.option("--metric", default="avg_logloss_ns", show_default=True)
 def compare(per_seq, method_a, method_b, metric):
     """Paired sign test between two methods from a per_seq.csv."""
+    if method_a == method_b:
+        raise click.UsageError("--a and --b are both %r" % (method_a,))
     vals = {method_a: {}, method_b: {}}
     reader = csv.DictReader(_read_lines(per_seq, click.UsageError))
     for col in ("seq_id", "method", "metric", "value"):
         if col not in (reader.fieldnames or ()):
             raise click.UsageError("%s has no %r column" % (per_seq, col))
+    has_metric = False
     for row in reader:
-        if row["metric"] == metric and row["method"] in vals:
-            try:
-                seq, value = int(row["seq_id"]), float(row["value"])
-            except (TypeError, ValueError):
-                raise click.UsageError(
-                    "%s line %d: seq_id %r, value %r: need an integer "
-                    "and a number" % (per_seq, reader.line_num,
-                                      row["seq_id"], row["value"]))
-            if seq in vals[row["method"]]:
-                raise click.UsageError(
-                    "%s line %d: a second %s row for seq %d, method %s"
-                    % (per_seq, reader.line_num, metric, seq,
-                       row["method"]))
-            vals[row["method"]][seq] = value
+        if row["metric"] != metric:
+            continue
+        has_metric = True
+        if row["method"] not in vals:
+            continue
+        try:
+            seq, value = int(row["seq_id"]), float(row["value"])
+        except (TypeError, ValueError):
+            raise click.UsageError(
+                "%s line %d: seq_id %r, value %r: need an integer "
+                "and a number" % (per_seq, reader.line_num,
+                                  row["seq_id"], row["value"]))
+        if seq in vals[row["method"]]:
+            raise click.UsageError(
+                "%s line %d: a second %s row for seq %d, method %s"
+                % (per_seq, reader.line_num, metric, seq, row["method"]))
+        vals[row["method"]][seq] = value
+    if not has_metric:
+        raise click.UsageError("%s has no %s rows" % (per_seq, metric))
     common = sorted(set(vals[method_a]) & set(vals[method_b]))
     if not common:
         raise click.UsageError("no common sequences for those methods")

@@ -3,38 +3,35 @@ quadratic loss, deviation rates, the optimal-loss oracle, and paired
 sign tests."""
 
 import math
-from collections import deque
 
+from .predictors import Box
 from .sd_core import SUM_SLACK, ConfigError, FcConfig, filter_cap
 
 
 class Referee:
     """Third-party noise marker: an observation is flagged NS while its
     prior occurrence count is at most c_ns. With a window limit W set,
-    counts cover only the last W observations."""
+    counts cover only the last W observations, kept by a Box(W)."""
 
     def __init__(self, c_ns=2, window=None):
         if not c_ns >= 0:
             raise ConfigError("c_ns must be >= 0, got %r" % (c_ns,))
-        if window is not None and not window >= 1:
-            raise ConfigError("referee window must be >= 1, got %r"
-                              % (window,))
+        try:
+            self._box = None if window is None else Box(window)
+        except ValueError:
+            raise ConfigError("referee window must be an integer >= 1, "
+                              "got %r" % (window,))
         self.c_ns = c_ns
         self.window = window
-        self.recent_freq = {}
-        self._recent = deque() if window else None
+        self.recent_freq = {} if window is None else self._box.counts
 
     def is_ns(self, o):
-        flagged = self.recent_freq.get(o, 0) <= self.c_ns
-        self.recent_freq[o] = self.recent_freq.get(o, 0) + 1
-        if self.window:
-            self._recent.append(o)
-            if len(self._recent) > self.window:
-                old = self._recent.popleft()
-                self.recent_freq[old] -= 1
-                if self.recent_freq[old] == 0:
-                    del self.recent_freq[old]
-        return flagged
+        count = self.recent_freq.get(o, 0)
+        if self._box is None:
+            self.recent_freq[o] = count + 1
+        else:
+            self._box.update(o)
+        return count <= self.c_ns
 
 
 def score(o, qp, marked_ns, neg_log_pns):

@@ -16,31 +16,24 @@ from .evaluation import Schedule
 from .sd_core import ConfigError
 
 NOISE_BASE = 2 ** 32
+# gen_sd's floor on each salient probability, and the mass it leaves
+# unallocated for noise; not the scoring thresholds p_min and p_ns.
+SALIENT_MIN = 0.01
+NOISE_MASS = 0.01
 
 
 @dataclass(frozen=True)
 class GenConfig:
-    p_min: float = 0.01
-    p_ns: float = 0.01
     p_max: float = 1.0
     o_min: int = 50      # min occurrences of every salient item per period
     l_min: int = 0       # min length of a stable period
     recycle: bool = False
     desired_len: int = 10000
-    start_high: bool = True  # oscillate mode starts at the high rate
 
     def __post_init__(self):
-        # Outside these, gen_sequence can hang: on weights of 0 or less
-        # (p_min), or on weights that sum past 1 (p_ns).
-        if not self.p_min > 0.0:
-            raise ConfigError("p_min must be > 0, got %r" % (self.p_min,))
-        if not self.p_ns >= 0.0:
-            raise ConfigError("p_ns must be >= 0, got %r" % (self.p_ns,))
-        if self.p_min + self.p_ns >= 1.0:
-            raise ConfigError("p_min + p_ns must be below 1")
-        if not (self.p_min < self.p_max <= 1.0):
-            raise ConfigError("p_max must be in (p_min, 1], got %r"
-                              % (self.p_max,))
+        if not (SALIENT_MIN < self.p_max <= 1.0):
+            raise ConfigError("p_max must be in (%g, 1], got %r"
+                              % (SALIENT_MIN, self.p_max))
         # With no occurrences asked of a period, oscillate mode (which
         # ignores l_min) would append empty periods forever.
         if self.o_min < 1:
@@ -71,13 +64,13 @@ def gen_single_nonstationary(mode, cfg, n, rng):
     """Binary stream whose item-1 probability changes between stable
     periods. A period may end only once item 1 has been seen at least
     o_min times and the period is long enough: o_min/0.025 steps in
-    oscillate mode (rates alternate 0.25 <-> 0.025), l_min in uniform
-    mode (each new rate drawn from U(0.01, 1.0))."""
+    oscillate mode (rates alternate 0.25 <-> 0.025, starting at 0.25),
+    l_min in uniform mode (each new rate drawn from U(0.01, 1.0))."""
     if mode not in ("oscillate", "uniform"):
         raise ValueError("mode must be 'oscillate' or 'uniform'")
     obs = []
     entries = []
-    high = cfg.start_high
+    high = True
     while len(obs) < n:
         if mode == "oscillate":
             tp = 0.25 if high else 0.025
@@ -99,14 +92,15 @@ def gen_single_nonstationary(mode, cfg, n, rng):
 
 def gen_sd(cfg, rng, fresh):
     """Draw a fresh SD: probabilities drawn uniformly from the remaining
-    mass (capped at p_max, floored at p_min) until less than
-    p_ns + p_min is left. recycle reassigns a shuffled permutation to
-    items 1..k; otherwise each item takes the next id from fresh."""
+    mass (capped at p_max, floored at SALIENT_MIN) until less than
+    NOISE_MASS + SALIENT_MIN is left. recycle reassigns a shuffled
+    permutation to items 1..k; otherwise each item takes the next id
+    from fresh."""
     probs = []
     left = 1.0
-    while left > cfg.p_ns + cfg.p_min:
-        pmax = min(left - cfg.p_ns, cfg.p_max)
-        p = rng.uniform(cfg.p_min, pmax)
+    while left > NOISE_MASS + SALIENT_MIN:
+        pmax = min(left - NOISE_MASS, cfg.p_max)
+        p = rng.uniform(SALIENT_MIN, pmax)
         probs.append(p)
         left -= p
     if cfg.recycle:

@@ -56,10 +56,12 @@ def test_referee_window_eviction():
 
 
 def test_referee_rejects_window_below_one():
-    for w in (0, -1):
+    # the window is a Box's k, so a fractional one is out of its domain
+    for w in (0, -1, 2.5):
         with pytest.raises(ConfigError) as e:
             Referee(window=w)
-        assert str(e.value) == "referee window must be >= 1, got %r" % w
+        assert str(e.value) == ("referee window must be an integer >= 1, "
+                                "got %r" % w)
     assert Referee(window=None).window is None
     assert Referee(window=1).is_ns(5) is True
 
@@ -76,7 +78,7 @@ def test_referee_rejects_negative_c_ns():
     assert str(e.value) == "c_ns must be >= 0, got -1"
     with pytest.raises(ConfigError) as e:
         EvalConfig(window=0)
-    assert str(e.value) == "referee window must be >= 1, got 0"
+    assert str(e.value) == "referee window must be an integer >= 1, got 0"
 
 
 def test_referee_window_count_consistency():

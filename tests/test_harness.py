@@ -657,61 +657,28 @@ def test_cli_exit_codes(tmp_path):
     import subprocess
     import sys
     env = dict(os.environ)
-    # config errors: unknown method kind, out-of-domain parameters, a
-    # duplicated label, no sequences, out-of-domain scoring options and
-    # generator options, a negative seed and a real-file run without
-    # --input; each is one line on stderr and makes no output
-    # directory. A zero o_min that got through would make the generators
-    # loop forever, so these runs have a timeout.
+    # Each case exits 2 with one stderr line, the message pinned here,
+    # and makes no --out. First the config errors of run: an unknown
+    # method kind, out-of-domain parameters, a duplicated label, no
+    # sequences, out-of-domain scoring and generator options and a
+    # negative seed; then gen's generator options, length and seed. A
+    # zero o_min that got through would make the generators loop
+    # forever, so these runs have a timeout. Next, a stream option the
+    # kind does not read: the first one given, in --help order, is
+    # named. The three cases after those ran with an option their kind
+    # does not read (the base --seq-len 500 for real-file), so they
+    # moved to a kind that reads it and still fail for their own
+    # reason. Last, a --config file and a compare --per-seq file that
+    # are not UTF-8 are named, a token file with no tokens is refused by
+    # ingest-check as by run and trace, and compare names the line of a
+    # second row for one sequence and method, refuses one method given
+    # twice, names a --metric that no row holds, and tells methods that
+    # share no sequence apart from that; compare and ingest-check take
+    # no --out.
     out = tmp_path / "x"
-    for args in (["--method", "bogus:1"], ["--method", "ema:abc"],
-                 ["--method", "queues:0"], ["--method", "ema:0"],
-                 ["--method", "dyal:-1"],
-                 ["--method", "ema:0.1", "--method", "ema:0.1"],
-                 ["--method", "ema:0.1", "--method", "box:10",
-                  "--n-seqs", "0"],
-                 ["--method", "ema:0.1", "--p-ns", "0"],
-                 ["--method", "ema:0.1", "--p-min", "0"],
-                 ["--method", "ema:0.1", "--p-ns", "0.5"],
-                 ["--method", "ema:0.1", "--referee-window", "0"],
-                 ["--method", "ema:0.1", "--c-ns", "-1"],
-                 ["--method", "ema:0.1", "--d", "0.5"],
-                 ["--method", "ema:0.1", "--kind", "multi-item",
-                  "--seq-len", "-5"],
-                 ["--method", "ema:0.1", "--tp", "0"],
-                 ["--method", "ema:0.1", "--kind", "nonstat-single",
-                  "--o-min", "0"],
-                 ["--method", "ema:0.1", "--kind", "nonstat-single",
-                  "--mode", "uniform", "--l-min", "-1"],
-                 ["--method", "ema:0.1", "--seed", "-1"]):
-        r = subprocess.run([sys.executable, "-m", "smatrack.cli", "run",
-                            "--kind", "stationary-single", "--seq-len",
-                            "500", *args, "--out", str(out)],
-                           capture_output=True, env=env, timeout=60)
-        assert r.returncode == 2, args
-        assert len(r.stderr.decode().strip().splitlines()) == 1, args
-        assert not out.exists(), args
-    for args in (["--kind", "multi", "--o-min", "0"],
-                 ["--kind", "binary", "--tp", "0"],
-                 ["--kind", "multi", "--p-max", "0"],
-                 ["--kind", "multi", "--n", "0"],
-                 ["--kind", "binary", "--n", "-5"],
-                 ["--kind", "binary", "--seed", "-1"]):
-        r = subprocess.run([sys.executable, "-m", "smatrack.cli", "gen",
-                            *args, "--out", str(out)],
-                           capture_output=True, env=env, timeout=60)
-        assert r.returncode == 2, args
-        assert len(r.stderr.decode().strip().splitlines()) == 1, args
-        assert not out.exists(), args
-    # A stream option the kind does not read: the first one given, in
-    # --help order, is named. The three cases after those ran with an
-    # option their kind does not read (the base --seq-len 500 for
-    # real-file), so they moved to a kind that reads it and still fail
-    # for their own reason. Last, a --config file and a compare
-    # --per-seq file that are not UTF-8 are named, a token file with no
-    # tokens is refused by ingest-check as by run and trace, and compare
-    # names the line of a second row for one sequence and method;
-    # compare and ingest-check take no --out.
+    run_ss = ["run", "--kind", "stationary-single", "--seq-len", "500"]
+    ema = [*run_ss, "--method", "ema:0.1"]
+    thresholds = "scoring thresholds need 0 < p_ns <= p_min < 1, got "
     tokens = tmp_path / "tok.txt"
     tokens.write_text("a\nb\na\n")
     tok = str(tokens)
@@ -723,7 +690,52 @@ def test_cli_exit_codes(tmp_path):
     twice.write_text("seq_id,method,param,metric,value\n"
                      "0,a,,avg_logloss_ns,0.5\n0,b,,avg_logloss_ns,0.6\n"
                      "0,a,,avg_logloss_ns,0.7\n")
+    apart = tmp_path / "apart.csv"
+    apart.write_text("seq_id,method,param,metric,value\n"
+                     "0,a,,avg_logloss_ns,0.5\n1,b,,avg_logloss_ns,0.6\n")
     for args, msg in (
+            ([*run_ss, "--method", "bogus:1"],
+             "unknown predictor kind: 'bogus'"),
+            ([*run_ss, "--method", "ema:abc"],
+             "method ema:abc: need beta in (0, 1]"),
+            ([*run_ss, "--method", "queues:0"],
+             "method queues:0: need integer qcap >= 2"),
+            ([*run_ss, "--method", "ema:0"],
+             "method ema:0: need beta in (0, 1]"),
+            ([*run_ss, "--method", "dyal:-1"],
+             "method dyal:-1: need beta_min in [0, 1]"),
+            ([*ema, "--method", "ema:0.1"],
+             "roster label 'ema:0.1' appears twice"),
+            ([*ema, "--method", "box:10", "--n-seqs", "0"],
+             "n_seqs must be >= 1, got 0"),
+            ([*ema, "--p-ns", "0"], thresholds + "p_ns=0.0, p_min=0.01"),
+            ([*ema, "--p-min", "0"], thresholds + "p_ns=0.01, p_min=0.0"),
+            ([*ema, "--p-ns", "0.5"], thresholds + "p_ns=0.5, p_min=0.01"),
+            ([*ema, "--referee-window", "0"],
+             "referee window must be an integer >= 1, got 0"),
+            ([*ema, "--c-ns", "-1"], "c_ns must be >= 0, got -1"),
+            ([*ema, "--d", "0.5"],
+             "deviation threshold d must be finite and >= 1, got 0.5"),
+            ([*ema, "--kind", "multi-item", "--seq-len", "-5"],
+             "seq_len must be >= 1, got -5"),
+            ([*ema, "--tp", "0"], "tp must be in (0, 1], got 0.0"),
+            ([*ema, "--kind", "nonstat-single", "--o-min", "0"],
+             "o_min must be >= 1, got 0"),
+            ([*ema, "--kind", "nonstat-single", "--mode", "uniform",
+              "--l-min", "-1"], "l_min must be >= 0, got -1"),
+            ([*ema, "--seed", "-1"], "seed must be >= 0, got -1"),
+            (["gen", "--kind", "multi", "--o-min", "0"],
+             "o_min must be >= 1, got 0"),
+            (["gen", "--kind", "binary", "--tp", "0"],
+             "tp must be in (0, 1], got 0.0"),
+            (["gen", "--kind", "multi", "--p-max", "0"],
+             "p_max must be in (0.01, 1], got 0.0"),
+            (["gen", "--kind", "multi", "--n", "0"],
+             "Invalid value for '--n': 0 is not in the range x>=1."),
+            (["gen", "--kind", "binary", "--n", "-5"],
+             "Invalid value for '--n': -5 is not in the range x>=1."),
+            (["gen", "--kind", "binary", "--seed", "-1"],
+             "seed must be >= 0, got -1"),
             (["run", "--kind", "real-file", "--input", tok, "--method",
               "box:10", "--tp", "0.7", "--o-min", "3", "--mode", "uniform",
               "--n-seqs", "9", "--seed", "4"],
@@ -742,7 +754,7 @@ def test_cli_exit_codes(tmp_path):
               "box:10", "--tp", "0.7"],
              "--tp is not read by --kind real-file"),
             (["run", "--kind", "multi-item", "--seq-len", "500", "--method",
-              "ema:0.1", "--p-max", "0"], "p_max must be in (p_min, 1]"),
+              "ema:0.1", "--p-max", "0"], "p_max must be in (0.01, 1]"),
             (["run", "--kind", "real-file", "--method", "ema:0.1"],
              "kind 'real-file' needs an input_path"),
             (["gen", "--kind", "nonstat", "--mode", "uniform", "--l-min",
@@ -756,7 +768,13 @@ def test_cli_exit_codes(tmp_path):
              "%s holds no tokens" % no_tokens),
             (["compare", "--per-seq", str(twice), "--a", "a", "--b", "b"],
              "%s line 4: a second avg_logloss_ns row for seq 0, method a"
-             % twice)):
+             % twice),
+            (["compare", "--per-seq", str(twice), "--a", "a", "--b", "a"],
+             "--a and --b are both 'a'"),
+            (["compare", "--per-seq", str(twice), "--a", "a", "--b", "b",
+              "--metric", "avg_quad"], "%s has no avg_quad rows" % twice),
+            (["compare", "--per-seq", str(apart), "--a", "a", "--b", "b"],
+             "no common sequences for those methods")):
         if args[0] in ("gen", "run"):
             args = [*args, "--out", str(out)]
         r = subprocess.run([sys.executable, "-m", "smatrack.cli", *args],

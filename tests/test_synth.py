@@ -6,10 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from smatrack.synth import (NOISE_BASE, ConfigError, GenConfig, draw_item,
-                            gen_binary_stationary, gen_sd,
-                            gen_sequence, gen_single_nonstationary,
-                            gen_subseq)
+from smatrack.synth import (NOISE_BASE, NOISE_MASS, SALIENT_MIN,
+                            ConfigError, GenConfig, draw_item,
+                            gen_binary_stationary, gen_sd, gen_sequence,
+                            gen_single_nonstationary, gen_subseq)
 
 
 # --- binary stationary ------------------------------------------------------
@@ -69,13 +69,6 @@ def test_oscillate_alternates_and_starts_high():
     assert set(tps) == {0.25, 0.025}
 
 
-def test_oscillate_can_start_low():
-    cfg = GenConfig(o_min=10, start_high=False)
-    s = gen_single_nonstationary("oscillate", cfg, 2000,
-                                 np.random.default_rng(5))
-    assert s.schedule.entries[0][1][1] == 0.025
-
-
 def test_uniform_period_count_omin10():
     cfg = GenConfig(o_min=10)
     counts = [_period_count(gen_single_nonstationary(
@@ -116,8 +109,8 @@ def test_gen_sd_mass_and_min():
     cfg = GenConfig()
     for _ in range(200):
         sd = gen_sd(cfg, rng, itertools.count(1))
-        assert sum(sd.values()) <= 1.0 - cfg.p_ns + 1e-12
-        assert all(v >= cfg.p_min for v in sd.values())
+        assert sum(sd.values()) <= 1.0 - NOISE_MASS + 1e-12
+        assert all(v >= SALIENT_MIN for v in sd.values())
 
 
 def test_gen_sd_support_size_around_five():
@@ -154,32 +147,15 @@ def test_gen_sd_new_items_are_fresh():
 
 def test_gen_config_validation():
     with pytest.raises(ValueError):
-        GenConfig(p_min=0.6, p_ns=0.5)
-    with pytest.raises(ValueError):
         GenConfig(p_max=0.001)
 
 
-def test_gen_config_rejects_thresholds_that_hang():
-    # gen_sequence never returned at p_min 0 or -0.1 (weights of 0 or
-    # less) or at p_ns -0.5 (weights summing past 1); NaN lies outside
-    # both domains too
-    for field, value in (("p_min", 0.0), ("p_min", -0.1),
-                         ("p_min", math.nan), ("p_ns", -0.5),
-                         ("p_ns", math.nan)):
-        with pytest.raises(ConfigError, match="^%s must" % field):
-            GenConfig(o_min=2, desired_len=300, **{field: value})
-    # domain edge
-    cfg = GenConfig(p_ns=0.0, o_min=2, desired_len=300)
-    assert len(gen_sequence(cfg, np.random.default_rng(0))
-               .observations) >= 300
-
-
 def test_gen_config_is_frozen():
-    # p_min set to 0 after the checks made gen_sequence hang
+    # o_min set to 0 after the checks would make the generators hang
     cfg = GenConfig(o_min=2, desired_len=300)
     with pytest.raises(dataclasses.FrozenInstanceError):
-        cfg.p_min = 0.0
-    assert cfg.p_min == 0.01
+        cfg.o_min = 0
+    assert cfg.o_min == 2
 
 
 def test_gen_config_rejects_empty_periods():
