@@ -1,0 +1,105 @@
+"""Write BENCH_<tag>.json: one fixed benchmark spec, run on one checkout.
+
+    python3 scripts/bench_file.py --root CHECKOUT --tag TAG
+
+For each workload in the checkout's BENCHMARK.json, it runs
+perfbench/run.py at 5 seeds with --seconds 20 --trace 0, and takes the
+median of each end-to-end metric over them. Then it runs perfbench once
+with --trace 1 for the per-layer metrics. Each run keeps its "# manifest"
+line, whose git_commit names the tree measured, and its JSON result. The
+file also holds the tier-1 wall time, with pytest's summary line, and the
+line count of src/. Run it with nothing else running on the machine.
+"""
+
+import argparse
+import glob
+import json
+import os
+import statistics
+import subprocess
+import sys
+import time
+
+SEEDS = (1, 2, 3, 4, 5)
+TRACE_SEED = 1
+SECONDS = 20
+# Metrics that perfbench is known to misreport. The bias is the same at
+# every commit, so paired numbers stay comparable.
+MISREPORTED = {
+    "real_file_long obs_per_s": "reads about 17 % high: perfbench counts "
+    "2*k*n trace observations where `trace --self-concat k` makes k*n",
+    "real_file_long harness.self_concat.self_us_per_obs": "reads 0: the "
+    "layer wraps run_self_concat, which no longer exists",
+    "obs_per_s.ts-queues": "measures queues a second time: ts-queues is "
+    "another name for queues",
+}
+
+
+def perfbench(root, workload, seed, trace):
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(SECONDS),
+           "--trace", str(trace)]
+    lines = subprocess.run(cmd, cwd=root, capture_output=True, text=True,
+                           check=True).stdout.splitlines()
+    manifest = next(json.loads(line.split(" ", 2)[2]) for line in lines
+                    if line.startswith("# manifest "))
+    return {"manifest": manifest, "result": json.loads(lines[-1])}
+
+
+def tier1(root):
+    src = os.path.join(root, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    start = time.monotonic()
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q",
+                           "--continue-on-collection-errors"],
+                          cwd=root, env=env, capture_output=True, text=True)
+    return {"wall_s": round(time.monotonic() - start, 1),
+            "summary": proc.stdout.strip().splitlines()[-1]}
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--root", default=os.path.dirname(
+        os.path.dirname(os.path.abspath(__file__))),
+        help="the checkout to measure (default: this one)")
+    ap.add_argument("--tag", required=True)
+    args = ap.parse_args()
+    root = os.path.abspath(args.root)
+    with open(os.path.join(root, "BENCHMARK.json"), encoding="utf-8") as f:
+        names = [w["name"] for w in json.load(f)["workloads"]]
+    workloads = {}
+    for name in names:
+        runs = [perfbench(root, name, seed, 0) for seed in SEEDS]
+        metrics = runs[0]["result"]["metrics"]
+        workloads[name] = {
+            "runs": runs,
+            "median": {m: statistics.median(
+                r["result"]["metrics"][m]["value"] for r in runs)
+                for m in metrics},
+            "traced": perfbench(root, name, TRACE_SEED, 1)}
+        print("%s: median obs_per_s %.0f" % (
+            name, workloads[name]["median"]["obs_per_s"]), file=sys.stderr)
+    src_lines = 0
+    for path in glob.glob(os.path.join(root, "src", "**", "*.py"),
+                          recursive=True):
+        with open(path, encoding="utf-8") as f:
+            src_lines += sum(1 for _ in f)
+    bench = {
+        "tag": args.tag,
+        "spec": {"seeds": SEEDS, "seconds": SECONDS, "trace_seed": TRACE_SEED,
+                 "command": "python3 perfbench/run.py --workload W --seed S "
+                 "--seconds %d --trace T" % SECONDS},
+        "tier1": tier1(root),
+        "src_lines": src_lines,
+        "misreported": MISREPORTED,
+        "workloads": workloads}
+    path = "BENCH_%s.json" % args.tag
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(bench, f, indent=1)
+        f.write("\n")
+    print("wrote %s" % path, file=sys.stderr)
+
+
+if __name__ == "__main__":
+    main()

@@ -7,7 +7,7 @@ import math
 import os
 import statistics
 from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import combinations, repeat
 
 import numpy as np
@@ -159,7 +159,7 @@ class ExperimentSpec:
     kind: str                      # one of EXPERIMENT_KINDS
     roster: tuple                  # of (label, predictor kind, param)
     out_dir: str = None
-    n_seqs: int = 200
+    n_seqs: int = 50
     seq_len: int = 10000           # generated length, or a lower bound on it
     seed: int = 0
     tp: float = 0.1
@@ -180,6 +180,11 @@ class ExperimentSpec:
             raise ConfigError("seed must be >= 0, got %r" % (self.seed,))
         if self.kind == "real-file" and not self.input_path:
             raise ConfigError("kind 'real-file' needs an input_path")
+        unread = unread_fields(self.kind, self.mode)
+        for obj, f in ((o, f) for o in (self, self.gen) for f in fields(o)):
+            if f.name in unread and getattr(obj, f.name) != f.default:
+                raise ConfigError("kind %r does not read %s"
+                                  % (self.kind, f.name))
         object.__setattr__(self, "roster", tuple(self.roster))
         seen = set()
         for label, pkind, param in self.roster:

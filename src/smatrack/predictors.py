@@ -224,8 +224,6 @@ class Box:
 
     def predict(self):
         n = len(self.window)
-        if n == 0:
-            return {}
         return {i: c / n for i, c in self.counts.items()}
 
     def update(self, o):

@@ -3,13 +3,15 @@ import dataclasses
 import inspect
 import math
 import os
+import signal
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from smatrack import harness, synth
-from smatrack.cli import cli
+from smatrack.cli import cli, main
 from smatrack.evaluation import Referee, Schedule
 from smatrack.harness import (ConfigError, EvalConfig, ExperimentSpec,
                               ingest_sequence, make_predictor,
@@ -404,9 +406,12 @@ def test_experiment_aggregates_recomputable(tmp_path):
         assert close(mu, sum(vals) / len(vals))
 
 
-def test_experiment_multi_item_has_optimal(tmp_path):
-    spec = _small_spec(tmp_path, kind="multi-item", out_dir=None, n_seqs=2,
-                       gen=synth.GenConfig(o_min=10, desired_len=1000))
+def test_experiment_multi_item_has_optimal():
+    spec = ExperimentSpec(kind="multi-item",
+                          roster=[("ema:0.05", "ema", "0.05"),
+                                  ("queues:3", "queues", "3")],
+                          n_seqs=2, seq_len=500, seed=7,
+                          gen=synth.GenConfig(o_min=10, desired_len=1000))
     res = run_experiment(spec)
     assert any(m == "optimal" for _s, m, _p, _k, _v in res["rows"])
 
@@ -438,38 +443,43 @@ _OTHER = {"n_seqs": 3, "seq_len": 700, "seed": 5, "tp": 0.7, "mode": "uniform",
     ("nonstat-single", "oscillate", 5), ("multi-item", "oscillate", 7),
     ("real-file", "oscillate", 1)])
 def test_each_kind_reads_the_fields_its_table_entry_names(kind, mode, reads):
-    # A field the table says the kind does not read leaves gen_stream's
-    # stream as it is, and one it reads moves it; n_seqs and seed act
-    # through run_experiment, which draws each stream's rng from them.
+    # ExperimentSpec refuses a field the table says the kind does not
+    # read, set to a value other than its default, and names it; a field
+    # it reads moves gen_stream's stream. n_seqs and seed act through
+    # run_experiment, which draws each stream's rng from them.
     unread = harness.unread_fields(kind, mode)
     assert unread <= set(_OTHER) and len(_OTHER) - len(unread) == reads
     if kind == "real-file":
         assert unread == set(_OTHER) - {"input_path"}
-        return
     other = dict(_OTHER, mode="oscillate") if mode == "uniform" else _OTHER
+    base = {"seq_len": 400, "o_min": 5, "input_path": "t.txt"}
 
-    def stream(**changed):
-        kw = {"kind": kind, "roster": [], "seq_len": 400, "mode": mode,
-              "o_min": 5, **changed}
+    def spec(**changed):
+        kw = {"kind": kind, "roster": [], "mode": mode,
+              **{f: v for f, v in base.items() if f not in unread},
+              **changed}
         gen = {f: kw.pop(f) for f in ("o_min", "l_min", "p_max", "recycle")
                if f in kw}
-        spec = ExperimentSpec(gen=synth.GenConfig(**gen), **kw)
-        made = harness.gen_stream(spec, np.random.default_rng(11))
+        return ExperimentSpec(gen=synth.GenConfig(**gen), **kw)
+
+    def stream(**changed):
+        made = harness.gen_stream(spec(**changed), np.random.default_rng(11))
         return made.observations, made.schedule.entries
 
-    base = stream()
     for f, v in other.items():
         if f in unread:
-            assert stream(**{f: v}) == base, f
-        elif f not in ("n_seqs", "seed"):
-            assert stream(**{f: v}) != base, f
+            with pytest.raises(ConfigError) as e:
+                spec(**{f: v})
+            assert str(e.value) == "kind %r does not read %s" % (kind, f)
+        elif f not in ("n_seqs", "seed", "input_path"):
+            assert stream(**{f: v}) != stream(), f
 
 
 def test_experiment_real_file(tmp_path):
     p = tmp_path / "seq.txt"
     p.write_text("\n".join(["a", "b"] * 200) + "\n")
-    spec = _small_spec(tmp_path, kind="real-file", input_path=str(p),
-                       out_dir=None, roster=[("dyal:0.01", "dyal", "0.01")])
+    spec = ExperimentSpec(kind="real-file", input_path=str(p),
+                          roster=[("dyal:0.01", "dyal", "0.01")])
     res = run_experiment(spec)
     assert len(res["losses_by_method"]["dyal:0.01"]) == 1
 
@@ -488,12 +498,21 @@ def test_experiment_rejects_no_sequences(tmp_path):
 
 def test_experiment_rejects_bad_inputs(tmp_path):
     # a real-file run without a file used to die in open() with a bare
-    # TypeError, a negative seed in numpy
+    # TypeError, a negative seed in numpy; a field the kind does not
+    # read was ignored
     for kw, msg in (({"kind": "real-file"},
                      "kind 'real-file' needs an input_path"),
                     ({"kind": "real-file", "input_path": ""},
                      "kind 'real-file' needs an input_path"),
-                    ({"seed": -1}, "seed must be >= 0, got -1")):
+                    ({"seed": -1}, "seed must be >= 0, got -1"),
+                    ({"mode": "uniform"},
+                     "kind 'stationary-single' does not read mode"),
+                    # tp at its default, which nonstat-single does not read
+                    ({"kind": "nonstat-single", "tp": 0.1,
+                      "gen": synth.GenConfig(l_min=2000)},
+                     "kind 'nonstat-single' does not read l_min"),
+                    ({"kind": "multi-item"},
+                     "kind 'multi-item' does not read tp")):
         with pytest.raises(ConfigError) as e:
             _small_spec(tmp_path, **kw)
         assert str(e.value) == msg
@@ -653,9 +672,31 @@ def test_cli_ingest_check(tmp_path):
     assert "3 observations, 2 unique" in r.output
 
 
-def test_cli_exit_codes(tmp_path):
+@pytest.fixture
+def main_exit(monkeypatch, capfd):
+    """A function of argv that runs cli.main() in-process and returns its
+    exit code and its stderr. A run still going after 60 s fails the
+    test."""
+    def timed_out(signum, frame):
+        pytest.fail("no exit within 60 s")
+
+    def run(*argv):
+        monkeypatch.setattr(sys, "argv", ["smatrack", *argv])
+        signal.alarm(60)
+        try:
+            with pytest.raises(SystemExit) as e:
+                main()
+        finally:
+            signal.alarm(0)
+        return e.value.code, capfd.readouterr().err
+
+    old = signal.signal(signal.SIGALRM, timed_out)
+    yield run
+    signal.signal(signal.SIGALRM, old)
+
+
+def test_cli_exit_codes(tmp_path, main_exit):
     import subprocess
-    import sys
     env = dict(os.environ)
     # Each case exits 2 with one stderr line, the message pinned here,
     # and makes no --out. First the config errors of run: an unknown
@@ -663,7 +704,7 @@ def test_cli_exit_codes(tmp_path):
     # sequences, out-of-domain scoring and generator options and a
     # negative seed; then gen's generator options, length and seed. A
     # zero o_min that got through would make the generators loop
-    # forever, so these runs have a timeout. Next, a stream option the
+    # forever, so each run has a timeout. Next, a stream option the
     # kind does not read: the first one given, in --help order, is
     # named. The three cases after those ran with an option their kind
     # does not read (the base --seq-len 500 for real-file), so they
@@ -674,7 +715,8 @@ def test_cli_exit_codes(tmp_path):
     # second row for one sequence and method, refuses one method given
     # twice, names a --metric that no row holds, and tells methods that
     # share no sequence apart from that; compare and ingest-check take
-    # no --out.
+    # no --out. The cases run in-process through cli.main(); the last
+    # three run python -m smatrack.cli, one for each exit code.
     out = tmp_path / "x"
     run_ss = ["run", "--kind", "stationary-single", "--seq-len", "500"]
     ema = [*run_ss, "--method", "ema:0.1"]
@@ -777,10 +819,9 @@ def test_cli_exit_codes(tmp_path):
              "no common sequences for those methods")):
         if args[0] in ("gen", "run"):
             args = [*args, "--out", str(out)]
-        r = subprocess.run([sys.executable, "-m", "smatrack.cli", *args],
-                           capture_output=True, env=env, timeout=60)
-        assert r.returncode == 2, args
-        err = r.stderr.decode().splitlines()
+        code, err = main_exit(*args)
+        assert code == 2, args
+        err = err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: " + msg), err
         assert not out.exists(), args
     # compare: a CSV without the needed columns, a non-numeric value
@@ -790,25 +831,22 @@ def test_cli_exit_codes(tmp_path):
                               "0,b,,avg_logloss_ns,oops\n")):
         per_seq = tmp_path / ("bad%d.csv" % i)
         per_seq.write_text(text)
-        r = subprocess.run([sys.executable, "-m", "smatrack.cli", "compare",
-                            "--per-seq", str(per_seq), "--a", "a",
-                            "--b", "b"], capture_output=True, env=env)
-        assert r.returncode == 2, text
-        err = r.stderr.decode().strip().splitlines()
+        code, err = main_exit("compare", "--per-seq", str(per_seq),
+                              "--a", "a", "--b", "b")
+        assert code == 2, text
+        err = err.strip().splitlines()
         assert len(err) == 1, text
         assert ("'metric' column" if i == 0 else "line 3") in err[0], err
     # a directory where a file is wanted: --per-seq and --config
-    r = subprocess.run([sys.executable, "-m", "smatrack.cli", "compare",
-                        "--per-seq", str(tmp_path), "--a", "a", "--b", "b"],
-                       capture_output=True, env=env)
-    assert r.returncode == 2
-    assert len(r.stderr.decode().strip().splitlines()) == 1
-    r = subprocess.run([sys.executable, "-m", "smatrack.cli", "run",
-                        "--kind", "real-file", "--input", str(tokens),
-                        "--method", "ema:0.1", "--config", str(tmp_path),
-                        "--out", str(out)], capture_output=True, env=env)
-    assert r.returncode == 2
-    assert len(r.stderr.decode().strip().splitlines()) == 1
+    code, err = main_exit("compare", "--per-seq", str(tmp_path), "--a", "a",
+                          "--b", "b")
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    code, err = main_exit("run", "--kind", "real-file", "--input", tok,
+                          "--method", "ema:0.1", "--config", str(tmp_path),
+                          "--out", str(out))
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
     assert not out.exists()
     # config files: a value of the wrong type, a misspelt key, and a
     # p_min that is in range but below the default p_ns
@@ -816,13 +854,11 @@ def test_cli_exit_codes(tmp_path):
                               "p_min=0.005\n")):
         cfg = tmp_path / ("bad%d.cfg" % i)
         cfg.write_text(text)
-        r = subprocess.run([sys.executable, "-m", "smatrack.cli", "run",
-                            "--kind", "real-file", "--input", str(tokens),
-                            "--method", "ema:0.1", "--config", str(cfg),
-                            "--out", str(tmp_path / "x")],
-                           capture_output=True, env=env)
-        assert r.returncode == 2, text
-        assert len(r.stderr.decode().strip().splitlines()) == 1, text
+        code, err = main_exit("run", "--kind", "real-file", "--input", tok,
+                              "--method", "ema:0.1", "--config", str(cfg),
+                              "--out", str(tmp_path / "x"))
+        assert code == 2, text
+        assert len(err.strip().splitlines()) == 1, text
         assert not (tmp_path / "x").exists(), text
     # a token file with no tokens, empty or blank lines only: run and
     # trace fail before the output directory is made (it used to score a
@@ -834,11 +870,10 @@ def test_cli_exit_codes(tmp_path):
     for path in (empty, blank):
         for args in (["run", "--kind", "real-file", "--method", "ema:0.1"],
                      ["trace"]):
-            r = subprocess.run([sys.executable, "-m", "smatrack.cli", *args,
-                                "--input", str(path), "--out", str(out)],
-                               capture_output=True, env=env)
-            assert r.returncode == 2, (path, args)
-            err = r.stderr.decode().strip().splitlines()
+            code, err = main_exit(*args, "--input", str(path),
+                                  "--out", str(out))
+            assert code == 2, (path, args)
+            err = err.strip().splitlines()
             assert len(err) == 1 and "no tokens" in err[0], (path, args)
             assert not out.exists(), (path, args)
     # trace: a self-concat below 1, a method that is not dyal, a bad
@@ -848,12 +883,24 @@ def test_cli_exit_codes(tmp_path):
                  ["--method", "ema:0.01"], ["--method", "dyal:abc"],
                  ["--track-item", "-1"], ["--track-item", "2"]):
         out = tmp_path / "trace-out"
-        r = subprocess.run([sys.executable, "-m", "smatrack.cli", "trace",
-                            "--input", str(tokens), *args,
-                            "--out", str(out)],
-                           capture_output=True, env=env)
-        assert r.returncode == 2, args
-        assert len(r.stderr.decode().strip().splitlines()) == 1, args
+        code, err = main_exit("trace", "--input", tok, *args,
+                              "--out", str(out))
+        assert code == 2, args
+        assert len(err.strip().splitlines()) == 1, args
+        assert not out.exists(), args
+    # a token file that is not UTF-8 is a runtime error, named in the
+    # one stderr line, and run and trace make no output directory
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"a\n\xff\n")
+    for args in (["run", "--kind", "real-file", "--method", "ema:0.1",
+                  "--input", str(bad), "--out", str(out)],
+                 ["trace", "--input", str(bad), "--out", str(out)],
+                 ["ingest-check", str(bad)]):
+        code, err = main_exit(*args)
+        assert code == 1, args
+        err = err.splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            "error: cannot read %s: 'utf-8' codec can't decode" % bad), err
         assert not out.exists(), args
     # trace checks the kind before it builds the predictor, so a method
     # that is not dyal is named as such whatever its parameter
@@ -868,21 +915,6 @@ def test_cli_exit_codes(tmp_path):
                         "ingest-check", "/nonexistent/nope.txt"],
                        capture_output=True, env=env)
     assert r.returncode == 1
-    # a token file that is not UTF-8 is a runtime error too, named in the
-    # one stderr line, and run and trace make no output directory
-    bad = tmp_path / "bad.txt"
-    bad.write_bytes(b"a\n\xff\n")
-    for args in (["run", "--kind", "real-file", "--method", "ema:0.1",
-                  "--input", str(bad), "--out", str(out)],
-                 ["trace", "--input", str(bad), "--out", str(out)],
-                 ["ingest-check", str(bad)]):
-        r = subprocess.run([sys.executable, "-m", "smatrack.cli", *args],
-                           capture_output=True, env=env)
-        assert r.returncode == 1, args
-        err = r.stderr.decode().splitlines()
-        assert len(err) == 1 and err[0].startswith(
-            "error: cannot read %s: 'utf-8' codec can't decode" % bad), err
-        assert not out.exists(), args
     # success
     p = tmp_path / "ok.txt"
     p.write_text("a\n")

@@ -130,8 +130,11 @@ def test_same_stream_same_run(method, stream):
        window=st.one_of(st.none(), st.integers(1, 50)))
 def test_prequential_scores_in_range(kind, data, fc, stream_kind, seed,
                                      c_ns, window):
-    spec = ExperimentSpec(kind=stream_kind, roster=[], seq_len=150,
-                          gen=GenConfig(o_min=2, desired_len=150))
+    # stationary-single does not read o_min, and its stream does not
+    # depend on it
+    gen = {} if stream_kind == "stationary-single" else \
+        {"gen": GenConfig(o_min=2, desired_len=150)}
+    spec = ExperimentSpec(kind=stream_kind, roster=[], seq_len=150, **gen)
     stream = gen_stream(spec, np.random.default_rng(seed))
     pred = make_predictor(kind, data.draw(PARAMS[kind].map(repr)))
     obs = stream.observations
