@@ -9,6 +9,9 @@ with --trace 1 for the per-layer metrics. Each run keeps its "# manifest"
 line, whose git_commit names the tree measured, and its JSON result. The
 file also holds the tier-1 wall time, with pytest's summary line, and the
 line count of src/. Run it with nothing else running on the machine.
+
+It writes no file, and exits 1 naming the run, when a perfbench run is
+not correct or has a failed operation, or when the tier-1 tests fail.
 """
 
 import argparse
@@ -43,7 +46,12 @@ def perfbench(root, workload, seed, trace):
                            check=True).stdout.splitlines()
     manifest = next(json.loads(line.split(" ", 2)[2]) for line in lines
                     if line.startswith("# manifest "))
-    return {"manifest": manifest, "result": json.loads(lines[-1])}
+    result = json.loads(lines[-1])
+    if result["correct"] is not True or result["failed"] != 0:
+        sys.exit("%s --seed %d --trace %d: correct %r, failed %r; no "
+                 "BENCH file written" % (workload, seed, trace,
+                                         result["correct"], result["failed"]))
+    return {"manifest": manifest, "result": result}
 
 
 def tier1(root):
@@ -54,8 +62,12 @@ def tier1(root):
     proc = subprocess.run([sys.executable, "-m", "pytest", "-q",
                            "--continue-on-collection-errors"],
                           cwd=root, env=env, capture_output=True, text=True)
+    summary = (proc.stdout.strip().splitlines() or [""])[-1]
+    if proc.returncode != 0:
+        sys.exit("tier-1 tests exited %d: %s; no BENCH file written"
+                 % (proc.returncode, summary))
     return {"wall_s": round(time.monotonic() - start, 1),
-            "summary": proc.stdout.strip().splitlines()[-1]}
+            "summary": summary}
 
 
 def main():

@@ -8,9 +8,9 @@ file). Exit codes: 0 success, 2 configuration error, 1 runtime error.
 
 import csv
 import sys
+from dataclasses import fields
 
 import click
-import numpy as np
 
 from . import harness, synth
 from .evaluation import sign_test
@@ -76,6 +76,9 @@ def _eval_config(cfg_file, p_min, p_ns, c_ns, referee_window, dev):
     return EvalConfig(**kw)
 
 
+# Each stream option's default is its ExperimentSpec or GenConfig field's.
+_DEFAULT = {f.name: f.default for c in (ExperimentSpec, synth.GenConfig)
+            for f in fields(c)}
 # gen --kind -> the experiment kind whose streams it writes
 _GEN_KINDS = {"binary": "stationary-single", "nonstat": "nonstat-single",
               "multi": "multi-item"}
@@ -85,13 +88,12 @@ def _gen_options(f):
     """Declare the generator options of gen and run, in --help order. A
     command takes them as **gen_opts and hands them to _gen_fields."""
     for option in reversed((
-            click.option("--tp", type=float, default=0.1, show_default=True),
+            click.option("--tp", type=float, default=_DEFAULT["tp"]),
             click.option("--mode", type=click.Choice(["oscillate", "uniform"]),
-                         default="oscillate", show_default=True),
-            click.option("--o-min", type=int, default=50, show_default=True),
-            click.option("--l-min", type=int, default=0, show_default=True),
-            click.option("--p-max", type=float, default=1.0,
-                         show_default=True),
+                         default=_DEFAULT["mode"]),
+            click.option("--o-min", type=int, default=_DEFAULT["o_min"]),
+            click.option("--l-min", type=int, default=_DEFAULT["l_min"]),
+            click.option("--p-max", type=float, default=_DEFAULT["p_max"]),
             click.option("--recycle", is_flag=True))):
         f = option(f)
     return f
@@ -111,7 +113,7 @@ def _gen_fields(kind, seq_len, tp, mode, **gen):
             "gen": synth.GenConfig(**gen)}
 
 
-@click.group()
+@click.group(context_settings={"show_default": True})
 def cli():
     pass
 
@@ -119,17 +121,16 @@ def cli():
 @cli.command()
 @click.option("--kind", type=click.Choice(list(_GEN_KINDS)), required=True)
 @_gen_options
-@click.option("--n", type=click.IntRange(min=1), default=10000,
-              show_default=True,
+@click.option("--n", type=click.IntRange(min=1), default=_DEFAULT["seq_len"],
               help="stream length; for --kind multi a lower bound, as the "
               "last period is not cut.")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=int, default=_DEFAULT["seed"])
 @click.option("--out", type=click.Path(), required=True)
 def gen(kind, n, seed, out, **gen_opts):
     """Generate a synthetic stream: stream.txt plus schedule.csv."""
     spec = ExperimentSpec(roster=[], seed=seed,
                           **_gen_fields(_GEN_KINDS[kind], n, **gen_opts))
-    stream = harness.gen_stream(spec, np.random.default_rng(seed))
+    _, stream = next(harness.streams(spec))
     harness.write_stream(out, stream)
     click.echo("wrote %d observations to %s" % (len(stream.observations),
                                                 out))
@@ -140,11 +141,11 @@ def gen(kind, n, seed, out, **gen_opts):
               required=True)
 @click.option("--method", "methods", multiple=True, required=True,
               help="kind:param, e.g. dyal:0.01; repeatable.")
-@click.option("--n-seqs", type=int, default=50, show_default=True)
-@click.option("--seq-len", type=int, default=10000, show_default=True,
+@click.option("--n-seqs", type=int, default=_DEFAULT["n_seqs"])
+@click.option("--seq-len", type=int, default=_DEFAULT["seq_len"],
               help="sequence length; for multi-item a lower bound, as the "
               "last period is not cut.")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=int, default=_DEFAULT["seed"])
 @_gen_options
 @click.option("--input", "input_path", type=click.Path())
 @click.option("--config", "cfg_file", metavar="PATH",
@@ -180,7 +181,7 @@ def run(kind, methods, n_seqs, seq_len, seed, input_path, cfg_file, p_min,
               type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--a", "method_a", required=True)
 @click.option("--b", "method_b", required=True)
-@click.option("--metric", default="avg_logloss_ns", show_default=True)
+@click.option("--metric", default="avg_logloss_ns")
 def compare(per_seq, method_a, method_b, metric):
     """Paired sign test between two methods from a per_seq.csv."""
     if method_a == method_b:
@@ -222,10 +223,9 @@ def compare(per_seq, method_a, method_b, metric):
 
 @cli.command()
 @click.option("--input", "input_path", type=click.Path(), required=True)
-@click.option("--method", default="dyal:0.01", show_default=True)
+@click.option("--method", default="dyal:0.01")
 @click.option("--self-concat", "concat_k", type=click.IntRange(min=1),
-              default=1, show_default=True,
-              help="repeat the sequence this many times.")
+              default=1, help="repeat the sequence this many times.")
 @click.option("--track-item", type=int, default=None,
               help="also trace this item's estimate.")
 @click.option("--out", type=click.Path(), required=True)

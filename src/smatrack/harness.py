@@ -129,8 +129,8 @@ def self_concat(obs, k, dyal, track_item=None):
 
 
 # kind -> (the item a single-item kind tracks, the fields it reads, gen's
-# by their own names, and its stream maker). A maker looks its generator
-# up in synth when called, so that a wrapper bound there is the one run.
+# by their own names, and its stream maker). A maker looks up its synth
+# generator or ingest_sequence when called, so a wrapper bound there runs.
 _SEEDED = ("n_seqs", "seq_len", "seed")
 _EXPERIMENTS = {
     "stationary-single": (1, _SEEDED + ("tp",), lambda s, rng:
@@ -140,7 +140,8 @@ _EXPERIMENTS = {
     "multi-item": (None, _SEEDED + ("o_min", "l_min", "p_max", "recycle"),
         lambda s, rng: synth.gen_sequence(
             replace(s.gen, desired_len=s.seq_len), rng)),
-    "real-file": (None, ("input_path",), None),
+    "real-file": (None, ("input_path",), lambda s, rng:
+        synth.GeneratedStream(ingest_sequence(s.input_path), None)),
 }
 EXPERIMENT_KINDS = tuple(_EXPERIMENTS)
 
@@ -171,13 +172,14 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
             raise ConfigError("unknown experiment kind: %r" % (self.kind,))
-        if self.n_seqs < 1:
-            raise ConfigError("n_seqs must be >= 1, got %r" % (self.n_seqs,))
-        if self.seq_len < 1:
-            raise ConfigError("seq_len must be >= 1, got %r"
-                              % (self.seq_len,))
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0, got %r" % (self.seed,))
+        for name, low in (("n_seqs", 1), ("seq_len", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < low:
+                raise ConfigError("%s must be an integer >= %d, got %r"
+                                  % (name, low, value))
+        if self.mode not in ("oscillate", "uniform"):
+            raise ConfigError("mode must be 'oscillate' or 'uniform', got %r"
+                              % (self.mode,))
         if self.kind == "real-file" and not self.input_path:
             raise ConfigError("kind 'real-file' needs an input_path")
         unread = unread_fields(self.kind, self.mode)
@@ -187,7 +189,11 @@ class ExperimentSpec:
                                   % (self.kind, f.name))
         object.__setattr__(self, "roster", tuple(self.roster))
         seen = set()
-        for label, pkind, param in self.roster:
+        for entry in self.roster:
+            if not isinstance(entry, (tuple, list)) or len(entry) != 3:
+                raise ConfigError("roster entry %r is not a (label, kind, "
+                                  "param) triple" % (entry,))
+            label, pkind, param = entry
             if label in seen:
                 raise ConfigError("roster label %r appears twice" % (label,))
             seen.add(label)
@@ -220,13 +226,17 @@ def ingest_sequence(path):
     return obs
 
 
-def gen_stream(spec, rng):
-    """One synthetic stream of the spec's kind, drawn with rng. seq_len
-    sets its length, in place of gen.desired_len."""
-    make = _EXPERIMENTS[spec.kind][2]
-    if make is None:
-        raise ConfigError("kind %r does not generate streams" % (spec.kind,))
-    return make(spec, rng)
+def streams(spec):
+    """Yield (seq_id, stream) for each of the spec's sequences, making
+    each stream only when asked. Sequence k is drawn with the rng of
+    SeedSequence(spec.seed, spawn_key=(k,)), which is
+    SeedSequence(spec.seed).spawn(n)[k] for any n > k. real-file reads
+    neither n_seqs nor seed: it yields one stream and gets no rng."""
+    _, read, make = _EXPERIMENTS[spec.kind]
+    for k in range(spec.n_seqs if "n_seqs" in read else 1):
+        rng = np.random.default_rng(np.random.SeedSequence(
+            spec.seed, spawn_key=(k,))) if "seed" in read else None
+        yield k, make(spec, rng)
 
 
 def run_experiment(spec):
@@ -235,17 +245,8 @@ def run_experiment(spec):
     corresponding CSVs when spec.out_dir is set."""
     rows = []  # (seq_id, method, param, metric, value)
     losses_by_method = {}
-
-    if spec.kind == "real-file":
-        seqs = [(0, synth.GeneratedStream(ingest_sequence(spec.input_path),
-                                          None))]
-    else:
-        seeds = np.random.SeedSequence(spec.seed).spawn(spec.n_seqs)
-        seqs = [(k, gen_stream(spec, np.random.default_rng(s)))
-                for k, s in enumerate(seeds)]
-
     ecfg = spec.eval_cfg
-    for seq_id, stream in seqs:
+    for seq_id, stream in streams(spec):
         # Noise marks and per-step truth depend only on the stream.
         obs = stream.observations
         ref = Referee(ecfg.c_ns, ecfg.window)

@@ -416,19 +416,43 @@ def test_experiment_multi_item_has_optimal():
     assert any(m == "optimal" for _s, m, _p, _k, _v in res["rows"])
 
 
+def _sequence_rng(seed, k):
+    """The rng of sequence k: SeedSequence(seed)'s k-th spawned child."""
+    return np.random.default_rng(np.random.SeedSequence(seed).spawn(k + 1)[k])
+
+
 @pytest.mark.parametrize("gen", [None, synth.GenConfig(o_min=3)])
 def test_seq_len_sets_the_multi_item_length(gen):
     # seq_len, not gen.desired_len, sets the length: the stream stops in
     # the first period to reach seq_len (with desired_len it ran past
     # 10,000 observations). None leaves gen at its default.
     kw = {} if gen is None else {"gen": gen}
-    spec = ExperimentSpec(kind="multi-item", roster=[], seq_len=500, **kw)
-    stream = harness.gen_stream(spec, np.random.default_rng(3))
+    spec = ExperimentSpec(kind="multi-item", roster=[], seq_len=500, seed=3,
+                          **kw)
+    _, stream = next(harness.streams(spec))
     cfg = synth.GenConfig(o_min=spec.gen.o_min, desired_len=500)
     assert stream.observations == \
-        synth.gen_sequence(cfg, np.random.default_rng(3)).observations
+        synth.gen_sequence(cfg, _sequence_rng(3, 0)).observations
     assert len(stream.observations) >= 500
     assert stream.schedule.entries[-1][0] <= 500
+
+
+def test_streams_makes_each_stream_when_asked(monkeypatch):
+    # run_experiment scores one sequence before the next is drawn: the
+    # first of three streams is made by one call to the kind's maker.
+    # Sequence k is drawn with the rng of SeedSequence(seed)'s k-th child.
+    track, read, make = harness._EXPERIMENTS["stationary-single"]
+    made = []
+    monkeypatch.setitem(harness._EXPERIMENTS, "stationary-single", (
+        track, read, lambda s, rng: made.append(make(s, rng)) or made[-1]))
+    spec = ExperimentSpec(kind="stationary-single", roster=[], n_seqs=3,
+                          seq_len=50, seed=9)
+    seqs = harness.streams(spec)
+    assert made == []
+    assert next(seqs) == (0, made[0]) and len(made) == 1
+    assert list(seqs) == [(1, made[1]), (2, made[2])]
+    assert [s.observations for s in made] == \
+        [make(spec, _sequence_rng(9, k)).observations for k in range(3)]
 
 
 # A value other than ExperimentSpec's default for each field of the kind
@@ -445,8 +469,8 @@ _OTHER = {"n_seqs": 3, "seq_len": 700, "seed": 5, "tp": 0.7, "mode": "uniform",
 def test_each_kind_reads_the_fields_its_table_entry_names(kind, mode, reads):
     # ExperimentSpec refuses a field the table says the kind does not
     # read, set to a value other than its default, and names it; a field
-    # it reads moves gen_stream's stream. n_seqs and seed act through
-    # run_experiment, which draws each stream's rng from them.
+    # it reads moves the first stream of harness.streams, seed among
+    # them, and n_seqs sets how many streams there are.
     unread = harness.unread_fields(kind, mode)
     assert unread <= set(_OTHER) and len(_OTHER) - len(unread) == reads
     if kind == "real-file":
@@ -463,7 +487,7 @@ def test_each_kind_reads_the_fields_its_table_entry_names(kind, mode, reads):
         return ExperimentSpec(gen=synth.GenConfig(**gen), **kw)
 
     def stream(**changed):
-        made = harness.gen_stream(spec(**changed), np.random.default_rng(11))
+        _, made = next(harness.streams(spec(**changed)))
         return made.observations, made.schedule.entries
 
     for f, v in other.items():
@@ -471,7 +495,9 @@ def test_each_kind_reads_the_fields_its_table_entry_names(kind, mode, reads):
             with pytest.raises(ConfigError) as e:
                 spec(**{f: v})
             assert str(e.value) == "kind %r does not read %s" % (kind, f)
-        elif f not in ("n_seqs", "seed", "input_path"):
+        elif f == "n_seqs":
+            assert sum(1 for _ in harness.streams(spec(n_seqs=v))) == v
+        elif f != "input_path":
             assert stream(**{f: v}) != stream(), f
 
 
@@ -485,10 +511,20 @@ def test_experiment_real_file(tmp_path):
 
 
 def test_experiment_rejects_bad_roster(tmp_path):
-    for roster in ([("x", "nope", "1")], [("x", "ema", "0")],
-                   [("ema:0.1", "ema", "0.1"), ("ema:0.1", "ema", "0.1")]):
-        with pytest.raises(ConfigError):
+    # an entry that is not a (label, kind, param) triple used to fail
+    # with a bare unpacking ValueError
+    for roster, msg in (
+            ([("x", "nope", "1")], "unknown predictor kind: 'nope'"),
+            ([("x", "ema", "0")], "method ema:0: need beta in (0, 1]"),
+            ([("ema:0.1", "ema", "0.1"), ("ema:0.1", "ema", "0.1")],
+             "roster label 'ema:0.1' appears twice"),
+            ([("ema", "0.1")], "roster entry ('ema', '0.1') is not a "
+             "(label, kind, param) triple"),
+            (["ema:0.1"], "roster entry 'ema:0.1' is not a (label, kind, "
+             "param) triple")):
+        with pytest.raises(ConfigError) as e:
             _small_spec(tmp_path, roster=roster)
+        assert str(e.value) == msg
 
 
 def test_experiment_rejects_no_sequences(tmp_path):
@@ -498,13 +534,25 @@ def test_experiment_rejects_no_sequences(tmp_path):
 
 def test_experiment_rejects_bad_inputs(tmp_path):
     # a real-file run without a file used to die in open() with a bare
-    # TypeError, a negative seed in numpy; a field the kind does not
-    # read was ignored
+    # TypeError, a negative or fractional seed or n_seqs and a
+    # fractional seq_len in numpy or a slice, and a mode other than
+    # oscillate and uniform at run time; a field the kind does not read
+    # was ignored
     for kw, msg in (({"kind": "real-file"},
                      "kind 'real-file' needs an input_path"),
                     ({"kind": "real-file", "input_path": ""},
                      "kind 'real-file' needs an input_path"),
-                    ({"seed": -1}, "seed must be >= 0, got -1"),
+                    ({"seed": -1}, "seed must be an integer >= 0, got -1"),
+                    ({"seed": 1.5}, "seed must be an integer >= 0, got 1.5"),
+                    ({"n_seqs": 1.5},
+                     "n_seqs must be an integer >= 1, got 1.5"),
+                    ({"n_seqs": "3"},
+                     "n_seqs must be an integer >= 1, got '3'"),
+                    ({"kind": "nonstat-single", "tp": 0.1, "seq_len": 50.5},
+                     "seq_len must be an integer >= 1, got 50.5"),
+                    ({"kind": "nonstat-single", "tp": 0.1,
+                      "mode": "sideways"}, "mode must be 'oscillate' or "
+                     "'uniform', got 'sideways'"),
                     ({"mode": "uniform"},
                      "kind 'stationary-single' does not read mode"),
                     # tp at its default, which nonstat-single does not read
@@ -562,18 +610,52 @@ def test_cli_gen_and_run_roundtrip(tmp_path):
         {"ema:0.05", "queues:3", "optimal"}
 
 
-@pytest.mark.parametrize("kind", ["binary", "nonstat", "multi"])
-def test_cli_gen_matches_generator(tmp_path, kind):
-    # gen writes the stream and schedule of the matching synth generator;
-    # each kind is given only the options it reads
-    out = tmp_path / "gen"
-    opts = {"binary": ["--tp", "0.2"],
-            "nonstat": ["--mode", "uniform", "--o-min", "5", "--l-min", "20"],
-            "multi": ["--o-min", "5", "--l-min", "20"]}[kind]
-    r = CliRunner().invoke(cli, ["gen", "--kind", kind, *opts, "--n", "400",
-                                 "--seed", "7", "--out", str(out)])
+# gen --kind -> (run --kind, the synth generator it calls, the options
+# of the kind that gen's tests give)
+_GEN_KINDS = {
+    "binary": ("stationary-single", "gen_binary_stationary", ["--tp", "0.2"]),
+    "nonstat": ("nonstat-single", "gen_single_nonstationary",
+                ["--mode", "uniform", "--o-min", "5", "--l-min", "20"]),
+    "multi": ("multi-item", "gen_sequence", ["--o-min", "5", "--l-min", "20"])}
+
+
+@pytest.mark.parametrize("kind", list(_GEN_KINDS))
+def test_cli_gen_writes_sequence_0_of_run(tmp_path, monkeypatch, kind):
+    # gen --seed S writes the stream and schedule that run --seed S
+    # scores as its sequence 0; the synth generator is wrapped to keep
+    # what each command drew
+    run_kind, name, opts = _GEN_KINDS[kind]
+    made = []
+    draw = getattr(synth, name)
+    monkeypatch.setattr(synth, name,
+                        lambda *a: made.append(draw(*a)) or made[-1])
+    runner = CliRunner()
+    r = runner.invoke(cli, ["run", "--kind", run_kind, *opts, "--method",
+                            "ema:0.1", "--n-seqs", "2", "--seq-len", "400",
+                            "--seed", "3", "--out", str(tmp_path / "run")])
     assert r.exit_code == 0, r.output
-    rng = np.random.default_rng(7)
+    assert len(made) == 2
+    harness.write_stream(str(tmp_path / "want"), made[0])
+    r = runner.invoke(cli, ["gen", "--kind", kind, *opts, "--n", "400",
+                            "--seed", "3", "--out", str(tmp_path / "gen")])
+    assert r.exit_code == 0, r.output
+    for f in ("stream.txt", "schedule.csv"):
+        assert (tmp_path / "gen" / f).read_bytes() == \
+            (tmp_path / "want" / f).read_bytes(), f
+
+
+@pytest.mark.parametrize("kind", list(_GEN_KINDS))
+def test_cli_gen_matches_generator(tmp_path, kind):
+    # gen writes sequence 0 of harness.streams: the stream and schedule
+    # of the matching synth generator, drawn with the rng of the first
+    # child of SeedSequence(seed); each kind is given only the options it
+    # reads
+    out = tmp_path / "gen"
+    r = CliRunner().invoke(cli, ["gen", "--kind", kind, *_GEN_KINDS[kind][2],
+                                 "--n", "400", "--seed", "7",
+                                 "--out", str(out)])
+    assert r.exit_code == 0, r.output
+    rng = _sequence_rng(7, 0)
     gcfg = synth.GenConfig(o_min=5, l_min=20, desired_len=400)
     stream = {
         "binary": lambda: synth.gen_binary_stationary(0.2, 400, rng),
@@ -675,14 +757,15 @@ def test_cli_ingest_check(tmp_path):
 @pytest.fixture
 def main_exit(monkeypatch, capfd):
     """A function of argv that runs cli.main() in-process and returns its
-    exit code and its stderr. A run still going after 60 s fails the
-    test."""
+    exit code and its stderr. A run still going after 5 s fails the
+    test: every case exits within a second, and a generator looping
+    forever on an empty period fills memory at about 160 MB/s."""
     def timed_out(signum, frame):
-        pytest.fail("no exit within 60 s")
+        pytest.fail("no exit within 5 s")
 
     def run(*argv):
         monkeypatch.setattr(sys, "argv", ["smatrack", *argv])
-        signal.alarm(60)
+        signal.alarm(5)
         try:
             with pytest.raises(SystemExit) as e:
                 main()
@@ -749,7 +832,7 @@ def test_cli_exit_codes(tmp_path, main_exit):
             ([*ema, "--method", "ema:0.1"],
              "roster label 'ema:0.1' appears twice"),
             ([*ema, "--method", "box:10", "--n-seqs", "0"],
-             "n_seqs must be >= 1, got 0"),
+             "n_seqs must be an integer >= 1, got 0"),
             ([*ema, "--p-ns", "0"], thresholds + "p_ns=0.0, p_min=0.01"),
             ([*ema, "--p-min", "0"], thresholds + "p_ns=0.01, p_min=0.0"),
             ([*ema, "--p-ns", "0.5"], thresholds + "p_ns=0.5, p_min=0.01"),
@@ -759,13 +842,14 @@ def test_cli_exit_codes(tmp_path, main_exit):
             ([*ema, "--d", "0.5"],
              "deviation threshold d must be finite and >= 1, got 0.5"),
             ([*ema, "--kind", "multi-item", "--seq-len", "-5"],
-             "seq_len must be >= 1, got -5"),
+             "seq_len must be an integer >= 1, got -5"),
             ([*ema, "--tp", "0"], "tp must be in (0, 1], got 0.0"),
             ([*ema, "--kind", "nonstat-single", "--o-min", "0"],
              "o_min must be >= 1, got 0"),
             ([*ema, "--kind", "nonstat-single", "--mode", "uniform",
               "--l-min", "-1"], "l_min must be >= 0, got -1"),
-            ([*ema, "--seed", "-1"], "seed must be >= 0, got -1"),
+            ([*ema, "--seed", "-1"],
+             "seed must be an integer >= 0, got -1"),
             (["gen", "--kind", "multi", "--o-min", "0"],
              "o_min must be >= 1, got 0"),
             (["gen", "--kind", "binary", "--tp", "0"],
@@ -777,7 +861,7 @@ def test_cli_exit_codes(tmp_path, main_exit):
             (["gen", "--kind", "binary", "--n", "-5"],
              "Invalid value for '--n': -5 is not in the range x>=1."),
             (["gen", "--kind", "binary", "--seed", "-1"],
-             "seed must be >= 0, got -1"),
+             "seed must be an integer >= 0, got -1"),
             (["run", "--kind", "real-file", "--input", tok, "--method",
               "box:10", "--tp", "0.7", "--o-min", "3", "--mode", "uniform",
               "--n-seqs", "9", "--seed", "4"],

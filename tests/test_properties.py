@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smatrack.harness import (PREDICTOR_KINDS, EvalConfig, ExperimentSpec,
-                              gen_stream, make_predictor, run_prequential)
+                              make_predictor, run_prequential)
+from smatrack.harness import streams as spec_streams
 from smatrack.predictors import EMA_FLOOR, Dyal, Queues
 from smatrack.sd_core import SUM_SLACK
 from smatrack.synth import GenConfig
@@ -134,8 +135,9 @@ def test_prequential_scores_in_range(kind, data, fc, stream_kind, seed,
     # depend on it
     gen = {} if stream_kind == "stationary-single" else \
         {"gen": GenConfig(o_min=2, desired_len=150)}
-    spec = ExperimentSpec(kind=stream_kind, roster=[], seq_len=150, **gen)
-    stream = gen_stream(spec, np.random.default_rng(seed))
+    spec = ExperimentSpec(kind=stream_kind, roster=[], seq_len=150,
+                          seed=seed, **gen)
+    _, stream = next(spec_streams(spec))
     pred = make_predictor(kind, data.draw(PARAMS[kind].map(repr)))
     obs = stream.observations
     ecfg = EvalConfig(fc.p_min, fc.p_ns, c_ns, window)
