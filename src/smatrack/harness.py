@@ -4,13 +4,12 @@ per-sequence, aggregate, sign-test and trace CSVs."""
 
 import csv
 import math
+import numbers
 import os
 import statistics
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field, fields, replace
 from itertools import combinations, repeat
-
-import numpy as np
 
 from . import predictors, synth
 from .evaluation import (Referee, dev_ratio, multidev, optimal_logloss,
@@ -174,7 +173,7 @@ class ExperimentSpec:
             raise ConfigError("unknown experiment kind: %r" % (self.kind,))
         for name, low in (("n_seqs", 1), ("seq_len", 1), ("seed", 0)):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < low:
+            if not isinstance(value, numbers.Integral) or value < low:
                 raise ConfigError("%s must be an integer >= %d, got %r"
                                   % (name, low, value))
         if self.mode not in ("oscillate", "uniform"):
@@ -182,6 +181,8 @@ class ExperimentSpec:
                               % (self.mode,))
         if self.kind == "real-file" and not self.input_path:
             raise ConfigError("kind 'real-file' needs an input_path")
+        if "seed" in _EXPERIMENTS[self.kind][1]:  # so streams() pays no import
+            import numpy.random  # noqa: F401
         unread = unread_fields(self.kind, self.mode)
         for obj, f in ((o, f) for o in (self, self.gen) for f in fields(o)):
             if f.name in unread and getattr(obj, f.name) != f.default:
@@ -231,10 +232,12 @@ def streams(spec):
     each stream only when asked. Sequence k is drawn with the rng of
     SeedSequence(spec.seed, spawn_key=(k,)), which is
     SeedSequence(spec.seed).spawn(n)[k] for any n > k. real-file reads
-    neither n_seqs nor seed: it yields one stream and gets no rng."""
+    neither n_seqs nor seed: it yields one stream and never loads numpy."""
     _, read, make = _EXPERIMENTS[spec.kind]
+    if "seed" in read:
+        from numpy.random import SeedSequence, default_rng
     for k in range(spec.n_seqs if "n_seqs" in read else 1):
-        rng = np.random.default_rng(np.random.SeedSequence(
+        rng = default_rng(SeedSequence(
             spec.seed, spawn_key=(k,))) if "seed" in read else None
         yield k, make(spec, rng)
 

@@ -10,8 +10,6 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .evaluation import Schedule
 from .sd_core import ConfigError
 

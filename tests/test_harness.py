@@ -548,6 +548,10 @@ def test_experiment_rejects_bad_inputs(tmp_path):
                      "n_seqs must be an integer >= 1, got 1.5"),
                     ({"n_seqs": "3"},
                      "n_seqs must be an integer >= 1, got '3'"),
+                    # a whole float is still no integer, numpy's or not
+                    ({"seed": 3.0}, "seed must be an integer >= 0, got 3.0"),
+                    ({"n_seqs": np.float64(3.0)}, "n_seqs must be an "
+                     "integer >= 1, got %r" % (np.float64(3.0),)),
                     ({"kind": "nonstat-single", "tp": 0.1, "seq_len": 50.5},
                      "seq_len must be an integer >= 1, got 50.5"),
                     ({"kind": "nonstat-single", "tp": 0.1,
@@ -564,6 +568,17 @@ def test_experiment_rejects_bad_inputs(tmp_path):
         with pytest.raises(ConfigError) as e:
             _small_spec(tmp_path, **kw)
         assert str(e.value) == msg
+
+
+def test_experiment_accepts_numpy_integers():
+    # numpy's integers are numbers.Integral: they pass the checks and
+    # draw the same streams as Python ints of the same values
+    def observations(n_seqs, seq_len, seed):
+        spec = ExperimentSpec(kind="stationary-single", roster=[],
+                              n_seqs=n_seqs, seq_len=seq_len, seed=seed)
+        return [s.observations for _, s in harness.streams(spec)]
+    assert observations(np.int64(2), np.int64(40), np.int64(5)) == \
+        observations(2, 40, 5)
 
 
 def test_experiment_spec_is_frozen(tmp_path):
@@ -776,6 +791,42 @@ def main_exit(monkeypatch, capfd):
     old = signal.signal(signal.SIGALRM, timed_out)
     yield run
     signal.signal(signal.SIGALRM, old)
+
+
+def test_token_file_commands_need_no_numpy(tmp_path):
+    # run --kind real-file, trace, compare and ingest-check draw no
+    # random number, so they never load numpy. A spec of a kind that
+    # reads seed loads numpy.random when it is made, so that no scored
+    # pass pays for the import.
+    import subprocess
+    params = {"ema": "0.05", "harmonic-ema": "0.01", "queues": "3",
+              "ts-queues": "3", "box": "10", "dyal": "0.01"}
+    assert set(params) == set(harness.PREDICTOR_KINDS)
+    tokens, out = str(tmp_path / "tokens.txt"), str(tmp_path / "run")
+    with open(tokens, "w") as f:
+        f.write("a\nb\na\nc\n" * 50)
+    methods = [a for k, v in params.items() for a in ("--method", k + ":" + v)]
+    argvs = [["ingest-check", tokens],
+             ["run", "--kind", "real-file", "--input", tokens, "--out", out]
+             + methods,
+             ["trace", "--input", tokens, "--self-concat", "2",
+              "--track-item", "0", "--out", str(tmp_path / "trace")],
+             ["compare", "--per-seq", os.path.join(out, "per_seq.csv"),
+              "--a", "ema:0.05", "--b", "dyal:0.01"]]
+    code = ("import sys, smatrack.cli\n"
+            "for argv in %r:\n"
+            "    smatrack.cli.cli.main(argv, standalone_mode=False)\n"
+            "assert 'numpy' not in sys.modules, 'numpy imported'\n"
+            "smatrack.cli.ExperimentSpec(kind='stationary-single', "
+            "roster=[], seed=1)\n"
+            "assert 'numpy.random' in sys.modules, 'numpy.random not "
+            "imported'\n" % (argvs,))
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.startswith("200 observations, 3 unique items\n")
+    assert "ema:0.05 vs dyal:0.01: wins " in r.stdout
+    assert os.path.exists(tmp_path / "trace" / "estimate_trace.csv")
 
 
 def test_cli_exit_codes(tmp_path, main_exit):
