@@ -181,8 +181,8 @@ class ExperimentSpec:
                               % (self.mode,))
         if self.kind == "real-file" and not self.input_path:
             raise ConfigError("kind 'real-file' needs an input_path")
-        if "seed" in _EXPERIMENTS[self.kind][1]:  # so streams() pays no import
-            import numpy.random  # noqa: F401
+        if "seed" in _EXPERIMENTS[self.kind][1]:
+            import numpy.random  # noqa: F401  (here, not in a scored pass)
         unread = unread_fields(self.kind, self.mode)
         for obj, f in ((o, f) for o in (self, self.gen) for f in fields(o)):
             if f.name in unread and getattr(obj, f.name) != f.default:
