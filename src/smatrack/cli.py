@@ -26,14 +26,14 @@ def _parse_method(text):
     return text, kind, param
 
 
-def _read_lines(path, error):
-    """The file's lines, split as csv reads them; error, an exception
-    type, names a file that is not UTF-8."""
+def _read_lines(path):
+    """The file's lines, split as csv reads them; ConfigError names a
+    file that is not UTF-8."""
     try:
         with open(path, newline="", encoding="utf-8") as f:
             return f.readlines()
     except UnicodeDecodeError as e:
-        raise error("cannot read %s: %s" % (path, e))
+        raise ConfigError("cannot read %s: %s" % (path, e))
 
 
 # --config keys and their types; flags of the same names win.
@@ -41,12 +41,15 @@ _CONFIG_KEYS = {"p_min": float, "p_ns": float, "c_ns": int,
                 "referee_window": int}
 
 
-def _read_config_file(path):
-    """Plain key=value lines; blank lines and # comments ignored.
-    ConfigError for a key not in _CONFIG_KEYS or a value of the wrong
-    type."""
+def _load_config(ctx, param, path):
+    """--config's callback: the file's key=value lines become the defaults
+    of the run options of those names, so a flag given still wins. Blank
+    lines and # comments are ignored. ConfigError for a key not in
+    _CONFIG_KEYS or a value of the wrong type."""
+    if path is None:
+        return
     out = {}
-    for line in _read_lines(path, ConfigError):
+    for line in _read_lines(path):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -61,24 +64,12 @@ def _read_config_file(path):
         except ValueError:
             raise ConfigError("config %s=%s: not a valid %s"
                               % (k, v, _CONFIG_KEYS[k].__name__))
-    return out
+    ctx.default_map = out
 
 
-def _eval_config(cfg_file, p_min, p_ns, c_ns, referee_window, dev):
-    """EvalConfig from the --config file's values, overridden by the
-    flags given; EvalConfig's defaults fill in the rest."""
-    kw = _read_config_file(cfg_file) if cfg_file else {}
-    if "referee_window" in kw:
-        kw["window"] = kw.pop("referee_window")
-    flags = {"p_min": p_min, "p_ns": p_ns, "c_ns": c_ns,
-             "window": referee_window, "dev_ds": dev or None}
-    kw.update((k, v) for k, v in flags.items() if v is not None)
-    return EvalConfig(**kw)
-
-
-# Each stream option's default is its ExperimentSpec or GenConfig field's.
-_DEFAULT = {f.name: f.default for c in (ExperimentSpec, synth.GenConfig)
-            for f in fields(c)}
+# Each option's default is its dataclass field's.
+_DEFAULT = {f.name: f.default for c in (ExperimentSpec, synth.GenConfig,
+                                        EvalConfig) for f in fields(c)}
 # gen --kind -> the experiment kind whose streams it writes
 _GEN_KINDS = {"binary": "stationary-single", "nonstat": "nonstat-single",
               "multi": "multi-item"}
@@ -148,26 +139,27 @@ def gen(kind, n, seed, out, **gen_opts):
 @click.option("--seed", type=int, default=_DEFAULT["seed"])
 @_gen_options
 @click.option("--input", "input_path", type=click.Path())
-@click.option("--config", "cfg_file", metavar="PATH",
-              type=click.Path(exists=True, dir_okay=False),
+@click.option("--config", metavar="PATH",
+              type=click.Path(exists=True, dir_okay=False), is_eager=True,
+              expose_value=False, callback=_load_config,
               help="key=value defaults file; flags win.")
-@click.option("--p-min", type=float, default=None)
-@click.option("--p-ns", type=float, default=None)
-@click.option("--c-ns", type=int, default=None)
-@click.option("--referee-window", type=int, default=None)
+@click.option("--p-min", type=float, default=_DEFAULT["p_min"])
+@click.option("--p-ns", type=float, default=_DEFAULT["p_ns"])
+@click.option("--c-ns", type=int, default=_DEFAULT["c_ns"])
+@click.option("--referee-window", type=int, default=_DEFAULT["window"])
 @click.option("--d", "dev", type=float, multiple=True,
+              default=_DEFAULT["dev_ds"],
               help="deviation threshold; repeatable.")
 @click.option("--out", type=click.Path(), required=True)
-def run(kind, methods, n_seqs, seq_len, seed, input_path, cfg_file, p_min,
-        p_ns, c_ns, referee_window, dev, out, **gen_opts):
+def run(kind, methods, n_seqs, seq_len, seed, input_path, p_min, p_ns, c_ns,
+        referee_window, dev, out, **gen_opts):
     """Score a roster of predictors; writes per_seq.csv, aggregate.csv
     and sign_tests.csv."""
     roster = [_parse_method(m) for m in methods]
     spec = ExperimentSpec(
         roster=roster, out_dir=out, n_seqs=n_seqs, seed=seed,
         **_gen_fields(kind, seq_len, **gen_opts),
-        eval_cfg=_eval_config(cfg_file, p_min, p_ns, c_ns, referee_window,
-                              dev),
+        eval_cfg=EvalConfig(p_min, p_ns, c_ns, referee_window, dev),
         input_path=input_path)
     result = harness.run_experiment(spec)
     for method, param, metric, mu, sd in result["aggregates"]:
@@ -187,7 +179,7 @@ def compare(per_seq, method_a, method_b, metric):
     if method_a == method_b:
         raise click.UsageError("--a and --b are both %r" % (method_a,))
     vals = {method_a: {}, method_b: {}}
-    reader = csv.DictReader(_read_lines(per_seq, click.UsageError))
+    reader = csv.DictReader(_read_lines(per_seq))
     for col in ("seq_id", "method", "metric", "value"):
         if col not in (reader.fieldnames or ()):
             raise click.UsageError("%s has no %r column" % (per_seq, col))
@@ -256,12 +248,10 @@ def ingest_check(path):
 
 def main():
     try:
-        cli.main(standalone_mode=False)
+        sys.exit(cli.main(standalone_mode=False))
     except click.UsageError as e:
         click.echo("error: %s" % e.format_message(), err=True)
         sys.exit(2)
-    except click.exceptions.Exit as e:
-        sys.exit(e.exit_code)
     except click.Abort:
         sys.exit(1)
     except ConfigError as e:

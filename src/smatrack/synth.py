@@ -8,6 +8,7 @@ tests can tell the two apart cheaply.
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 from .evaluation import Schedule
@@ -33,11 +34,13 @@ class GenConfig:
             raise ConfigError("p_max must be in (%g, 1], got %r"
                               % (SALIENT_MIN, self.p_max))
         # With no occurrences asked of a period, oscillate mode (which
-        # ignores l_min) would append empty periods forever.
-        if self.o_min < 1:
-            raise ConfigError("o_min must be >= 1, got %r" % (self.o_min,))
-        if self.l_min < 0:
-            raise ConfigError("l_min must be >= 0, got %r" % (self.l_min,))
+        # ignores l_min) would append empty periods forever, as would a
+        # count that is NaN or infinite.
+        for name, low in (("o_min", 1), ("l_min", 0), ("desired_len", 1)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < low:
+                raise ConfigError("%s must be an integer >= %d, got %r"
+                                  % (name, low, value))
 
 
 @dataclass

@@ -832,8 +832,9 @@ def test_token_file_commands_need_no_numpy(tmp_path):
 def test_cli_exit_codes(tmp_path, main_exit):
     import subprocess
     env = dict(os.environ)
-    # Each case exits 2 with one stderr line, the message pinned here,
-    # and makes no --out. First the config errors of run: an unknown
+    # Each row is (argv, exit code, message): cli.main(), run in-process,
+    # exits with that code, "error: " + message is its whole stderr, and
+    # it makes no --out. First the config errors of run: an unknown
     # method kind, out-of-domain parameters, a duplicated label, no
     # sequences, out-of-domain scoring and generator options and a
     # negative seed; then gen's generator options, length and seed. A
@@ -843,204 +844,189 @@ def test_cli_exit_codes(tmp_path, main_exit):
     # named. The three cases after those ran with an option their kind
     # does not read (the base --seq-len 500 for real-file), so they
     # moved to a kind that reads it and still fail for their own
-    # reason. Last, a --config file and a compare --per-seq file that
-    # are not UTF-8 are named, a token file with no tokens is refused by
-    # ingest-check as by run and trace, and compare names the line of a
-    # second row for one sequence and method, refuses one method given
-    # twice, names a --metric that no row holds, and tells methods that
-    # share no sequence apart from that; compare and ingest-check take
-    # no --out. The cases run in-process through cli.main(); the last
-    # three run python -m smatrack.cli, one for each exit code.
+    # reason. Then a --config file and a compare --per-seq file that
+    # are not UTF-8 are named, and compare names a missing column, the
+    # line of a value that does not parse and of a second row for one
+    # sequence and method, refuses one method given twice, names a
+    # --metric that no row holds, and tells methods that share no
+    # sequence apart from that. A directory is refused as --per-seq and
+    # as --config, and so are --config files with a value of the wrong
+    # type, a misspelt key, and a p_min that is in range but below the
+    # default p_ns. A token file with no tokens, empty or blank lines
+    # only, is refused by run, trace and ingest-check (run used to score
+    # a perfect 0.0, and trace to write a header-only trace). trace
+    # refuses a self-concat below 1, a method that is not dyal, a bad
+    # dyal parameter, and a tracked id outside the file's ids (0 and 1
+    # here). Last, a token file that is not UTF-8 is a runtime error
+    # (exit 1) in run, trace and ingest-check. compare and ingest-check
+    # take no --out. The last three cases run python -m smatrack.cli,
+    # one for each exit code.
     out = tmp_path / "x"
     run_ss = ["run", "--kind", "stationary-single", "--seq-len", "500"]
     ema = [*run_ss, "--method", "ema:0.1"]
     thresholds = "scoring thresholds need 0 < p_ns <= p_min < 1, got "
-    tokens = tmp_path / "tok.txt"
-    tokens.write_text("a\nb\na\n")
-    tok = str(tokens)
-    bad_cfg, bad_csv = tmp_path / "latin1.cfg", tmp_path / "latin1.csv"
-    bad_cfg.write_bytes(b"p_ns=0.01\n\xff\n")
-    bad_csv.write_bytes(b"seq_id,method,param,metric,value\n0,\xff,,m,1\n")
-    no_tokens, twice = tmp_path / "no-tokens.txt", tmp_path / "twice.csv"
-    no_tokens.write_text("\n  \n")
-    twice.write_text("seq_id,method,param,metric,value\n"
-                     "0,a,,avg_logloss_ns,0.5\n0,b,,avg_logloss_ns,0.6\n"
-                     "0,a,,avg_logloss_ns,0.7\n")
-    apart = tmp_path / "apart.csv"
-    apart.write_text("seq_id,method,param,metric,value\n"
-                     "0,a,,avg_logloss_ns,0.5\n1,b,,avg_logloss_ns,0.6\n")
-    for args, msg in (
-            ([*run_ss, "--method", "bogus:1"],
+    decode = "cannot read %s: 'utf-8' codec can't decode byte 0xff in " \
+        "position %d: invalid start byte"
+
+    def write(name, data):
+        path = tmp_path / name
+        if isinstance(data, str):
+            data = data.encode()
+        path.write_bytes(data)
+        return str(path)
+
+    tok = write("tok.txt", "a\nb\na\n")
+    run_tok = ["run", "--kind", "real-file", "--input", tok, "--method",
+               "ema:0.1"]
+    trace = ["trace", "--input", tok]
+    bad_cfg = write("latin1.cfg", b"p_ns=0.01\n\xff\n")
+    bad_csv = write("latin1.csv",
+                    b"seq_id,method,param,metric,value\n0,\xff,,m,1\n")
+    header = "seq_id,method,param,metric,value\n"
+    twice = write("twice.csv", header + "0,a,,avg_logloss_ns,0.5\n"
+                  "0,b,,avg_logloss_ns,0.6\n0,a,,avg_logloss_ns,0.7\n")
+    apart = write("apart.csv", header + "0,a,,avg_logloss_ns,0.5\n"
+                  "1,b,,avg_logloss_ns,0.6\n")
+    no_metric = write("no-metric.csv", "seq_id,method,value\n0,a,1.0\n")
+    oops = write("oops.csv", header + "0,a,,avg_logloss_ns,1.0\n"
+                 "0,b,,avg_logloss_ns,oops\n")
+    empty, blank = write("empty.txt", ""), write("blank.txt", "\n  \n\n")
+    bad = write("bad.txt", b"a\n\xff\n")
+    for args, code, msg in (
+            ([*run_ss, "--method", "bogus:1"], 2,
              "unknown predictor kind: 'bogus'"),
-            ([*run_ss, "--method", "ema:abc"],
+            ([*run_ss, "--method", "ema:abc"], 2,
              "method ema:abc: need beta in (0, 1]"),
-            ([*run_ss, "--method", "queues:0"],
+            ([*run_ss, "--method", "queues:0"], 2,
              "method queues:0: need integer qcap >= 2"),
-            ([*run_ss, "--method", "ema:0"],
+            ([*run_ss, "--method", "ema:0"], 2,
              "method ema:0: need beta in (0, 1]"),
-            ([*run_ss, "--method", "dyal:-1"],
+            ([*run_ss, "--method", "dyal:-1"], 2,
              "method dyal:-1: need beta_min in [0, 1]"),
-            ([*ema, "--method", "ema:0.1"],
+            ([*ema, "--method", "ema:0.1"], 2,
              "roster label 'ema:0.1' appears twice"),
-            ([*ema, "--method", "box:10", "--n-seqs", "0"],
+            ([*ema, "--method", "box:10", "--n-seqs", "0"], 2,
              "n_seqs must be an integer >= 1, got 0"),
-            ([*ema, "--p-ns", "0"], thresholds + "p_ns=0.0, p_min=0.01"),
-            ([*ema, "--p-min", "0"], thresholds + "p_ns=0.01, p_min=0.0"),
-            ([*ema, "--p-ns", "0.5"], thresholds + "p_ns=0.5, p_min=0.01"),
-            ([*ema, "--referee-window", "0"],
+            ([*ema, "--p-ns", "0"], 2, thresholds + "p_ns=0.0, p_min=0.01"),
+            ([*ema, "--p-min", "0"], 2, thresholds + "p_ns=0.01, p_min=0.0"),
+            ([*ema, "--p-ns", "0.5"], 2,
+             thresholds + "p_ns=0.5, p_min=0.01"),
+            ([*ema, "--referee-window", "0"], 2,
              "referee window must be an integer >= 1, got 0"),
-            ([*ema, "--c-ns", "-1"], "c_ns must be >= 0, got -1"),
-            ([*ema, "--d", "0.5"],
+            ([*ema, "--c-ns", "-1"], 2, "c_ns must be >= 0, got -1"),
+            ([*ema, "--d", "0.5"], 2,
              "deviation threshold d must be finite and >= 1, got 0.5"),
-            ([*ema, "--kind", "multi-item", "--seq-len", "-5"],
+            ([*ema, "--kind", "multi-item", "--seq-len", "-5"], 2,
              "seq_len must be an integer >= 1, got -5"),
-            ([*ema, "--tp", "0"], "tp must be in (0, 1], got 0.0"),
-            ([*ema, "--kind", "nonstat-single", "--o-min", "0"],
-             "o_min must be >= 1, got 0"),
+            ([*ema, "--tp", "0"], 2, "tp must be in (0, 1], got 0.0"),
+            ([*ema, "--kind", "nonstat-single", "--o-min", "0"], 2,
+             "o_min must be an integer >= 1, got 0"),
             ([*ema, "--kind", "nonstat-single", "--mode", "uniform",
-              "--l-min", "-1"], "l_min must be >= 0, got -1"),
-            ([*ema, "--seed", "-1"],
+              "--l-min", "-1"], 2, "l_min must be an integer >= 0, got -1"),
+            ([*ema, "--seed", "-1"], 2,
              "seed must be an integer >= 0, got -1"),
-            (["gen", "--kind", "multi", "--o-min", "0"],
-             "o_min must be >= 1, got 0"),
-            (["gen", "--kind", "binary", "--tp", "0"],
+            (["gen", "--kind", "multi", "--o-min", "0"], 2,
+             "o_min must be an integer >= 1, got 0"),
+            (["gen", "--kind", "binary", "--tp", "0"], 2,
              "tp must be in (0, 1], got 0.0"),
-            (["gen", "--kind", "multi", "--p-max", "0"],
+            (["gen", "--kind", "multi", "--p-max", "0"], 2,
              "p_max must be in (0.01, 1], got 0.0"),
-            (["gen", "--kind", "multi", "--n", "0"],
+            (["gen", "--kind", "multi", "--n", "0"], 2,
              "Invalid value for '--n': 0 is not in the range x>=1."),
-            (["gen", "--kind", "binary", "--n", "-5"],
+            (["gen", "--kind", "binary", "--n", "-5"], 2,
              "Invalid value for '--n': -5 is not in the range x>=1."),
-            (["gen", "--kind", "binary", "--seed", "-1"],
+            (["gen", "--kind", "binary", "--seed", "-1"], 2,
              "seed must be an integer >= 0, got -1"),
             (["run", "--kind", "real-file", "--input", tok, "--method",
               "box:10", "--tp", "0.7", "--o-min", "3", "--mode", "uniform",
-              "--n-seqs", "9", "--seed", "4"],
+              "--n-seqs", "9", "--seed", "4"], 2,
              "--n-seqs is not read by --kind real-file"),
             (["run", "--kind", "multi-item", "--input", tok, "--method",
-              "box:10", "--tp", "0.7", "--mode", "uniform"],
+              "box:10", "--tp", "0.7", "--mode", "uniform"], 2,
              "--tp is not read by --kind multi-item"),
             (["gen", "--kind", "binary", "--o-min", "3", "--recycle",
-              "--p-max", "0.5"], "--o-min is not read by --kind binary"),
+              "--p-max", "0.5"], 2, "--o-min is not read by --kind binary"),
             (["run", "--kind", "nonstat-single", "--method", "box:10",
-              "--l-min", "50"],
+              "--l-min", "50"], 2,
              "--l-min is not read by --kind nonstat-single"),
             (["run", "--kind", "multi-item", "--method", "box:10",
-              "--input", tok], "--input is not read by --kind multi-item"),
+              "--input", tok], 2,
+             "--input is not read by --kind multi-item"),
             (["run", "--kind", "real-file", "--input", tok, "--method",
-              "box:10", "--tp", "0.7"],
+              "box:10", "--tp", "0.7"], 2,
              "--tp is not read by --kind real-file"),
             (["run", "--kind", "multi-item", "--seq-len", "500", "--method",
-              "ema:0.1", "--p-max", "0"], "p_max must be in (0.01, 1]"),
-            (["run", "--kind", "real-file", "--method", "ema:0.1"],
+              "ema:0.1", "--p-max", "0"], 2,
+             "p_max must be in (0.01, 1], got 0.0"),
+            (["run", "--kind", "real-file", "--method", "ema:0.1"], 2,
              "kind 'real-file' needs an input_path"),
             (["gen", "--kind", "nonstat", "--mode", "uniform", "--l-min",
-              "-1"], "l_min must be >= 0"),
-            (["run", "--kind", "real-file", "--input", tok, "--method",
-              "box:10", "--config", str(bad_cfg)],
-             "cannot read %s: 'utf-8' codec can't decode" % bad_cfg),
-            (["compare", "--per-seq", str(bad_csv), "--a", "a", "--b", "b"],
-             "cannot read %s: 'utf-8' codec can't decode" % bad_csv),
-            (["ingest-check", str(no_tokens)],
-             "%s holds no tokens" % no_tokens),
-            (["compare", "--per-seq", str(twice), "--a", "a", "--b", "b"],
+              "-1"], 2, "l_min must be an integer >= 0, got -1"),
+            ([*run_tok, "--config", bad_cfg], 2, decode % (bad_cfg, 10)),
+            (["compare", "--per-seq", bad_csv, "--a", "a", "--b", "b"], 2,
+             decode % (bad_csv, 35)),
+            (["compare", "--per-seq", no_metric, "--a", "a", "--b", "b"], 2,
+             "%s has no 'metric' column" % no_metric),
+            (["compare", "--per-seq", oops, "--a", "a", "--b", "b"], 2,
+             "%s line 3: seq_id '0', value 'oops': need an integer and a "
+             "number" % oops),
+            (["compare", "--per-seq", twice, "--a", "a", "--b", "b"], 2,
              "%s line 4: a second avg_logloss_ns row for seq 0, method a"
              % twice),
-            (["compare", "--per-seq", str(twice), "--a", "a", "--b", "a"],
+            (["compare", "--per-seq", twice, "--a", "a", "--b", "a"], 2,
              "--a and --b are both 'a'"),
-            (["compare", "--per-seq", str(twice), "--a", "a", "--b", "b",
-              "--metric", "avg_quad"], "%s has no avg_quad rows" % twice),
-            (["compare", "--per-seq", str(apart), "--a", "a", "--b", "b"],
-             "no common sequences for those methods")):
-        if args[0] in ("gen", "run"):
+            (["compare", "--per-seq", twice, "--a", "a", "--b", "b",
+              "--metric", "avg_quad"], 2, "%s has no avg_quad rows" % twice),
+            (["compare", "--per-seq", apart, "--a", "a", "--b", "b"], 2,
+             "no common sequences for those methods"),
+            (["compare", "--per-seq", str(tmp_path), "--a", "a", "--b", "b"],
+             2, "Invalid value for '--per-seq': File '%s' is a directory."
+             % tmp_path),
+            ([*run_tok, "--config", str(tmp_path)], 2,
+             "Invalid value for '--config': File '%s' is a directory."
+             % tmp_path),
+            ([*run_tok, "--config", write("abc.cfg", "p_ns=abc\n")], 2,
+             "config p_ns=abc: not a valid float"),
+            ([*run_tok, "--config", write("frac.cfg", "c_ns=2.5\n")], 2,
+             "config c_ns=2.5: not a valid int"),
+            ([*run_tok, "--config", write("key.cfg", "pns=0.5\n")], 2,
+             "config key 'pns': must be one of p_min, p_ns, c_ns, "
+             "referee_window"),
+            ([*run_tok, "--config", write("low.cfg", "p_min=0.005\n")], 2,
+             thresholds + "p_ns=0.01, p_min=0.005"),
+            ([*run_tok[:4], empty, *run_tok[5:]], 2,
+             "%s holds no tokens" % empty),
+            (["trace", "--input", empty], 2, "%s holds no tokens" % empty),
+            (["ingest-check", empty], 2, "%s holds no tokens" % empty),
+            ([*run_tok[:4], blank, *run_tok[5:]], 2,
+             "%s holds no tokens" % blank),
+            (["trace", "--input", blank], 2, "%s holds no tokens" % blank),
+            (["ingest-check", blank], 2, "%s holds no tokens" % blank),
+            ([*trace, "--self-concat", "0"], 2,
+             "Invalid value for '--self-concat': 0 is not in the range "
+             "x>=1."),
+            ([*trace, "--self-concat", "-2"], 2,
+             "Invalid value for '--self-concat': -2 is not in the range "
+             "x>=1."),
+            ([*trace, "--method", "ema:0.01"], 2,
+             "rate traces require a dyal method"),
+            ([*trace, "--method", "dyal:abc"], 2,
+             "method dyal:abc: need beta_min in [0, 1]"),
+            ([*trace, "--track-item", "-1"], 2,
+             "--track-item -1: the file's ids are 0 to 1"),
+            ([*trace, "--track-item", "2"], 2,
+             "--track-item 2: the file's ids are 0 to 1"),
+            ([*run_tok[:4], bad, *run_tok[5:]], 1, decode % (bad, 2)),
+            (["trace", "--input", bad], 1, decode % (bad, 2)),
+            (["ingest-check", bad], 1, decode % (bad, 2))):
+        if args[0] in ("gen", "run", "trace"):
             args = [*args, "--out", str(out)]
-        code, err = main_exit(*args)
-        assert code == 2, args
-        err = err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: " + msg), err
-        assert not out.exists(), args
-    # compare: a CSV without the needed columns, a non-numeric value
-    for i, text in enumerate(("seq_id,method,value\n0,a,1.0\n",
-                              "seq_id,method,param,metric,value\n"
-                              "0,a,,avg_logloss_ns,1.0\n"
-                              "0,b,,avg_logloss_ns,oops\n")):
-        per_seq = tmp_path / ("bad%d.csv" % i)
-        per_seq.write_text(text)
-        code, err = main_exit("compare", "--per-seq", str(per_seq),
-                              "--a", "a", "--b", "b")
-        assert code == 2, text
-        err = err.strip().splitlines()
-        assert len(err) == 1, text
-        assert ("'metric' column" if i == 0 else "line 3") in err[0], err
-    # a directory where a file is wanted: --per-seq and --config
-    code, err = main_exit("compare", "--per-seq", str(tmp_path), "--a", "a",
-                          "--b", "b")
-    assert code == 2
-    assert len(err.strip().splitlines()) == 1
-    code, err = main_exit("run", "--kind", "real-file", "--input", tok,
-                          "--method", "ema:0.1", "--config", str(tmp_path),
-                          "--out", str(out))
-    assert code == 2
-    assert len(err.strip().splitlines()) == 1
-    assert not out.exists()
-    # config files: a value of the wrong type, a misspelt key, and a
-    # p_min that is in range but below the default p_ns
-    for i, text in enumerate(("p_ns=abc\n", "c_ns=2.5\n", "pns=0.5\n",
-                              "p_min=0.005\n")):
-        cfg = tmp_path / ("bad%d.cfg" % i)
-        cfg.write_text(text)
-        code, err = main_exit("run", "--kind", "real-file", "--input", tok,
-                              "--method", "ema:0.1", "--config", str(cfg),
-                              "--out", str(tmp_path / "x"))
-        assert code == 2, text
-        assert len(err.strip().splitlines()) == 1, text
-        assert not (tmp_path / "x").exists(), text
-    # a token file with no tokens, empty or blank lines only: run and
-    # trace fail before the output directory is made (it used to score a
-    # perfect 0.0, or write a header-only trace)
-    empty, blank = tmp_path / "empty.txt", tmp_path / "blank.txt"
-    empty.write_text("")
-    blank.write_text("\n  \n\n")
-    out = tmp_path / "x"
-    for path in (empty, blank):
-        for args in (["run", "--kind", "real-file", "--method", "ema:0.1"],
-                     ["trace"]):
-            code, err = main_exit(*args, "--input", str(path),
-                                  "--out", str(out))
-            assert code == 2, (path, args)
-            err = err.strip().splitlines()
-            assert len(err) == 1 and "no tokens" in err[0], (path, args)
-            assert not out.exists(), (path, args)
-    # trace: a self-concat below 1, a method that is not dyal, a bad
-    # dyal parameter, and a tracked id outside the file's ids (0 and 1
-    # here) fail before the output directory is made
-    for args in (["--self-concat", "0"], ["--self-concat", "-2"],
-                 ["--method", "ema:0.01"], ["--method", "dyal:abc"],
-                 ["--track-item", "-1"], ["--track-item", "2"]):
-        out = tmp_path / "trace-out"
-        code, err = main_exit("trace", "--input", tok, *args,
-                              "--out", str(out))
-        assert code == 2, args
-        assert len(err.strip().splitlines()) == 1, args
-        assert not out.exists(), args
-    # a token file that is not UTF-8 is a runtime error, named in the
-    # one stderr line, and run and trace make no output directory
-    bad = tmp_path / "bad.txt"
-    bad.write_bytes(b"a\n\xff\n")
-    for args in (["run", "--kind", "real-file", "--method", "ema:0.1",
-                  "--input", str(bad), "--out", str(out)],
-                 ["trace", "--input", str(bad), "--out", str(out)],
-                 ["ingest-check", str(bad)]):
-        code, err = main_exit(*args)
-        assert code == 1, args
-        err = err.splitlines()
-        assert len(err) == 1 and err[0].startswith(
-            "error: cannot read %s: 'utf-8' codec can't decode" % bad), err
+        assert main_exit(*args) == (code, "error: %s\n" % msg), args
         assert not out.exists(), args
     # trace checks the kind before it builds the predictor, so a method
     # that is not dyal is named as such whatever its parameter
     r = subprocess.run([sys.executable, "-m", "smatrack.cli", "trace",
-                        "--input", str(tokens), "--method", "ema:5",
+                        "--input", tok, "--method", "ema:5",
                         "--out", str(out)], capture_output=True, env=env)
     assert r.returncode == 2
     assert r.stderr.decode() == "error: rate traces require a dyal method\n"
@@ -1072,13 +1058,27 @@ def test_cli_config_file_defaults(tmp_path):
 
 
 def test_eval_config_file_then_flags(tmp_path):
-    # the file's values replace EvalConfig's defaults, and the flags
-    # given replace the file's
-    from smatrack.cli import _eval_config
+    # run --config: the file's values replace EvalConfig's defaults, and
+    # the flags given replace the file's; either way, run writes what the
+    # same values given as flags write
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("p_ns=0.001\nc_ns=1\nreferee_window=50\n")
-    assert _eval_config(None, None, None, None, None, ()) == EvalConfig()
-    assert _eval_config(str(cfg), None, None, None, None, ()) == \
-        EvalConfig(p_ns=0.001, c_ns=1, window=50)
-    assert _eval_config(str(cfg), 0.05, 0.02, 3, 7, (1.2,)) == \
-        EvalConfig(p_min=0.05, p_ns=0.02, c_ns=3, window=7, dev_ds=(1.2,))
+    base = ["run", "--kind", "stationary-single", "--tp", "0.05",
+            "--n-seqs", "2", "--seq-len", "400", "--method", "ema:0.05",
+            "--method", "dyal:0.01"]
+    outs = []
+
+    def per_seq(*args):
+        outs.append(tmp_path / ("run%d" % len(outs)))
+        r = CliRunner().invoke(cli, [*base, *args, "--out", str(outs[-1])])
+        assert r.exit_code == 0, r.output
+        return (outs[-1] / "per_seq.csv").read_bytes()
+
+    from_file = per_seq("--config", str(cfg))
+    assert from_file != per_seq()
+    assert from_file == per_seq("--p-ns", "0.001", "--c-ns", "1",
+                                "--referee-window", "50")
+    assert per_seq("--config", str(cfg), "--p-min", "0.05", "--p-ns",
+                   "0.02", "--c-ns", "3", "--d", "1.2") == \
+        per_seq("--p-min", "0.05", "--p-ns", "0.02", "--c-ns", "3",
+                "--referee-window", "50", "--d", "1.2")

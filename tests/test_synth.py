@@ -160,11 +160,20 @@ def test_gen_config_is_frozen():
 
 def test_gen_config_rejects_empty_periods():
     # o_min = 0 lets a period end before it starts, so the generators
-    # would append empty periods forever; l_min cannot be negative
+    # would append empty periods forever; l_min cannot be negative. A
+    # count that is NaN or infinite would loop forever too, so each count
+    # must be an integer; numpy integers pass.
     for kw in ({"o_min": 0}, {"o_min": -3}, {"o_min": 0, "l_min": 100},
                {"l_min": -1}):
         with pytest.raises(ConfigError):
             GenConfig(**kw)
+    for name, low in (("o_min", 1), ("l_min", 0), ("desired_len", 1)):
+        for bad in (math.nan, math.inf, -math.inf, 1.5, 2.0):
+            with pytest.raises(ConfigError) as e:
+                GenConfig(**{name: bad})
+            assert str(e.value) == "%s must be an integer >= %d, got %r" \
+                % (name, low, bad)
+        assert getattr(GenConfig(**{name: np.int64(3)}), name) == 3
     # domain edges
     cfg = GenConfig(o_min=1, l_min=0, desired_len=50)
     rng = np.random.default_rng(0)
