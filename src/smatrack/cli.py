@@ -59,6 +59,8 @@ def _load_config(ctx, param, path):
         if k not in _CONFIG_KEYS:
             raise ConfigError("config key %r: must be one of %s"
                               % (k, ", ".join(_CONFIG_KEYS)))
+        if k in out:
+            raise ConfigError("config key %r appears twice" % (k,))
         try:
             out[k] = _CONFIG_KEYS[k](v)
         except ValueError:
@@ -70,15 +72,17 @@ def _load_config(ctx, param, path):
 # Each option's default is its dataclass field's.
 _DEFAULT = {f.name: f.default for c in (ExperimentSpec, synth.GenConfig,
                                         EvalConfig) for f in fields(c)}
-# gen --kind -> the experiment kind whose streams it writes
-_GEN_KINDS = {"binary": "stationary-single", "nonstat": "nonstat-single",
-              "multi": "multi-item"}
 
 
-def _gen_options(f):
-    """Declare the generator options of gen and run, in --help order. A
-    command takes them as **gen_opts and hands them to _gen_fields."""
+def _stream_options(f):
+    """Declare the stream options of gen and run, in --help order. A
+    command takes them as keyword arguments and hands them to
+    _stream_fields."""
     for option in reversed((
+            click.option("--seq-len", type=int, default=_DEFAULT["seq_len"],
+                         help="sequence length; for multi-item a lower "
+                         "bound, as the last period is not cut."),
+            click.option("--seed", type=int, default=_DEFAULT["seed"]),
             click.option("--tp", type=float, default=_DEFAULT["tp"]),
             click.option("--mode", type=click.Choice(["oscillate", "uniform"]),
                          default=_DEFAULT["mode"]),
@@ -90,7 +94,7 @@ def _gen_options(f):
     return f
 
 
-def _gen_fields(kind, seq_len, tp, mode, **gen):
+def _stream_fields(kind, seq_len, seed, tp, mode, **gen):
     """The ExperimentSpec fields that the stream options set; UsageError
     for the first option given, in --help order, that kind does not read."""
     ctx = click.get_current_context()
@@ -99,9 +103,9 @@ def _gen_fields(kind, seq_len, tp, mode, **gen):
         if p.name in unread and ctx.get_parameter_source(p.name) is \
                 click.core.ParameterSource.COMMANDLINE:
             raise click.UsageError("%s is not read by --kind %s"
-                                   % (p.opts[0], ctx.params["kind"]))
-    return {"kind": kind, "seq_len": seq_len, "tp": tp, "mode": mode,
-            "gen": synth.GenConfig(**gen)}
+                                   % (p.opts[0], kind))
+    return {"kind": kind, "seq_len": seq_len, "seed": seed, "tp": tp,
+            "mode": mode, "gen": synth.GenConfig(**gen)}
 
 
 @click.group(context_settings={"show_default": True})
@@ -110,21 +114,17 @@ def cli():
 
 
 @cli.command()
-@click.option("--kind", type=click.Choice(list(_GEN_KINDS)), required=True)
-@_gen_options
-@click.option("--n", type=click.IntRange(min=1), default=_DEFAULT["seq_len"],
-              help="stream length; for --kind multi a lower bound, as the "
-              "last period is not cut.")
-@click.option("--seed", type=int, default=_DEFAULT["seed"])
+@click.option("--kind", required=True, type=click.Choice(
+    [k for k in harness.EXPERIMENT_KINDS if k != "real-file"]))
+@_stream_options
 @click.option("--out", type=click.Path(), required=True)
-def gen(kind, n, seed, out, **gen_opts):
-    """Generate a synthetic stream: stream.txt plus schedule.csv."""
-    spec = ExperimentSpec(roster=[], seed=seed,
-                          **_gen_fields(_GEN_KINDS[kind], n, **gen_opts))
-    _, stream = next(harness.streams(spec))
-    harness.write_stream(out, stream)
-    click.echo("wrote %d observations to %s" % (len(stream.observations),
-                                                out))
+def gen(out, **stream):
+    """Generate a synthetic stream: stream.txt plus schedule.csv. It is
+    sequence 0 of what run scores with the same stream options."""
+    spec = ExperimentSpec(roster=[], **_stream_fields(**stream))
+    _, made = next(harness.streams(spec))
+    harness.write_stream(out, made)
+    click.echo("wrote %d observations to %s" % (len(made.observations), out))
 
 
 @cli.command()
@@ -133,11 +133,7 @@ def gen(kind, n, seed, out, **gen_opts):
 @click.option("--method", "methods", multiple=True, required=True,
               help="kind:param, e.g. dyal:0.01; repeatable.")
 @click.option("--n-seqs", type=int, default=_DEFAULT["n_seqs"])
-@click.option("--seq-len", type=int, default=_DEFAULT["seq_len"],
-              help="sequence length; for multi-item a lower bound, as the "
-              "last period is not cut.")
-@click.option("--seed", type=int, default=_DEFAULT["seed"])
-@_gen_options
+@_stream_options
 @click.option("--input", "input_path", type=click.Path())
 @click.option("--config", metavar="PATH",
               type=click.Path(exists=True, dir_okay=False), is_eager=True,
@@ -151,14 +147,13 @@ def gen(kind, n, seed, out, **gen_opts):
               default=_DEFAULT["dev_ds"],
               help="deviation threshold; repeatable.")
 @click.option("--out", type=click.Path(), required=True)
-def run(kind, methods, n_seqs, seq_len, seed, input_path, p_min, p_ns, c_ns,
-        referee_window, dev, out, **gen_opts):
+def run(methods, n_seqs, input_path, p_min, p_ns, c_ns, referee_window, dev,
+        out, **stream):
     """Score a roster of predictors; writes per_seq.csv, aggregate.csv
     and sign_tests.csv."""
     roster = [_parse_method(m) for m in methods]
     spec = ExperimentSpec(
-        roster=roster, out_dir=out, n_seqs=n_seqs, seed=seed,
-        **_gen_fields(kind, seq_len, **gen_opts),
+        roster=roster, out_dir=out, n_seqs=n_seqs, **_stream_fields(**stream),
         eval_cfg=EvalConfig(p_min, p_ns, c_ns, referee_window, dev),
         input_path=input_path)
     result = harness.run_experiment(spec)

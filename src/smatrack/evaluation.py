@@ -3,6 +3,7 @@ quadratic loss, deviation rates, the optimal-loss oracle, and paired
 sign tests."""
 
 import math
+import numbers
 
 from .predictors import Box
 from .sd_core import SUM_SLACK, ConfigError, FcConfig, filter_cap
@@ -14,8 +15,9 @@ class Referee:
     counts cover only the last W observations, kept by a Box(W)."""
 
     def __init__(self, c_ns=2, window=None):
-        if not c_ns >= 0:
-            raise ConfigError("c_ns must be >= 0, got %r" % (c_ns,))
+        if not (isinstance(c_ns, numbers.Integral) and c_ns >= 0):
+            raise ConfigError("c_ns must be an integer >= 0, got %r"
+                              % (c_ns,))
         try:
             self._box = None if window is None else Box(window)
         except ValueError:

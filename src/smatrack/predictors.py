@@ -137,16 +137,14 @@ class Queues:
     Two disjoint maps hold the queues: first maps an item seen once (so
     far) to that stamp, and q_map holds the queues of 2 or more stamps.
     An item moves to q_map on its second sighting. On an open-ended
-    stream most items are seen once, and predict() walks only q_map.
-    prune_every=None turns the prune off."""
+    stream most items are seen once, and predict() walks only q_map."""
 
     def __init__(self, qcap=3, s1=100, s2=100000, prune_every=1000):
         _need(isinstance(qcap, numbers.Integral) and qcap >= 2,
               "integer qcap >= 2")
         _need(_is_count(s1), "integer s1 >= 1")
         _need(_is_count(s2), "integer s2 >= 1")
-        _need(prune_every is None or _is_count(prune_every),
-              "integer prune_every >= 1, or None")
+        _need(_is_count(prune_every), "integer prune_every >= 1")
         self.qcap = qcap
         self.s1 = s1
         self.s2 = s2
@@ -189,7 +187,7 @@ class Queues:
                 self.first[o] = c
             else:
                 self.q_map[o] = [c, stamp]
-        if self.prune_every and c % self.prune_every == 0:
+        if c % self.prune_every == 0:
             return self.prune()
         return ()
 

@@ -336,7 +336,7 @@ def test_c10_pr_spread_bounds():
 
     ok_q2 = True
     for seq in _spread_traces(rng, 10000):
-        s = Queues(qcap=2, prune_every=None)
+        s = Queues(qcap=2, prune_every=10 ** 6)  # no prune in a trace
         for o in seq:
             s.update(o)
             pred = s.predict()

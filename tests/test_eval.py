@@ -67,15 +67,18 @@ def test_referee_rejects_window_below_one():
 
 
 def test_referee_rejects_negative_c_ns():
-    # c_ns = -1 would mark nothing as noise; EvalConfig's check is this
-    # one, with the message the CLI prints
-    for c_ns in (-1, math.nan):
+    # c_ns = -1 would mark nothing as noise, and inf every observation;
+    # c_ns counts occurrences, so it is an integer. EvalConfig's check is
+    # this one, with the message the CLI prints
+    for c_ns in (-1, math.nan, 2.5, math.inf):
         with pytest.raises(ConfigError) as e:
             Referee(c_ns=c_ns)
-        assert str(e.value) == "c_ns must be >= 0, got %r" % c_ns
-    with pytest.raises(ConfigError) as e:
-        EvalConfig(c_ns=-1)
-    assert str(e.value) == "c_ns must be >= 0, got -1"
+        assert str(e.value) == "c_ns must be an integer >= 0, got %r" % c_ns
+    for c_ns in (-1, 2.5, math.inf):
+        with pytest.raises(ConfigError) as e:
+            EvalConfig(c_ns=c_ns)
+        assert str(e.value) == "c_ns must be an integer >= 0, got %r" % c_ns
+    assert Referee(c_ns=np.int64(0)).is_ns(5)
     with pytest.raises(ConfigError) as e:
         EvalConfig(window=0)
     assert str(e.value) == "referee window must be an integer >= 1, got 0"

@@ -607,8 +607,9 @@ def test_experiment_rejects_bad_kind(tmp_path):
 def test_cli_gen_and_run_roundtrip(tmp_path):
     runner = CliRunner()
     gen_dir = str(tmp_path / "gen")
-    r = runner.invoke(cli, ["gen", "--kind", "binary", "--tp", "0.2",
-                            "--n", "300", "--seed", "1", "--out", gen_dir])
+    r = runner.invoke(cli, ["gen", "--kind", "stationary-single", "--tp",
+                            "0.2", "--seq-len", "300", "--seed", "1",
+                            "--out", gen_dir])
     assert r.exit_code == 0, r.output
     assert os.path.exists(os.path.join(gen_dir, "stream.txt"))
     assert os.path.exists(os.path.join(gen_dir, "schedule.csv"))
@@ -625,34 +626,52 @@ def test_cli_gen_and_run_roundtrip(tmp_path):
         {"ema:0.05", "queues:3", "optimal"}
 
 
-# gen --kind -> (run --kind, the synth generator it calls, the options
-# of the kind that gen's tests give)
+# gen --kind -> (the synth generator it calls, the options of the kind
+# that gen's tests give)
 _GEN_KINDS = {
-    "binary": ("stationary-single", "gen_binary_stationary", ["--tp", "0.2"]),
-    "nonstat": ("nonstat-single", "gen_single_nonstationary",
-                ["--mode", "uniform", "--o-min", "5", "--l-min", "20"]),
-    "multi": ("multi-item", "gen_sequence", ["--o-min", "5", "--l-min", "20"])}
+    "stationary-single": ("gen_binary_stationary", ["--tp", "0.2"]),
+    "nonstat-single": ("gen_single_nonstationary",
+                       ["--mode", "uniform", "--o-min", "5", "--l-min", "20"]),
+    "multi-item": ("gen_sequence", ["--o-min", "5", "--l-min", "20"])}
+
+
+def test_cli_gen_and_run_share_stream_options():
+    # gen and run declare the same stream options in the same order: each
+    # command's params from --kind to --out, less run's roster, sequence
+    # count, input file and scoring options. gen's kinds are run's, less
+    # real-file, which has no schedule to write.
+    def stream_params(command, leave_out=()):
+        names = [p.name for p in cli.commands[command].params]
+        return [n for n in names[names.index("kind"):names.index("out")]
+                if n not in leave_out]
+
+    assert stream_params("gen") == stream_params(
+        "run", {"methods", "n_seqs", "input_path", "config", "p_min", "p_ns",
+                "c_ns", "referee_window", "dev"})
+    kinds = {c: cli.commands[c].params[0] for c in ("gen", "run")}
+    assert kinds["gen"].name == kinds["run"].name == "kind"
+    assert list(kinds["gen"].type.choices) == [
+        k for k in kinds["run"].type.choices if k != "real-file"]
 
 
 @pytest.mark.parametrize("kind", list(_GEN_KINDS))
 def test_cli_gen_writes_sequence_0_of_run(tmp_path, monkeypatch, kind):
-    # gen --seed S writes the stream and schedule that run --seed S
-    # scores as its sequence 0; the synth generator is wrapped to keep
-    # what each command drew
-    run_kind, name, opts = _GEN_KINDS[kind]
+    # gen writes the stream and schedule that run, given the same stream
+    # options, scores as its sequence 0; the synth generator is wrapped
+    # to keep what each command drew
+    name, opts = _GEN_KINDS[kind]
+    stream = ["--kind", kind, *opts, "--seq-len", "400", "--seed", "3"]
     made = []
     draw = getattr(synth, name)
     monkeypatch.setattr(synth, name,
                         lambda *a: made.append(draw(*a)) or made[-1])
     runner = CliRunner()
-    r = runner.invoke(cli, ["run", "--kind", run_kind, *opts, "--method",
-                            "ema:0.1", "--n-seqs", "2", "--seq-len", "400",
-                            "--seed", "3", "--out", str(tmp_path / "run")])
+    r = runner.invoke(cli, ["run", *stream, "--method", "ema:0.1",
+                            "--n-seqs", "2", "--out", str(tmp_path / "run")])
     assert r.exit_code == 0, r.output
     assert len(made) == 2
     harness.write_stream(str(tmp_path / "want"), made[0])
-    r = runner.invoke(cli, ["gen", "--kind", kind, *opts, "--n", "400",
-                            "--seed", "3", "--out", str(tmp_path / "gen")])
+    r = runner.invoke(cli, ["gen", *stream, "--out", str(tmp_path / "gen")])
     assert r.exit_code == 0, r.output
     for f in ("stream.txt", "schedule.csv"):
         assert (tmp_path / "gen" / f).read_bytes() == \
@@ -666,17 +685,18 @@ def test_cli_gen_matches_generator(tmp_path, kind):
     # child of SeedSequence(seed); each kind is given only the options it
     # reads
     out = tmp_path / "gen"
-    r = CliRunner().invoke(cli, ["gen", "--kind", kind, *_GEN_KINDS[kind][2],
-                                 "--n", "400", "--seed", "7",
+    r = CliRunner().invoke(cli, ["gen", "--kind", kind, *_GEN_KINDS[kind][1],
+                                 "--seq-len", "400", "--seed", "7",
                                  "--out", str(out)])
     assert r.exit_code == 0, r.output
     rng = _sequence_rng(7, 0)
     gcfg = synth.GenConfig(o_min=5, l_min=20, desired_len=400)
     stream = {
-        "binary": lambda: synth.gen_binary_stationary(0.2, 400, rng),
-        "nonstat": lambda: synth.gen_single_nonstationary("uniform", gcfg,
-                                                          400, rng),
-        "multi": lambda: synth.gen_sequence(gcfg, rng),
+        "stationary-single": lambda: synth.gen_binary_stationary(0.2, 400,
+                                                                 rng),
+        "nonstat-single": lambda: synth.gen_single_nonstationary(
+            "uniform", gcfg, 400, rng),
+        "multi-item": lambda: synth.gen_sequence(gcfg, rng),
     }[kind]()
     assert (out / "stream.txt").read_bytes() == \
         "".join("%d\n" % o for o in stream.observations).encode()
@@ -837,34 +857,37 @@ def test_cli_exit_codes(tmp_path, main_exit):
     # it makes no --out. First the config errors of run: an unknown
     # method kind, out-of-domain parameters, a duplicated label, no
     # sequences, out-of-domain scoring and generator options and a
-    # negative seed; then gen's generator options, length and seed. A
-    # zero o_min that got through would make the generators loop
-    # forever, so each run has a timeout. Next, a stream option the
-    # kind does not read: the first one given, in --help order, is
-    # named. The three cases after those ran with an option their kind
-    # does not read (the base --seq-len 500 for real-file), so they
-    # moved to a kind that reads it and still fail for their own
-    # reason. Then a --config file and a compare --per-seq file that
-    # are not UTF-8 are named, and compare names a missing column, the
-    # line of a value that does not parse and of a second row for one
-    # sequence and method, refuses one method given twice, names a
-    # --metric that no row holds, and tells methods that share no
-    # sequence apart from that. A directory is refused as --per-seq and
-    # as --config, and so are --config files with a value of the wrong
-    # type, a misspelt key, and a p_min that is in range but below the
-    # default p_ns. A token file with no tokens, empty or blank lines
-    # only, is refused by run, trace and ingest-check (run used to score
-    # a perfect 0.0, and trace to write a header-only trace). trace
-    # refuses a self-concat below 1, a method that is not dyal, a bad
-    # dyal parameter, and a tracked id outside the file's ids (0 and 1
-    # here). Last, a token file that is not UTF-8 is a runtime error
-    # (exit 1) in run, trace and ingest-check. compare and ingest-check
-    # take no --out. The last three cases run python -m smatrack.cli,
-    # one for each exit code.
+    # negative seed; then gen's generator options, length and seed, and
+    # two kinds gen does not take: binary, which no command takes, and
+    # real-file, which has no schedule. A zero o_min that got through
+    # would make the generators loop forever, so each run has a timeout.
+    # Next, a stream option the kind does not read: the first one
+    # given, in --help order, is named. The three cases after those ran
+    # with an option their kind does not read (the base --seq-len 500
+    # for real-file), so they moved to a kind that reads it and still
+    # fail for their own reason. Then a --config file and a compare
+    # --per-seq file that are not UTF-8 are named, and compare names a
+    # missing column, the line of a value that does not parse and of a
+    # second row for one sequence and method, refuses one method given
+    # twice, names a --metric that no row holds, and tells methods that
+    # share no sequence apart from that. A directory is refused as
+    # --per-seq and as --config, and so are --config files with a value
+    # of the wrong type, a misspelt key, a key given twice, and a p_min
+    # that is in range but below the default p_ns. A token file with no
+    # tokens, empty or blank lines only, is refused by run, trace and
+    # ingest-check (run used to score a perfect 0.0, and trace to write a
+    # header-only trace). trace refuses a self-concat below 1, a method
+    # that is not dyal, a bad dyal parameter, and a tracked id outside
+    # the file's ids (0 and 1 here). Last, a token file that is not UTF-8
+    # is a runtime error (exit 1) in run, trace and ingest-check. compare
+    # and ingest-check take no --out. The last three cases run python -m
+    # smatrack.cli, one for each exit code.
     out = tmp_path / "x"
     run_ss = ["run", "--kind", "stationary-single", "--seq-len", "500"]
     ema = [*run_ss, "--method", "ema:0.1"]
     thresholds = "scoring thresholds need 0 < p_ns <= p_min < 1, got "
+    gen_kinds = "Invalid value for '--kind': '%s' is not one of " \
+        "'stationary-single', 'nonstat-single', 'multi-item'."
     decode = "cannot read %s: 'utf-8' codec can't decode byte 0xff in " \
         "position %d: invalid start byte"
 
@@ -913,7 +936,8 @@ def test_cli_exit_codes(tmp_path, main_exit):
              thresholds + "p_ns=0.5, p_min=0.01"),
             ([*ema, "--referee-window", "0"], 2,
              "referee window must be an integer >= 1, got 0"),
-            ([*ema, "--c-ns", "-1"], 2, "c_ns must be >= 0, got -1"),
+            ([*ema, "--c-ns", "-1"], 2,
+             "c_ns must be an integer >= 0, got -1"),
             ([*ema, "--d", "0.5"], 2,
              "deviation threshold d must be finite and >= 1, got 0.5"),
             ([*ema, "--kind", "multi-item", "--seq-len", "-5"], 2,
@@ -925,18 +949,20 @@ def test_cli_exit_codes(tmp_path, main_exit):
               "--l-min", "-1"], 2, "l_min must be an integer >= 0, got -1"),
             ([*ema, "--seed", "-1"], 2,
              "seed must be an integer >= 0, got -1"),
-            (["gen", "--kind", "multi", "--o-min", "0"], 2,
+            (["gen", "--kind", "multi-item", "--o-min", "0"], 2,
              "o_min must be an integer >= 1, got 0"),
-            (["gen", "--kind", "binary", "--tp", "0"], 2,
+            (["gen", "--kind", "stationary-single", "--tp", "0"], 2,
              "tp must be in (0, 1], got 0.0"),
-            (["gen", "--kind", "multi", "--p-max", "0"], 2,
+            (["gen", "--kind", "multi-item", "--p-max", "0"], 2,
              "p_max must be in (0.01, 1], got 0.0"),
-            (["gen", "--kind", "multi", "--n", "0"], 2,
-             "Invalid value for '--n': 0 is not in the range x>=1."),
-            (["gen", "--kind", "binary", "--n", "-5"], 2,
-             "Invalid value for '--n': -5 is not in the range x>=1."),
-            (["gen", "--kind", "binary", "--seed", "-1"], 2,
+            (["gen", "--kind", "multi-item", "--seq-len", "0"], 2,
+             "seq_len must be an integer >= 1, got 0"),
+            (["gen", "--kind", "stationary-single", "--seq-len", "-5"], 2,
+             "seq_len must be an integer >= 1, got -5"),
+            (["gen", "--kind", "stationary-single", "--seed", "-1"], 2,
              "seed must be an integer >= 0, got -1"),
+            (["gen", "--kind", "binary"], 2, gen_kinds % "binary"),
+            (["gen", "--kind", "real-file"], 2, gen_kinds % "real-file"),
             (["run", "--kind", "real-file", "--input", tok, "--method",
               "box:10", "--tp", "0.7", "--o-min", "3", "--mode", "uniform",
               "--n-seqs", "9", "--seed", "4"], 2,
@@ -944,8 +970,9 @@ def test_cli_exit_codes(tmp_path, main_exit):
             (["run", "--kind", "multi-item", "--input", tok, "--method",
               "box:10", "--tp", "0.7", "--mode", "uniform"], 2,
              "--tp is not read by --kind multi-item"),
-            (["gen", "--kind", "binary", "--o-min", "3", "--recycle",
-              "--p-max", "0.5"], 2, "--o-min is not read by --kind binary"),
+            (["gen", "--kind", "stationary-single", "--o-min", "3",
+              "--recycle", "--p-max", "0.5"], 2,
+             "--o-min is not read by --kind stationary-single"),
             (["run", "--kind", "nonstat-single", "--method", "box:10",
               "--l-min", "50"], 2,
              "--l-min is not read by --kind nonstat-single"),
@@ -960,8 +987,8 @@ def test_cli_exit_codes(tmp_path, main_exit):
              "p_max must be in (0.01, 1], got 0.0"),
             (["run", "--kind", "real-file", "--method", "ema:0.1"], 2,
              "kind 'real-file' needs an input_path"),
-            (["gen", "--kind", "nonstat", "--mode", "uniform", "--l-min",
-              "-1"], 2, "l_min must be an integer >= 0, got -1"),
+            (["gen", "--kind", "nonstat-single", "--mode", "uniform",
+              "--l-min", "-1"], 2, "l_min must be an integer >= 0, got -1"),
             ([*run_tok, "--config", bad_cfg], 2, decode % (bad_cfg, 10)),
             (["compare", "--per-seq", bad_csv, "--a", "a", "--b", "b"], 2,
              decode % (bad_csv, 35)),
@@ -992,6 +1019,9 @@ def test_cli_exit_codes(tmp_path, main_exit):
             ([*run_tok, "--config", write("key.cfg", "pns=0.5\n")], 2,
              "config key 'pns': must be one of p_min, p_ns, c_ns, "
              "referee_window"),
+            ([*run_tok, "--config", write("again.cfg",
+                                          "p_min=0.05\np_min=0.02\n")], 2,
+             "config key 'p_min' appears twice"),
             ([*run_tok, "--config", write("low.cfg", "p_min=0.005\n")], 2,
              thresholds + "p_ns=0.01, p_min=0.005"),
             ([*run_tok[:4], empty, *run_tok[5:]], 2,

@@ -42,16 +42,16 @@ CONFIG = "# scoring defaults\np_min=0.05\n\np_ns=0.001\nc_ns=3\n" \
 SPEC = [("help", ["--help"])] + [
     ("help-" + sub, [sub, "--help"])
     for sub in ("gen", "run", "compare", "trace", "ingest-check")] + [
-    ("gen-binary", ["gen", "--kind", "binary", "--n", "500", "--tp", "0.3",
-                    "--seed", "1"]),
-    ("gen-nonstat", ["gen", "--kind", "nonstat", "--n", "500", "--o-min",
-                     "10", "--seed", "2"]),
-    ("gen-nonstat-uniform", ["gen", "--kind", "nonstat", "--mode", "uniform",
-                             "--l-min", "50", "--o-min", "10", "--n", "500",
-                             "--seed", "3"]),
-    ("gen-multi", ["gen", "--kind", "multi", "--n", "500", "--o-min", "5",
-                   "--seed", "4"]),
-    ("gen-multi-recycle", ["gen", "--kind", "multi", "--n", "500",
+    ("gen-binary", ["gen", "--kind", "stationary-single", "--seq-len", "500",
+                    "--tp", "0.3", "--seed", "1"]),
+    ("gen-nonstat", ["gen", "--kind", "nonstat-single", "--seq-len", "500",
+                     "--o-min", "10", "--seed", "2"]),
+    ("gen-nonstat-uniform", ["gen", "--kind", "nonstat-single", "--mode",
+                             "uniform", "--l-min", "50", "--o-min", "10",
+                             "--seq-len", "500", "--seed", "3"]),
+    ("gen-multi", ["gen", "--kind", "multi-item", "--seq-len", "500",
+                   "--o-min", "5", "--seed", "4"]),
+    ("gen-multi-recycle", ["gen", "--kind", "multi-item", "--seq-len", "500",
                            "--o-min", "5", "--recycle", "--p-max", "0.5",
                            "--seed", "5"]),
     ("run-stationary", ["run", "--kind", "stationary-single", "--tp", "0.2",

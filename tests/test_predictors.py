@@ -364,7 +364,7 @@ def test_queue_pr_monotone_on_updates():
     # leave it at zero
     rng = np.random.default_rng(5)
     for _ in range(300):
-        s = Queues(qcap=int(rng.integers(2, 6)), prune_every=None)
+        s = Queues(qcap=int(rng.integers(2, 6)), prune_every=10 ** 6)
         for _ in range(200):
             before = s.pr_count(1)[0]
             if rng.random() < 0.3:
@@ -445,7 +445,7 @@ def test_single_cell_mle_spread_bound():
 def test_qcap2_spread_bound():
     rng = np.random.default_rng(10)
     for seq in _spread_traces(rng, 2000):
-        s = Queues(qcap=2, prune_every=None)
+        s = Queues(qcap=2, prune_every=10 ** 6)  # no prune in a trace
         for o in seq:
             s.update(o)
             pred = s.predict()
@@ -865,7 +865,7 @@ def test_dyal_weaken_edges_drops_match_reference():
                                   Ema(beta=1),
                                   Ema(1.0, 0),
                                   Ema(1.0, 1.0),
-                                  Queues(qcap=2, prune_every=None),
+                                  Queues(qcap=2, prune_every=10 ** 6),
                                   Queues(qcap=2, s1=1, s2=1, prune_every=1),
                                   Box(k=1),
                                   Dyal(beta_min=0, p_min=0, sig_thresh=0),
@@ -883,7 +883,7 @@ OUT_OF_DOMAIN = {
     Queues: {"qcap": (1, 0, -1, 2.5, 3.0, math.nan),
              "s1": (0, -1, 2.5, math.nan),
              "s2": (0, -1, 2.5, math.inf, math.nan),
-             "prune_every": (0, -1, 2.5, math.nan)},
+             "prune_every": (0, -1, 2.5, math.nan, None)},
     Box: {"k": (0, -3, 2.5, 100.0, math.nan)},
     Dyal: {"beta_min": (-0.1, 1.5, math.inf, math.nan),
            "sig_thresh": (-1, -math.inf, math.nan),
