@@ -4,6 +4,7 @@ sign tests."""
 
 import math
 import numbers
+from math import log  # for score, which logs on every step
 
 from .predictors import Box
 from .sd_core import SUM_SLACK, ConfigError, FcConfig, filter_cap
@@ -46,14 +47,14 @@ def score(o, qp, marked_ns, neg_log_pns):
     distance to the one-hot outcome, in [0, 2]."""
     prob = qp.get(o, 0.0)
     if prob > 0.0:
-        loss = -math.log(prob)
+        loss = -log(prob)
     elif not marked_ns:
         loss = neg_log_pns
     else:
         # filter_cap leaves the sum up to SUM_SLACK past 1 - p_ns, so
         # the unallocated mass can fall below p_ns, or to 0.
         u = 1.0 - sum(qp.values())
-        loss = min(-math.log(u), neg_log_pns) if u > 0.0 else neg_log_pns
+        loss = min(-log(u), neg_log_pns) if u > 0.0 else neg_log_pns
     quad = (1.0 - prob) ** 2
     for i, v in qp.items():
         if i != o:
@@ -80,7 +81,10 @@ def dev_ratio(p_hat, tp):
         raise ValueError("tp must be positive")
     if p_hat == 0.0:
         return math.inf
-    return max(tp / p_hat, p_hat / tp)
+    # max() spelled out, as in multidev
+    r = tp / p_hat
+    up = p_hat / tp
+    return up if up > r else r
 
 
 def multidev(o, q, p, p_min=0.01):

@@ -86,9 +86,12 @@ def run_prequential(pred, obs, ecfg, marks, schedule=None, track_item=None):
     worsts = []  # per step, multi-item: the worst ratio over the support
     neg_log_pns = -math.log(ecfg.p_ns)
     truth = schedule if schedule is not None else repeat(None, n)
+    # Bound once per pass, from the module globals at call time, so that a
+    # wrapper bound there before the pass still runs.
+    predict, update, fc, sc = pred.predict, pred.update, filter_cap, score
     for o, marked_ns, p in zip(obs, marks, truth, strict=True):
-        q = pred.predict()
-        loss, quad = score(o, filter_cap(q, ecfg), marked_ns, neg_log_pns)
+        q = predict()
+        loss, quad = sc(o, fc(q, ecfg), marked_ns, neg_log_pns)
         loss_sum += loss
         quad_sum += quad
         if p is not None:
@@ -99,7 +102,7 @@ def run_prequential(pred, obs, ecfg, marks, schedule=None, track_item=None):
                 worst, r = multidev(o, q, p, ecfg.p_min)
                 ratios.append(r)
                 worsts.append(worst)
-        pred.update(o)
+        update(o)
     metrics = {"avg_logloss_ns": loss_sum / n if n else 0.0,
                "avg_quad": quad_sum / n if n else 0.0}
     if schedule is not None and n:

@@ -26,8 +26,10 @@ def decay_rate(beta, beta_min):
     """Harmonic decay: 1 -> 1/2 -> 1/3 -> ..., floored at beta_min. Ema
     and Dyal skip the call for a rate equal to its floor, which the call
     returns unchanged for any floor of 2**-53 or more; a rate that starts
-    at 1 takes over 9e15 calls to sink below 2**-53."""
-    return max(1.0 / (1.0 / beta + 1.0), beta_min)
+    at 1 takes over 9e15 calls to sink below 2**-53. max() is spelled
+    out: Ema and Dyal call this on most steps."""
+    r = 1.0 / (1.0 / beta + 1.0)
+    return beta_min if beta_min > r else r
 
 
 def binomial_significance(ema_pr, q_pr, q_count):
@@ -47,8 +49,9 @@ def binomial_significance(ema_pr, q_pr, q_count):
     return q_count * kl2
 
 
-# Dyal.weaken_edges calls binomial_significance(e, q, n) only where
-# n * KL(q || e) can reach the threshold: KL(q || e) <= ln(1 + chi2) <=
+# Dyal calls binomial_significance(e, q, n) only where n * KL(q || e)
+# can reach the threshold, both for o's own test in Dyal.update and for
+# every other edge in Dyal.weaken_edges: KL(q || e) <= ln(1 + chi2) <=
 # chi2 = (e - q)**2 / (e (1 - e)), so the call is skipped when
 # n * (chi2 + CHI2_SLACK) < sig. The slack covers rounding where the two
 # nearly meet, chi2 near 0: there a computed KL, a sum of logs of ratios
@@ -268,9 +271,13 @@ class Dyal:
         if q_pr == 0.0:
             return  # o is currently noise-level; queue only
         ema_pr = self.ema_map.get(o, 0.0)
+        sig = self.sig_thresh
         # An unseen o (ema_pr 0.0) always resets: the score is inf there.
-        if q_pr > ema_pr and binomial_significance(
-                ema_pr, q_pr, q_count) >= self.sig_thresh:
+        # Otherwise the chi-squared screen (see CHI2_SLACK) comes first.
+        if q_pr > ema_pr and (not ema_pr or q_count * (
+                (d := q_pr - ema_pr) * d / (ema_pr * (1.0 - ema_pr))
+                + CHI2_SLACK) >= sig) and binomial_significance(
+                ema_pr, q_pr, q_count) >= sig:
             self.rate_map[o] = max(1.0 / q_count, self.beta_min)
             delta = min(q_pr - ema_pr, free)
         else:
@@ -293,8 +300,9 @@ class Dyal:
         edge Dyal makes has its queue in q_map: it is made only for a
         queue of 2 or more stamps, and pruned with it. So a reset sets a
         PR above 0 and a rate of at most 1, and an edge is dropped only
-        below p_min or at 0.0. The items() snapshot is safe because only
-        the visited edge changes."""
+        below p_min or at 0.0. The walk runs over ema_map itself, reading
+        a rate only for a plain step; it sets only the visited edge and
+        deletes the dropped edges after it."""
         ema_map = self.ema_map
         rate_map = self.rate_map
         q_map = self.queues.q_map
@@ -304,24 +312,25 @@ class Dyal:
         sig = self.sig_thresh
         slack = CHI2_SLACK
         used = 0.0
-        for i, beta in list(rate_map.items()):
-            e = ema_map[i]
+        drops = []
+        for i, e in ema_map.items():
             if i == o:
                 used += e
                 continue
             q = q_map[i]
-            q_count = clock - q[-1] + 1
-            q_pr = (len(q) - 1) / (q_count - 1)
+            span = clock - q[-1]
+            q_pr = (len(q) - 1) / span
             if e < p_min and q_pr < p_min:
                 e = 0.0
             elif e > q_pr and (
                     e >= 1.0
-                    or q_count * ((d := e - q_pr) * d / (e * (1.0 - e))
-                                  + slack) >= sig) and (
-                    binomial_significance(e, q_pr, q_count) >= sig):
+                    or (span + 1) * ((d := e - q_pr) * d / (e * (1.0 - e))
+                                     + slack) >= sig) and (
+                    binomial_significance(e, q_pr, span + 1) >= sig):
                 e = q_pr
-                rate_map[i] = max(1.0 / q_count, beta_min)
+                rate_map[i] = max(1.0 / (span + 1), beta_min)
             else:
+                beta = rate_map[i]
                 e *= (1.0 - beta)
                 if beta != beta_min:
                     rate_map[i] = decay_rate(beta, beta_min)
@@ -329,8 +338,10 @@ class Dyal:
                 ema_map[i] = e
                 used += e
             else:  # below p_min, or weakened to 0.0 (a rate of 1, underflow)
-                del ema_map[i]
-                del rate_map[i]
+                drops.append(i)
+        for i in drops:
+            del ema_map[i]
+            del rate_map[i]
         free = 1.0 - used
         return free if free > 0.0 else 0.0
 

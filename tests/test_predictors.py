@@ -8,8 +8,9 @@ from reference_dyal import ReferenceDyal
 from reference_queues import ReferenceQueues
 from reference_ema import ReferenceEma
 from single_cell_mle import SingleCellMle
-from smatrack.predictors import (EMA_CAP, EMA_FLOOR, Box, Dyal, Ema, Queues,
-                                 binomial_significance, decay_rate)
+from smatrack.predictors import (CHI2_SLACK, EMA_CAP, EMA_FLOOR, Box, Dyal,
+                                 Ema, Queues, binomial_significance,
+                                 decay_rate)
 
 
 def close(a, b, tol=1e-9):
@@ -660,6 +661,85 @@ def test_chi2_pretest_never_skips_a_significant_edge(monkeypatch):
     # the test is not vacuous: the gate skips the call for more than a
     # quarter of the scores below sig (about 35 % here)
     assert 4 * skipped > below
+
+
+def _chi2_screen(e, q, n, sig):
+    """The chi-squared screen, as Dyal.update (q > e) and
+    Dyal.weaken_edges (e > q) spell it: False where they skip the call
+    binomial_significance(e, q, n)."""
+    d = q - e
+    return n * (d * d / (e * (1.0 - e)) + CHI2_SLACK) >= sig
+
+
+def _screen_pairs():
+    """(e, q) on both sides of each other, both in (0, 1): every pair
+    from a grid with values within 1e-12 of 0 and 1, and each grid value
+    with its neighbours 1 to 3 ulps away on either side."""
+    values = [k / 20 for k in range(1, 20)] + [
+        5e-324, 1e-300, 1e-14, 1e-13, 1e-12, 1.0 - 1e-12, 1.0 - 1e-13,
+        1.0 - 1e-14, math.nextafter(1.0, 0.0)]
+    pairs = [(e, q) for e in values for q in values if e != q]
+    for v in values:
+        for toward in (0.0, 1.0):
+            u = v
+            for _ in range(3):
+                u = math.nextafter(u, toward)
+                if 0.0 < u < 1.0:
+                    pairs += [(v, u), (u, v)]
+    return pairs
+
+
+SCREEN_COUNTS = (1, 2, 3, 10, 1000, 100000)
+SCREEN_SIGS = (0.0, 1e-12, 5.0, 50.0)
+
+
+def test_chi2_screen_passes_every_score_that_reaches_sig():
+    # binomial_significance(e, q, n) >= sig implies the screen passes,
+    # so skipping the call never changes a decision; at the tightest
+    # pairs only CHI2_SLACK covers the rounding of the computed score
+    skipped = 0
+    for e, q in _screen_pairs():
+        for n in SCREEN_COUNTS:
+            for sig in SCREEN_SIGS:
+                passes = _chi2_screen(e, q, n, sig)
+                if binomial_significance(e, q, n) >= sig:
+                    assert passes, (e, q, n, sig)
+                skipped += not passes
+    assert skipped  # not vacuous
+
+
+def test_dyal_update_screens_its_own_test(monkeypatch):
+    # Dyal.update calls binomial_significance on o's own high-side test
+    # exactly where the screen passes, and so on every score that
+    # reaches sig; an unseen o (weight 0) always calls and resets
+    import smatrack.predictors as predictors
+    calls = []
+
+    def recording(e, q, n):
+        calls.append((e, q, n))
+        return binomial_significance(e, q, n)
+    monkeypatch.setattr(predictors, "binomial_significance", recording)
+    pairs = [(e, q) for e, q in _screen_pairs() if q > e]
+    pairs += [(0.0, q) for q in (1e-12, 0.5, 1.0)]
+    for e, q in pairs:
+        for n in SCREEN_COUNTS:
+            for sig in SCREEN_SIGS + (math.inf,):
+                d = Dyal(beta_min=0.0, sig_thresh=sig, p_min=0.0)
+                d.queues.pr_count = lambda i: (q, n)
+                d.ema_map, d.rate_map = ({7: e}, {7: 0.5}) if e else ({}, {})
+                calls.clear()
+                d.update(7)
+                if e == 0.0:
+                    assert calls == [(e, q, n)], (q, n, sig)
+                    assert d.ema_map[7] == q and d.rate_map[7] == 1.0 / n
+                    continue
+                if sig == math.inf:
+                    continue  # outside _chi2_screen's finite sig
+                assert bool(calls) == _chi2_screen(e, q, n, sig), \
+                    (e, q, n, sig)
+                if binomial_significance(e, q, n) >= sig:
+                    assert calls == [(e, q, n)], (e, q, n, sig)
+                    assert d.rate_map[7] == 1.0 / n
 
 
 # --- DYAL -------------------------------------------------------------------

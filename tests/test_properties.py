@@ -214,3 +214,20 @@ def test_queue_tiers(kind, qcap, s1, s2, prune_every, stream):
         assert all(2 <= len(q) <= qcap for q in queues.q_map.values())
         if kind == "dyal":
             assert pred.ema_map.keys() <= queues.q_map.keys()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.0, 1.0), st.integers(2, 6), st.floats(0.0, 20.0),
+       st.floats(0.0, 0.5), st.integers(1, 5), st.integers(1, 60),
+       st.integers(1, 12), streams)
+def test_dyal_maps_in_lockstep(beta_min, qcap, sig_thresh, p_min, s1, s2,
+                               prune_every, stream):
+    # Dyal.weaken_edges walks ema_map and reads each edge's rate from
+    # rate_map, so every edge needs its rate. The two maps gain and lose
+    # keys together, so they also keep one order. Both hold after every
+    # update: through new edges, resets, drops after the walk and the
+    # heartbeat prunes that a small s1 and prune_every bring about
+    d = Dyal(beta_min, qcap, sig_thresh, p_min, s1, s2, prune_every)
+    for o in stream:
+        d.update(o)
+        assert list(d.ema_map) == list(d.rate_map)
