@@ -31,6 +31,8 @@ def main():
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, default=10)
     args = ap.parse_args()
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
     roots = {"parent": os.path.abspath(args.parent),
              "change": os.path.abspath(args.change)}
     with open(os.path.join(roots["change"], "BENCHMARK.json"),
