@@ -137,10 +137,12 @@ class Queues:
     dropped, and when there are 2*s1 queues they are cut back to the s1
     freshest. The estimate needs two stamps, so qcap is at least 2.
 
-    Two disjoint maps hold the queues: first maps an item seen once (so
-    far) to that stamp, and q_map holds the queues of 2 or more stamps.
-    An item moves to q_map on its second sighting. On an open-ended
-    stream most items are seen once, and predict() walks only q_map."""
+    stamps maps every tracked item to its queue. q_map maps each item
+    whose queue holds 2 or more stamps to (stamps - 1, oldest stamp), the
+    two fields PR reads. update adds an item to q_map at its second
+    sighting and rewrites its entry at each later one; only a prune
+    removes it. On an open-ended stream most items are seen once, and
+    predict() walks only q_map."""
 
     def __init__(self, qcap=3, s1=100, s2=100000, prune_every=1000):
         _need(isinstance(qcap, numbers.Integral) and qcap >= 2,
@@ -152,7 +154,7 @@ class Queues:
         self.s1 = s1
         self.s2 = s2
         self.prune_every = prune_every
-        self.first = {}
+        self.stamps = {}
         self.q_map = {}
         self.clock = 0
 
@@ -162,54 +164,49 @@ class Queues:
         while the queue holds a single stamp (grace period)."""
         q = self.q_map.get(i)
         if q is not None:
-            count = self.clock - q[-1] + 1
-            return (len(q) - 1) / (count - 1), count
-        stamp = self.first.get(i)
-        if stamp is None:
+            n, oldest = q
+            count = self.clock - oldest + 1
+            return n / (count - 1), count
+        q = self.stamps.get(i)
+        if q is None:
             return 0.0, 0
-        return 0.0, self.clock - stamp + 1
+        return 0.0, self.clock - q[0] + 1
 
     def predict(self):
         # pr_count's PR for every item past its grace period, inlined:
         # this runs over q_map on every step.
         c = self.clock
-        return {i: (len(q) - 1) / (c - q[-1]) for i, q in self.q_map.items()}
+        return {i: n / (c - s) for i, (n, s) in self.q_map.items()}
 
     def update(self, o):
         """Returns the ids a heartbeat prune dropped, or () when none
         ran."""
         c = self.clock = self.clock + 1
-        q = self.q_map.get(o)
-        if q is not None:
+        q = self.stamps.get(o)
+        if q is None:
+            self.stamps[o] = [c]
+        else:
             q.insert(0, c)
             if len(q) > self.qcap:
                 q.pop()
-        else:
-            stamp = self.first.pop(o, None)
-            if stamp is None:
-                self.first[o] = c
-            else:
-                self.q_map[o] = [c, stamp]
+            self.q_map[o] = (len(q) - 1, q[-1])
         if c % self.prune_every == 0:
             return self.prune()
         return ()
 
     def prune(self):
         """Returns the set of item ids dropped."""
-        first = self.first
-        newest = {i: q[0] for i, q in self.q_map.items()}
-        newest.update(first)
-        dropped = {i for i, s in newest.items() if self.clock - s >= self.s2}
-        if len(newest) - len(dropped) >= 2 * self.s1:
+        stamps = self.stamps
+        dropped = {i for i, q in stamps.items()
+                   if self.clock - q[0] >= self.s2}
+        if len(stamps) - len(dropped) >= 2 * self.s1:
             # Freshest first: newest stamp, ties to smaller id.
-            keep = sorted(newest.keys() - dropped,
-                          key=lambda i: (-newest[i], i))
+            keep = sorted(stamps.keys() - dropped,
+                          key=lambda i: (-stamps[i][0], i))
             dropped.update(keep[self.s1:])
         for i in dropped:
-            if i in first:
-                del first[i]
-            else:
-                del self.q_map[i]
+            del stamps[i]
+            self.q_map.pop(i, None)
         return dropped
 
 
@@ -297,12 +294,12 @@ class Dyal:
         Queues.pr_count and the significance test are inlined, the
         chi-squared bound skips binomial_significance where it cannot
         reach sig_thresh, and a rate at its floor skips decay_rate. Each
-        edge Dyal makes has its queue in q_map: it is made only for a
-        queue of 2 or more stamps, and pruned with it. So a reset sets a
-        PR above 0 and a rate of at most 1, and an edge is dropped only
-        below p_min or at 0.0. The walk runs over ema_map itself, reading
-        a rate only for a plain step; it sets only the visited edge and
-        deletes the dropped edges after it."""
+        edge Dyal makes has its (stamps - 1, oldest stamp) in q_map: it
+        is made only for a queue of 2 or more stamps, and pruned with it.
+        So a reset sets a PR above 0 and a rate of at most 1, and an edge
+        is dropped only below p_min or at 0.0. The walk runs over ema_map
+        itself, reading a rate only for a plain step; it sets only the
+        visited edge and deletes the dropped edges after it."""
         ema_map = self.ema_map
         rate_map = self.rate_map
         q_map = self.queues.q_map
@@ -317,9 +314,9 @@ class Dyal:
             if i == o:
                 used += e
                 continue
-            q = q_map[i]
-            span = clock - q[-1]
-            q_pr = (len(q) - 1) / span
+            n, oldest = q_map[i]
+            span = clock - oldest
+            q_pr = n / span
             if e < p_min and q_pr < p_min:
                 e = 0.0
             elif e > q_pr and (

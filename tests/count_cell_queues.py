@@ -59,11 +59,10 @@ class CountCellQueues:
         return dropped
 
 
-def matches(stamps, cells):
-    """True if a stamp-based Queues (both of its maps) and a
-    CountCellQueues hold the same items with the same (PR, count) and the
-    same prediction."""
-    return (stamps.first.keys() | stamps.q_map.keys() == set(cells.cells)
-            and all(stamps.pr_count(i) == cells.pr_count(i)
+def matches(queues, cells):
+    """True if a stamp-based Queues and a CountCellQueues hold the same
+    items with the same (PR, count) and the same prediction."""
+    return (queues.stamps.keys() == set(cells.cells)
+            and all(queues.pr_count(i) == cells.pr_count(i)
                     for i in cells.cells)
-            and stamps.predict() == cells.predict())
+            and queues.predict() == cells.predict())

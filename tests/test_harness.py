@@ -307,7 +307,7 @@ def test_ts_queues_state_bounded():
     rng = np.random.default_rng(16)
     for t in range(20000):
         p.update(int(rng.integers(0, 20)) if rng.random() < 0.5 else 100 + t)
-        assert len(p.first) + len(p.q_map) < 2 * p.s1 + p.prune_every
+        assert len(p.stamps) < 2 * p.s1 + p.prune_every
 
 
 # --- self-concat traces -----------------------------------------------------

@@ -222,23 +222,22 @@ def test_ema_expected_movement():
 # newest first; its count is clock - oldest + 1, which is what the
 # paper's count cells sum to.
 
-def _queues_with(clock, first, q_map, **kw):
+def _queues_with(clock, stamps, **kw):
+    """A Queues at `clock` holding `stamps` (item -> its stamps, newest
+    first), with q_map derived from them as update writes it."""
     s = Queues(**kw)
     s.clock = clock
-    s.first = first
-    s.q_map = q_map
+    s.stamps = stamps
+    s.q_map = {i: (len(q) - 1, q[-1]) for i, q in stamps.items()
+               if len(q) > 1}
     return s
-
-
-def _items(s):
-    return set(s.first) | set(s.q_map)
 
 
 def test_queue_positive_update_shifts():
     s = Queues(qcap=3)
     for o in [1, 0, 1]:
         s.update(o)
-    assert s.q_map[1] == [3, 1]  # cells [1, 2]
+    assert s.stamps[1] == [3, 1] and s.q_map[1] == (1, 1)  # cells [1, 2]
     assert s.pr_count(1) == (1 / 2, 3)
 
 
@@ -246,14 +245,15 @@ def test_queue_positive_update_at_capacity():
     s = Queues(qcap=3)
     for o in [1, 1, 1, 1]:
         s.update(o)
-    assert s.q_map[1] == [4, 3, 2]  # cells [1, 1, 1]
+    assert s.stamps[1] == [4, 3, 2]  # cells [1, 1, 1]
+    assert s.q_map[1] == (2, 2)
     assert s.pr_count(1) == (1.0, 3)
 
 
 def test_queue_fresh_positive():
     s = Queues(qcap=3)
     s.update(1)
-    assert s.first == {1: 1} and s.q_map == {}  # cells [1]
+    assert s.stamps == {1: [1]} and s.q_map == {}  # cells [1]
     assert s.pr_count(1) == (0.0, 1)
 
 
@@ -261,14 +261,14 @@ def test_queue_negative_update():
     s = Queues(qcap=3)
     s.update(1)
     s.update(0)
-    assert s.first == {1: 1, 0: 2} and s.q_map == {}  # cells [2], [1]
+    assert s.stamps == {1: [1], 0: [2]} and s.q_map == {}  # cells [2], [1]
     assert s.pr_count(1) == (0.0, 2)
     s = Queues(qcap=3)
     for o in [1, 1, 1, 0, 0, 0, 0]:
         s.update(o)
     assert s.pr_count(1) == (2 / 6, 7)  # cells [5, 1, 1]
     s.update(0)
-    assert s.q_map[1] == [3, 2, 1]  # stamps stay put
+    assert s.stamps[1] == [3, 2, 1] and s.q_map[1] == (2, 1)  # stay put
     assert s.pr_count(1) == (2 / 7, 8)  # cells [6, 1, 1]
 
 
@@ -276,30 +276,31 @@ def test_queue_negative_update_no_cells():
     s = Queues(qcap=3)
     s.update(0)
     s.update(0)
-    assert 1 not in _items(s)
+    assert 1 not in s.stamps and 1 not in s.q_map
     assert s.pr_count(1) == (0.0, 0)
 
 
 def test_queue_get_pr():
-    assert close(_queues_with(3, {}, {1: [2, 1]}).pr_count(1)[0], 1 / 2)
-    assert close(_queues_with(7, {}, {1: [3, 2, 1]}).pr_count(1)[0], 2 / 6)
-    assert _queues_with(3, {1: 1}, {}).pr_count(1) == (0.0, 3)
+    assert close(_queues_with(3, {1: [2, 1]}).pr_count(1)[0], 1 / 2)
+    assert close(_queues_with(7, {1: [3, 2, 1]}).pr_count(1)[0], 2 / 6)
+    assert _queues_with(3, {1: [1]}).pr_count(1) == (0.0, 3)
 
 
 # --- Queues predictor -------------------------------------------------------
 
 def test_queues_update_allocates():
-    # a first sighting goes in first, the second moves the item to q_map
+    # a first sighting makes a one-stamp queue, the second adds the item
+    # to q_map
     s = Queues(qcap=3)
     s.update(1)
-    assert s.first == {1: 1} and s.q_map == {}
+    assert s.stamps == {1: [1]} and s.q_map == {}
     s.update(2)
-    assert s.first == {1: 1, 2: 2} and s.q_map == {}
+    assert s.stamps == {1: [1], 2: [2]} and s.q_map == {}
     assert s.pr_count(1) == (0.0, 2)  # cells [2]
     assert s.pr_count(2) == (0.0, 1)  # cells [1]
     assert s.predict() == {}
     s.update(1)
-    assert s.first == {2: 2} and s.q_map == {1: [3, 1]}
+    assert s.stamps == {1: [3, 1], 2: [2]} and s.q_map == {1: (1, 1)}
     assert s.predict() == {1: 1 / 2}
     # with qcap 1 no item would leave its grace period, so it is refused
     with pytest.raises(ValueError, match=r"^need integer qcap >= 2$"):
@@ -316,40 +317,39 @@ def test_queues_aaaabbbb():
 
 
 def test_prune_drops_stale():
-    # stale means cell0 > s2, i.e. clock - newest stamp >= s2, in either
-    # map
-    s = _queues_with(100000, {1: 1}, {2: [2, 1]}, qcap=3, s2=100000)
+    # stale means cell0 > s2, i.e. clock - newest stamp >= s2, whether
+    # the queue is in q_map or not
+    s = _queues_with(100000, {1: [1], 2: [2, 1]}, qcap=3, s2=100000)
     assert s.prune() == set()
     s.clock += 1
     assert s.prune() == {1}
-    assert s.first == {} and set(s.q_map) == {2}
+    assert set(s.stamps) == {2} and set(s.q_map) == {2}
     s.clock += 1
     assert s.prune() == {2}
-    assert s.q_map == {}
+    assert s.stamps == {} and s.q_map == {}
 
 
 def test_prune_size_threshold():
     # item i has cell0 i + 1 at clock 200; odd items have a second stamp
-    s = _queues_with(200, {i: 200 - i for i in range(0, 199, 2)},
-                     {i: [200 - i, 1] for i in range(1, 199, 2)}, qcap=3,
-                     s1=100)
+    s = _queues_with(200, {i: [200 - i] if i % 2 == 0 else [200 - i, 1]
+                           for i in range(199)}, qcap=3, s1=100)
     s.prune()
-    assert len(_items(s)) == 199  # below 2*s1: untouched
-    s.first[199] = 1  # cell0 200
+    assert len(s.stamps) == 199  # below 2*s1: untouched
+    s.stamps[199] = [1]  # cell0 200
     s.prune()
-    # the 100 freshest of both maps (newest stamps, lowest cell0 counts)
-    # survive
-    assert _items(s) == set(range(100))
+    # the 100 freshest queues, one-stamp or not (newest stamps, lowest
+    # cell0 counts), survive
+    assert set(s.stamps) == set(range(100))
     assert set(s.q_map) == set(range(1, 100, 2))
 
 
 def test_prune_tie_break_drops_larger_id():
-    s = _queues_with(10, {1: 4}, {0: [4, 2]}, qcap=3, s1=1)
+    s = _queues_with(10, {1: [4], 0: [4, 2]}, qcap=3, s1=1)
     assert s.prune() == {1}
-    assert s.first == {} and set(s.q_map) == {0}
-    s = _queues_with(10, {0: 4}, {1: [4, 2]}, qcap=3, s1=1)
+    assert set(s.stamps) == {0} and set(s.q_map) == {0}
+    s = _queues_with(10, {0: [4], 1: [4, 2]}, qcap=3, s1=1)
     assert s.prune() == {1}
-    assert s.first == {0: 4} and s.q_map == {}
+    assert s.stamps == {0: [4]} and s.q_map == {}
 
 
 def test_queues_heartbeat_runs():
@@ -357,7 +357,7 @@ def test_queues_heartbeat_runs():
     rng = np.random.default_rng(4)
     for t in range(1000):
         s.update(int(rng.integers(0, 50)))
-        assert len(_items(s)) <= 2 * s.s1 + s.prune_every
+        assert len(s.stamps) <= 2 * s.s1 + s.prune_every
 
 
 def test_queue_pr_monotone_on_updates():
@@ -499,8 +499,9 @@ def test_queues_match_reference_on_open_streams():
             o = 1000 + t if rng.random() < fresh else int(rng.integers(0, 8))
             s.update(o)
             ref.update(o)
-            assert not s.first.keys() & s.q_map.keys()
-            assert _items(s) == set(ref.q_map)
+            assert s.q_map == {i: (len(q) - 1, q[-1])
+                               for i, q in s.stamps.items() if len(q) > 1}
+            assert set(s.stamps) == set(ref.q_map)
             for i in list(ref.q_map) + [-1, 1000 + t + 1]:
                 assert s.pr_count(i) == ref.pr_count(i)
             assert s.predict() == ref.predict()
@@ -571,21 +572,6 @@ def test_binomial_significance_degenerate_ema():
     assert binomial_significance(1.0, 0.5, 3) == math.inf
 
 
-class _Stamps:
-    """A queue of n stamps whose oldest is `oldest`, without the list:
-    Dyal.weaken_edges reads only len(q) and q[-1]."""
-
-    def __init__(self, n, oldest):
-        self.n, self.oldest = n, oldest
-
-    def __len__(self):
-        return self.n
-
-    def __getitem__(self, k):
-        assert k == -1
-        return self.oldest
-
-
 def _gate_cases(rng):
     """(e, queue length n, count c) for one edge, as weaken_edges sees it:
     n >= 2 stamps over c steps give q = (n - 1) / (c - 1). e runs from
@@ -648,7 +634,7 @@ def test_chi2_pretest_never_skips_a_significant_edge(monkeypatch):
             d.sig_thresh = sig
             d.ema_map, d.rate_map = {1: e}, {1: 0.5}
             d.queues.clock = c
-            d.queues.q_map = {1: _Stamps(n, 1)}
+            d.queues.q_map = {1: (n - 1, 1)}  # n stamps, the oldest 1
             calls.clear()
             d.weaken_edges(0)
             cases += 1
@@ -747,7 +733,7 @@ def test_dyal_update_screens_its_own_test(monkeypatch):
 def test_dyal_first_observation_queue_only():
     d = Dyal()
     d.update(5)
-    assert d.queues.first == {5: 1} and d.queues.q_map == {}
+    assert d.queues.stamps == {5: [1]} and d.queues.q_map == {}
     assert d.predict() == {}
 
 
@@ -766,8 +752,7 @@ def test_dyal_plain_step_when_not_significant():
     d = Dyal(beta_min=0.01)
     d.ema_map = {1: 0.5}
     d.rate_map = {1: 0.1}
-    d.queues.clock = 6
-    d.queues.q_map[1] = [5, 3, 1]  # cells [2, 2, 2]
+    d.queues = _queues_with(6, {1: [5, 3, 1]})  # cells [2, 2, 2]
     # q_pr 2/5 <= ema: not significantly high
     assert d.queues.pr_count(1) == (2 / 5, 6)
     d.update(1)
@@ -780,8 +765,7 @@ def test_dyal_weaken_edges_example():
     d = Dyal(beta_min=0.01)
     d.ema_map = {1: 0.5}
     d.rate_map = {1: 0.1}
-    d.queues.clock = 5
-    d.queues.q_map[1] = [5, 3, 1]  # q_pr 2/4 = ema: no reset
+    d.queues = _queues_with(5, {1: [5, 3, 1]})  # q_pr 2/4 = ema: no reset
     free = d.weaken_edges(2)
     assert close(d.ema_map[1], 0.45)
     assert close(d.rate_map[1], 1 / 11)
@@ -797,8 +781,7 @@ def test_dyal_weaken_snaps_down_on_significance():
     d = Dyal(beta_min=0.01, qcap=40)
     d.ema_map = {1: 0.5}
     d.rate_map = {1: 0.1}
-    d.queues.clock = 41
-    d.queues.q_map[1] = [22, 21, 1]  # cells [20, 1, 20]
+    d.queues = _queues_with(41, {1: [22, 21, 1]}, qcap=40)  # cells [20, 1, 20]
     assert d.queues.pr_count(1) == (2 / 40, 41)
     free = d.weaken_edges(2)
     assert close(d.ema_map[1], 0.05)
@@ -920,11 +903,12 @@ def test_dyal_weaken_edges_drops_match_reference():
             for x in (d, ref):
                 x.ema_map = {1: 0.5, 2: 0.005, 3: 1.0, 4: 0.2, 5: 0.01}
                 x.rate_map = {1: 0.1, 2: 0.5, 3: beta_min, 4: 1.0, 5: 0.1}
-                x.queues.clock = 1000
-                # q_pr 1/2, 1/999, 1/10, 1/3 and 1/111
-                x.queues.q_map = {1: [1000, 998, 996], 2: [2, 1],
-                                  3: [995, 990], 4: [1000, 997],
-                                  5: [1000, 889]}
+            # q_pr 1/2, 1/999, 1/10, 1/3 and 1/111
+            stamps = {1: [1000, 998, 996], 2: [2, 1], 3: [995, 990],
+                      4: [1000, 997], 5: [1000, 889]}
+            d.queues = _queues_with(1000, stamps)
+            ref.queues.clock = 1000
+            ref.queues.q_map = {i: list(q) for i, q in stamps.items()}
             assert d.queues.pr_count(5)[0] < d.p_min
             _dropping_zero_edges(ref)
             free = d.weaken_edges(o)

@@ -2,7 +2,7 @@
 is a semi-distribution with no zero entries, predict() has no side
 effects, a stream gives the same run every time, and the kinds that
 prune keep their state bounded on an open-ended stream. The queue-based
-kinds keep their two maps of queues apart. run_prequential keeps every
+kinds keep q_map in step with their stamps. run_prequential keeps every
 kind's scores in their ranges at every valid (p_min, p_ns)."""
 
 import math
@@ -181,8 +181,7 @@ def test_state_bounded_on_open_ended_stream(kind, seed, fresh):
         queues = pred.queues if kind == "dyal" else pred
         # cut back below 2*s1 at every prune, at most prune_every new
         # queues in between
-        assert len(queues.first) + len(queues.q_map) \
-            < 2 * queues.s1 + queues.prune_every
+        assert len(queues.stamps) < 2 * queues.s1 + queues.prune_every
         if kind == "dyal":
             assert len(pred.rate_map) == len(pred.ema_map) \
                 <= len(queues.q_map)
@@ -192,10 +191,10 @@ def test_state_bounded_on_open_ended_stream(kind, seed, fresh):
 @given(st.sampled_from(("queues", "dyal")), st.integers(2, 6),
        st.integers(1, 5), st.integers(1, 60), st.integers(1, 12), streams)
 def test_queue_tiers(kind, qcap, s1, s2, prune_every, stream):
-    # pruning on, with a small s1: first and q_map never share an item,
-    # each queue in q_map holds 2 to qcap stamps, each Dyal edge has its
-    # queue there, and Queues.update returns exactly the ids its
-    # heartbeat prune dropped, () between heartbeats
+    # pruning on, with a small s1: every item in q_map has a queue, each
+    # queue in q_map holds 2 to qcap stamps, each Dyal edge has its queue
+    # there, and Queues.update returns exactly the ids its heartbeat prune
+    # dropped, () between heartbeats
     kw = dict(qcap=qcap, s1=s1, s2=s2, prune_every=prune_every)
     pred = Dyal(**kw) if kind == "dyal" else Queues(**kw)
     queues = pred.queues if kind == "dyal" else pred
@@ -203,17 +202,43 @@ def test_queue_tiers(kind, qcap, s1, s2, prune_every, stream):
         if kind == "dyal":
             pred.update(o)
         else:
-            held = queues.first.keys() | queues.q_map.keys() | {o}
+            held = queues.stamps.keys() | {o}
             dropped = pred.update(o)
             if queues.clock % prune_every:
                 assert dropped == ()
             else:
-                assert dropped == \
-                    held - queues.first.keys() - queues.q_map.keys()
-        assert not queues.first.keys() & queues.q_map.keys()
-        assert all(2 <= len(q) <= qcap for q in queues.q_map.values())
+                assert dropped == held - queues.stamps.keys()
+        assert queues.q_map.keys() <= queues.stamps.keys()
+        assert all(2 <= len(queues.stamps[i]) <= qcap
+                   for i in queues.q_map)
         if kind == "dyal":
             assert pred.ema_map.keys() <= queues.q_map.keys()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(("queues", "dyal")), st.integers(2, 6),
+       st.integers(1, 5), st.integers(1, 60), st.integers(1, 12), streams)
+def test_q_map_follows_stamps(kind, qcap, s1, s2, prune_every, stream):
+    # pruning on, with a small s1, after every update: each queue is
+    # strictly decreasing and holds 1 to qcap stamps; q_map holds exactly
+    # the queues of 2 or more stamps, each as (stamps - 1, oldest stamp);
+    # and its keys run in the order in which the items got their second
+    # stamp since they were last dropped, the order predict() sums in
+    kw = dict(qcap=qcap, s1=s1, s2=s2, prune_every=prune_every)
+    pred = Dyal(**kw) if kind == "dyal" else Queues(**kw)
+    queues = pred.queues if kind == "dyal" else pred
+    order = []
+    for o in stream:
+        second = len(queues.stamps.get(o, ())) == 1
+        pred.update(o)
+        order = [i for i in order + [o] * second if i in queues.stamps]
+        for q in queues.stamps.values():
+            assert 1 <= len(q) <= qcap
+            assert all(a > b for a, b in zip(q, q[1:]))
+        assert queues.q_map == {i: (len(q) - 1, q[-1])
+                                for i, q in queues.stamps.items()
+                                if len(q) >= 2}
+        assert list(queues.q_map) == order
 
 
 @settings(max_examples=200, deadline=None)
