@@ -7,7 +7,7 @@ import numbers
 from math import log  # for score, which logs on every step
 
 from .predictors import Box
-from .sd_core import SUM_SLACK, ConfigError, FcConfig, filter_cap
+from .sd_core import SUM_SLACK, ConfigError, FcConfig
 
 
 class Referee:
@@ -37,41 +37,63 @@ class Referee:
         return count <= self.c_ns
 
 
-def score(o, qp, marked_ns, neg_log_pns):
-    """Bounded log-loss and quadratic loss of one filter-capped map qp
-    against the outcome o, as (loss, quad). A hit scores -ln of its
+def score(o, q, marked_ns, cfg, neg_log_pns):
+    """Bounded log-loss and quadratic loss of the raw map q against the
+    outcome o, as (loss, quad), on q's filter_cap form under cfg, which
+    it does not build: one walk over q, and a second over the scaled
+    weights only when the cap scales. A hit scores -ln of its capped
     weight, which is at least p_min >= p_ns; a miss scores neg_log_pns
     (-ln p_ns), or, if the referee marked it as noise, -ln of the
     unallocated mass clamped at neg_log_pns. The loss lies in
     [0, -ln p_ns]. The quadratic (Brier-style) loss is the squared
     distance to the one-hot outcome, in [0, 2]."""
-    prob = qp.get(o, 0.0)
+    p_min = cfg.p_min
+    prob = q.get(o, 0.0)
+    if prob < p_min:
+        prob = 0.0
+    quad = (1.0 - prob) ** 2
+    s = 0.0
+    for i, v in q.items():
+        if v >= p_min:
+            s += v
+            if i != o:
+                quad += v * v
+    if s > 1.0 - cfg.p_ns + SUM_SLACK:
+        # alpha < 1, so a scaled weight at or above p_min was salient
+        # before the scaling too.
+        alpha = (1.0 - cfg.p_ns) / s
+        prob = alpha * q.get(o, 0.0)
+        if prob < p_min:
+            prob = 0.0
+        quad = (1.0 - prob) ** 2
+        s = 0.0
+        for i, v in q.items():
+            v = alpha * v
+            if v >= p_min:
+                s += v
+                if i != o:
+                    quad += v * v
     if prob > 0.0:
         loss = -log(prob)
     elif not marked_ns:
         loss = neg_log_pns
     else:
-        # filter_cap leaves the sum up to SUM_SLACK past 1 - p_ns, so
-        # the unallocated mass can fall below p_ns, or to 0.
-        u = 1.0 - sum(qp.values())
+        # The cap leaves the sum up to SUM_SLACK past 1 - p_ns, so the
+        # unallocated mass can fall below p_ns, or to 0.
+        u = 1.0 - s
         loss = min(-log(u), neg_log_pns) if u > 0.0 else neg_log_pns
-    quad = (1.0 - prob) ** 2
-    for i, v in qp.items():
-        if i != o:
-            quad += v * v
     return loss, quad
 
 
 def logloss_rule_ns(o, q, marked_ns, cfg=FcConfig()):
-    """Bounded log-loss of the raw map q: `score` on its filter-capped
-    form, in [0, -ln p_ns]."""
-    return score(o, filter_cap(q, cfg), marked_ns, -math.log(cfg.p_ns))[0]
+    """Bounded log-loss of the raw map q, in [0, -ln p_ns]: `score`'s
+    loss."""
+    return score(o, q, marked_ns, cfg, -math.log(cfg.p_ns))[0]
 
 
 def quad_rule(q, o, cfg=FcConfig()):
-    """Quadratic loss of the raw map q: `score` on its filter-capped
-    form, in [0, 2]."""
-    return score(o, filter_cap(q, cfg), False, -math.log(cfg.p_ns))[1]
+    """Quadratic loss of the raw map q, in [0, 2]: `score`'s quad."""
+    return score(o, q, False, cfg, -math.log(cfg.p_ns))[1]
 
 
 def dev_ratio(p_hat, tp):

@@ -14,7 +14,7 @@ from itertools import combinations, repeat
 from . import predictors, synth
 from .evaluation import (Referee, dev_ratio, multidev, optimal_logloss,
                          score, sign_test)
-from .sd_core import ConfigError, FcConfig, filter_cap
+from .sd_core import ConfigError, FcConfig
 
 
 # kind -> (parameter type, constructor); the constructor checks the
@@ -88,10 +88,10 @@ def run_prequential(pred, obs, ecfg, marks, schedule=None, track_item=None):
     truth = schedule if schedule is not None else repeat(None, n)
     # Bound once per pass, from the module globals at call time, so that a
     # wrapper bound there before the pass still runs.
-    predict, update, fc, sc = pred.predict, pred.update, filter_cap, score
+    predict, update, sc = pred.predict, pred.update, score
     for o, marked_ns, p in zip(obs, marks, truth, strict=True):
         q = predict()
-        loss, quad = sc(o, fc(q, ecfg), marked_ns, neg_log_pns)
+        loss, quad = sc(o, q, marked_ns, ecfg, neg_log_pns)
         loss_sum += loss
         quad_sum += quad
         if p is not None:

@@ -40,11 +40,14 @@ def filter_cap(m, cfg=FcConfig()):
     # Loops, not comprehensions: before Python 3.12 a comprehension is a
     # function call, which is most of the work on a two-entry map.
     p_min = cfg.p_min
+    # An in-order running sum, as evaluation.score's, and not sum(),
+    # which compensates its rounding from Python 3.12 on.
     q = {}
+    s = 0.0
     for i, v in m.items():
         if v >= p_min:
             q[i] = v
-    s = sum(q.values())
+            s += v
     if s <= 1.0 - cfg.p_ns + SUM_SLACK:
         return q
     alpha = (1.0 - cfg.p_ns) / s

@@ -2,10 +2,11 @@
 
 This is the stamp-based Queues before its two-tier split: one map holds
 every queue, single-stamp ones included, and predict() walks all of them,
-skipping those in their grace period. The Queues in src/ keeps
-single-stamp items in a map of their own; it must give the same (PR,
-count) for every item, the same predictions and the same prune sets, so
-the tests drive both side by side.
+skipping those in their grace period. The Queues in src/ keeps every
+item's queue in `stamps`, and for each queue of 2 or more stamps it keeps
+(stamps - 1, oldest stamp) in `q_map`, which is all that predict() walks.
+It must give the same (PR, count) for every item, the same predictions
+and the same prune sets, so the tests drive both side by side.
 """
 
 

@@ -27,9 +27,19 @@ def scale_drop(m, alpha, p_min):
     return out
 
 
+def in_order_sum(m):
+    """The sum of m's values, added left to right in map order. Python
+    3.12's sum() compensates its rounding, which the code in sd_core and
+    evaluation does not; before 3.12 the two are the same."""
+    s = 0.0
+    for v in m.values():
+        s += v
+    return s
+
+
 def filter_cap(m, cfg):
     q = scale_drop(m, 1.0, cfg.p_min)
-    s = sum(q.values())
+    s = in_order_sum(q)
     if s <= 1.0 - cfg.p_ns + SUM_SLACK:
         return q
     return scale_drop(q, (1.0 - cfg.p_ns) / s, cfg.p_min)
@@ -42,7 +52,7 @@ def logloss_rule_ns(o, q, marked_ns, cfg=FcConfig()):
         return -math.log(prob)
     if not marked_ns:
         return -math.log(cfg.p_ns)
-    u = 1.0 - sum(qp.values())
+    u = 1.0 - in_order_sum(qp)
     return min(-math.log(u), -math.log(cfg.p_ns)) if u > 0.0 \
         else -math.log(cfg.p_ns)
 
