@@ -9,8 +9,13 @@ speed does not favour either side. For each pair it prints every
 end-to-end metric of the change's BENCHMARK.json, parent -> change.
 Then, for each metric, it prints the parent's median and quartile
 distance, the change's median, the median of the per-pair changes, and
-in how many pairs the change was better. Run it with nothing else
-running on the machine.
+in how many pairs the change was better. Each such line ends with a
+verdict against the metric's bound in the change's BENCHMARK.json:
+"worse beyond bound" when the median change is worse than the bound,
+else "within bound", followed by "meets the claim rule" when the change
+was better in at least 9 of 10 pairs (ties count for neither side) and
+its median is better than the parent's by more than the parent's
+quartile distance. Run it with nothing else running on the machine.
 
 It writes no file, and exits 1 naming the run when a perfbench run is
 not correct or has a failed operation.
@@ -37,7 +42,9 @@ def main():
              "change": os.path.abspath(args.change)}
     with open(os.path.join(roots["change"], "BENCHMARK.json"),
               encoding="utf-8") as f:
-        better = {m["name"]: m["better"] for m in json.load(f)["end_to_end"]}
+        metrics = json.load(f)["end_to_end"]
+    better = {m["name"]: m["better"] for m in metrics}
+    bound = {m["name"]: m["bound"] for m in metrics}
     values = {side: {m: [] for m in better} for side in roots}
     for k in range(1, args.pairs + 1):
         order = ("parent", "change") if k % 2 else ("change", "parent")
@@ -57,11 +64,18 @@ def main():
         sign = 1 if direction == "higher" else -1
         wins = sum(1 for c in changes if sign * c > 0.0)
         quartiles = statistics.quantiles(old, n=4) if len(old) > 1 else [0] * 3
+        spread = quartiles[2] - quartiles[0]
+        change = statistics.median(changes)
+        verdict = ("worse beyond bound" if sign * change < -bound[m]
+                   else "within bound")
+        if (10 * wins >= 9 * len(old) and sign * (
+                statistics.median(new) - statistics.median(old)) > spread):
+            verdict += ", meets the claim rule"
         print("%s: parent median %.4g (quartile distance %.3g), change "
               "median %.4g, median change %+.1f %%, better in %d of %d "
-              "pairs" % (m, statistics.median(old), quartiles[2] - quartiles[0],
-                         statistics.median(new),
-                         100 * statistics.median(changes), wins, len(old)))
+              "pairs; %s" % (m, statistics.median(old), spread,
+                             statistics.median(new), 100 * change, wins,
+                             len(old), verdict))
 
 
 if __name__ == "__main__":

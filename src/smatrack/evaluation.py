@@ -4,36 +4,45 @@ sign tests."""
 
 import math
 import numbers
+from collections import deque
 from math import log  # for score, which logs on every step
 
-from .predictors import Box
 from .sd_core import SUM_SLACK, ConfigError, FcConfig
 
 
 class Referee:
     """Third-party noise marker: an observation is flagged NS while its
     prior occurrence count is at most c_ns. With a window limit W set,
-    counts cover only the last W observations, kept by a Box(W)."""
+    counts cover only the last W observations, which it keeps in order
+    to evict the oldest."""
 
     def __init__(self, c_ns=2, window=None):
         if not (isinstance(c_ns, numbers.Integral) and c_ns >= 0):
             raise ConfigError("c_ns must be an integer >= 0, got %r"
                               % (c_ns,))
-        try:
-            self._box = None if window is None else Box(window)
-        except ValueError:
+        if not (window is None or isinstance(window, numbers.Integral)
+                and window >= 1):
             raise ConfigError("referee window must be an integer >= 1, "
                               "got %r" % (window,))
         self.c_ns = c_ns
         self.window = window
-        self.recent_freq = {} if window is None else self._box.counts
+        self.recent_freq = {}
+        self._recent = deque()
 
     def is_ns(self, o):
-        count = self.recent_freq.get(o, 0)
-        if self._box is None:
-            self.recent_freq[o] = count + 1
-        else:
-            self._box.update(o)
+        freq = self.recent_freq
+        count = freq.get(o, 0)
+        freq[o] = count + 1
+        if self.window is not None:
+            recent = self._recent
+            recent.append(o)
+            if len(recent) > self.window:
+                old = recent.popleft()
+                c = freq[old] - 1
+                if c:
+                    freq[old] = c
+                else:
+                    del freq[old]
         return count <= self.c_ns
 
 

@@ -212,28 +212,43 @@ class Queues:
 
 class Box:
     """Fixed window of the last K observations with exact counts;
-    PR = count in window / window length."""
+    PR = count in window / window length. Once the window is full, probs
+    keeps count / k for each item, in counts' key order, so an update
+    rewrites at most two PRs and predict() is a copy."""
 
     def __init__(self, k=100):
         _need(_is_count(k), "integer k >= 1")
         self.k = k
         self.window = deque()
         self.counts = {}
+        self.probs = {}
 
     def predict(self):
         n = len(self.window)
-        return {i: c / n for i, c in self.counts.items()}
+        if n < self.k:
+            return {i: c / n for i, c in self.counts.items()}
+        return self.probs.copy()
 
     def update(self, o):
         window = self.window
         counts = self.counts
+        k = self.k
         window.append(o)
         counts[o] = counts.get(o, 0) + 1
-        if len(window) > self.k:
+        n = len(window)
+        if n > k:
+            probs = self.probs
             old = window.popleft()
-            counts[old] -= 1
-            if counts[old] == 0:
+            c = counts[old] - 1
+            if c:
+                counts[old] = c
+                probs[old] = c / k
+            else:
                 del counts[old]
+                del probs[old]
+            probs[o] = counts[o] / k
+        elif n == k:
+            self.probs = {i: c / k for i, c in counts.items()}
 
 
 class Dyal:
@@ -257,7 +272,7 @@ class Dyal:
         self.rate_map = {}
 
     def predict(self):
-        return dict(self.ema_map)
+        return self.ema_map.copy()
 
     def update(self, o):
         q_pr, q_count = self.queues.pr_count(o)  # before the queue update

@@ -55,8 +55,24 @@ def test_referee_window_eviction():
     assert r.is_ns(1) is True  # forgotten, noise again
 
 
+@pytest.mark.parametrize("c_ns", (0, 2))
+@pytest.mark.parametrize("w", (1, 2, 3, 7))
+def test_referee_window_matches_brute_force(w, c_ns):
+    # small ids, so items leave the window and come back, and an item is
+    # often observed on the step that evicts it
+    rng = np.random.default_rng(w * 10 + c_ns)
+    r = Referee(c_ns=c_ns, window=w)
+    seen = []
+    for o in rng.integers(0, 5, size=400).tolist():
+        assert r.is_ns(o) is (seen[-w:].count(o) <= c_ns)
+        seen.append(o)
+        assert all(c > 0 for c in r.recent_freq.values())
+        assert r.recent_freq == {i: seen[-w:].count(i) for i in seen[-w:]}
+
+
 def test_referee_rejects_window_below_one():
-    # the window is a Box's k, so a fractional one is out of its domain
+    # the window counts observations, so a fractional one is out of its
+    # domain
     for w in (0, -1, 2.5):
         with pytest.raises(ConfigError) as e:
             Referee(window=w)

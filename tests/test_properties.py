@@ -9,13 +9,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smatrack.harness import (PREDICTOR_KINDS, EvalConfig, ExperimentSpec,
                               make_predictor, run_prequential)
 from smatrack.harness import streams as spec_streams
-from smatrack.predictors import EMA_FLOOR, Dyal, Queues
+from smatrack.predictors import EMA_FLOOR, Box, Dyal, Queues
 from smatrack.sd_core import SUM_SLACK
 from smatrack.synth import GenConfig
 from reference_scoring import noise_marks
@@ -177,6 +177,7 @@ def test_state_bounded_on_open_ended_stream(kind, seed, fresh):
         if kind == "box":
             # only the last k observations are kept and counted
             assert len(pred.counts) <= 50 and len(pred.window) <= 50
+            assert len(pred.probs) <= 50
             continue
         queues = pred.queues if kind == "dyal" else pred
         # cut back below 2*s1 at every prune, at most prune_every new
@@ -256,3 +257,25 @@ def test_dyal_maps_in_lockstep(beta_min, qcap, sig_thresh, p_min, s1, s2,
     for o in stream:
         d.update(o)
         assert list(d.ema_map) == list(d.rate_map)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8),
+       st.one_of(streams, st.lists(st.integers(0, 4), max_size=60)))
+@example(2, [0, 1, 0, 1, 1, 0, 2, 0, 0, 3])
+def test_box_map_is_exact(k, stream):
+    # a brute-force model: counts over the slice w of the last k
+    # observations, each key in the place it took when it last entered.
+    # predict() matches it exactly, values and order, while the window
+    # fills and after, and probs keeps counts' key order once it is full
+    b = Box(k)
+    seen, model = [], {}
+    for o in stream:
+        b.update(o)
+        seen.append(o)
+        w = seen[-k:]
+        model = {i: w.count(i) for i in [*model, o] if i in w}
+        assert list(b.predict().items()) == \
+            [(i, c / len(w)) for i, c in model.items()]
+        if len(w) == k:
+            assert list(b.probs) == list(b.counts)
