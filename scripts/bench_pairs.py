@@ -12,10 +12,10 @@ distance, the change's median, the median of the per-pair changes, and
 in how many pairs the change was better. Each such line ends with a
 verdict against the metric's bound in the change's BENCHMARK.json:
 "worse beyond bound" when the median change is worse than the bound,
-else "within bound", followed by "meets the claim rule" when the change
-was better in at least 9 of 10 pairs (ties count for neither side) and
-its median is better than the parent's by more than the parent's
-quartile distance. Run it with nothing else running on the machine.
+else "within bound", followed by "meets the claim rule" when at least
+10 pairs ran, the change was better in at least nine tenths of them
+(ties count for neither side), and its median is better than the
+parent's by more than the parent's quartile distance. Run it with nothing else running on the machine.
 
 It writes no file, and exits 1 naming the run when a perfbench run is
 not correct or has a failed operation.
@@ -68,7 +68,7 @@ def main():
         change = statistics.median(changes)
         verdict = ("worse beyond bound" if sign * change < -bound[m]
                    else "within bound")
-        if (10 * wins >= 9 * len(old) and sign * (
+        if (len(old) >= 10 and 10 * wins >= 9 * len(old) and sign * (
                 statistics.median(new) - statistics.median(old)) > spread):
             verdict += ", meets the claim rule"
         print("%s: parent median %.4g (quartile distance %.3g), change "

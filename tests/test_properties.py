@@ -2,8 +2,9 @@
 is a semi-distribution with no zero entries, predict() has no side
 effects, a stream gives the same run every time, and the kinds that
 prune keep their state bounded on an open-ended stream. The queue-based
-kinds keep q_map in step with their stamps. run_prequential keeps every
-kind's scores in their ranges at every valid (p_min, p_ns)."""
+kinds keep q_map in step with their stamps, and Box's map matches a
+brute-force window exactly, in value and order. run_prequential keeps
+every kind's scores in their ranges at every valid (p_min, p_ns)."""
 
 import math
 
