@@ -1,19 +1,17 @@
 """Command-line front end.
 
 Subcommands: gen (write a synthetic stream), run (score a roster of
-predictors), compare (paired sign test from a per-sequence CSV), trace
-(estimate / learning-rate trajectories), ingest-check (validate a token
-file). Exit codes: 0 success, 2 configuration error, 1 runtime error.
+predictors and sign-test every pair), trace (estimate / learning-rate
+trajectories), ingest-check (validate a token file). Exit codes: 0
+success, 2 configuration error, 1 runtime error.
 """
 
-import csv
 import sys
 from dataclasses import fields
 
 import click
 
 from . import harness, synth
-from .evaluation import sign_test
 from .harness import ConfigError, EvalConfig, ExperimentSpec
 
 
@@ -26,16 +24,6 @@ def _parse_method(text):
     return text, kind, param
 
 
-def _read_lines(path):
-    """The file's lines, split as csv reads them; ConfigError names a
-    file that is not UTF-8."""
-    try:
-        with open(path, newline="", encoding="utf-8") as f:
-            return f.readlines()
-    except UnicodeDecodeError as e:
-        raise ConfigError("cannot read %s: %s" % (path, e))
-
-
 # --config keys and their types; flags of the same names win.
 _CONFIG_KEYS = {"p_min": float, "p_ns": float, "c_ns": int,
                 "referee_window": int}
@@ -44,12 +32,17 @@ _CONFIG_KEYS = {"p_min": float, "p_ns": float, "c_ns": int,
 def _load_config(ctx, param, path):
     """--config's callback: the file's key=value lines become the defaults
     of the run options of those names, so a flag given still wins. Blank
-    lines and # comments are ignored. ConfigError for a key not in
-    _CONFIG_KEYS or a value of the wrong type."""
+    lines and # comments are ignored. ConfigError for a file that is not
+    UTF-8, a key not in _CONFIG_KEYS or a value of the wrong type."""
     if path is None:
         return
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = f.readlines()
+    except UnicodeDecodeError as e:
+        raise ConfigError("cannot read %s: %s" % (path, e))
     out = {}
-    for line in _read_lines(path):
+    for line in lines:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -161,51 +154,6 @@ def run(methods, n_seqs, input_path, p_min, p_ns, c_ns, referee_window, dev,
         if metric == "avg_logloss_ns":
             click.echo("%-24s %s  %.4f +- %.4f" % (method, metric, mu, sd))
     click.echo("results in %s" % out)
-
-
-@cli.command()
-@click.option("--per-seq", "per_seq", metavar="PATH",
-              type=click.Path(exists=True, dir_okay=False), required=True)
-@click.option("--a", "method_a", required=True)
-@click.option("--b", "method_b", required=True)
-@click.option("--metric", default="avg_logloss_ns")
-def compare(per_seq, method_a, method_b, metric):
-    """Paired sign test between two methods from a per_seq.csv."""
-    if method_a == method_b:
-        raise click.UsageError("--a and --b are both %r" % (method_a,))
-    vals = {method_a: {}, method_b: {}}
-    reader = csv.DictReader(_read_lines(per_seq))
-    for col in ("seq_id", "method", "metric", "value"):
-        if col not in (reader.fieldnames or ()):
-            raise click.UsageError("%s has no %r column" % (per_seq, col))
-    has_metric = False
-    for row in reader:
-        if row["metric"] != metric:
-            continue
-        has_metric = True
-        if row["method"] not in vals:
-            continue
-        try:
-            seq, value = int(row["seq_id"]), float(row["value"])
-        except (TypeError, ValueError):
-            raise click.UsageError(
-                "%s line %d: seq_id %r, value %r: need an integer "
-                "and a number" % (per_seq, reader.line_num,
-                                  row["seq_id"], row["value"]))
-        if seq in vals[row["method"]]:
-            raise click.UsageError(
-                "%s line %d: a second %s row for seq %d, method %s"
-                % (per_seq, reader.line_num, metric, seq, row["method"]))
-        vals[row["method"]][seq] = value
-    if not has_metric:
-        raise click.UsageError("%s has no %s rows" % (per_seq, metric))
-    common = sorted(set(vals[method_a]) & set(vals[method_b]))
-    if not common:
-        raise click.UsageError("no common sequences for those methods")
-    wa, wb, ties, p = sign_test([vals[method_a][s] for s in common],
-                                [vals[method_b][s] for s in common])
-    click.echo("%s vs %s: wins %d, losses %d, ties %d, p=%.3g"
-               % (method_a, method_b, wa, wb, ties, p))
 
 
 @cli.command()

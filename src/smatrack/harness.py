@@ -247,10 +247,11 @@ def streams(spec):
 
 def run_experiment(spec):
     """Run every roster entry over every sequence. Returns a dict with
-    per-sequence rows, aggregates, and pairwise sign tests; writes the
+    per-sequence rows, aggregates, and a sign test of every roster pair
+    on every metric, a win being a strictly lower value; writes the
     corresponding CSVs when spec.out_dir is set."""
     rows = []  # (seq_id, method, param, metric, value)
-    losses_by_method = {}
+    values = {}  # metric -> label -> one value per sequence
     ecfg = spec.eval_cfg
     for seq_id, stream in streams(spec):
         # Noise marks and per-step truth depend only on the stream.
@@ -268,11 +269,12 @@ def run_experiment(spec):
                                       track_item=_EXPERIMENTS[spec.kind][0])
             for metric, value in metrics.items():
                 rows.append((seq_id, label, param, metric, value))
-            losses_by_method.setdefault(label, []).append(
-                metrics["avg_logloss_ns"])
+                values.setdefault(metric, {}).setdefault(label, []).append(
+                    value)
 
     aggregates = _aggregate(rows)
-    tests = [(a, b, *sign_test(losses_by_method[a], losses_by_method[b]))
+    tests = [(metric, a, b, *sign_test(by[a], by[b]))
+             for metric, by in values.items()
              for (a, _, _), (b, _, _) in combinations(spec.roster, 2)]
 
     if spec.out_dir:
@@ -284,12 +286,12 @@ def run_experiment(spec):
                    [(m, p, k, repr(mu), repr(sd))
                     for m, p, k, mu, sd in aggregates])
         _write_csv(os.path.join(spec.out_dir, "sign_tests.csv"),
-                   ["method_a", "method_b", "wins_a", "wins_b", "ties",
-                    "p_value"],
-                   [(a, b, wa, wb, t, repr(p))
-                    for a, b, wa, wb, t, p in tests])
+                   ["metric", "method_a", "method_b", "wins_a", "wins_b",
+                    "ties", "p_value"],
+                   [(m, a, b, wa, wb, t, repr(p))
+                    for m, a, b, wa, wb, t, p in tests])
     return {"rows": rows, "aggregates": aggregates, "sign_tests": tests,
-            "losses_by_method": losses_by_method}
+            "losses_by_method": values.get("avg_logloss_ns", {})}
 
 
 def _aggregate(rows):

@@ -5,6 +5,7 @@ import math
 import os
 import signal
 import sys
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -12,13 +13,14 @@ from click.testing import CliRunner
 
 from smatrack import harness, synth
 from smatrack.cli import cli, main
-from smatrack.evaluation import Referee, Schedule
+from smatrack.evaluation import Referee, Schedule, sign_test
 from smatrack.harness import (ConfigError, EvalConfig, ExperimentSpec,
                               ingest_sequence, make_predictor,
                               run_experiment, run_prequential, self_concat)
 from smatrack.predictors import Box, Dyal, Ema, Queues
 from smatrack.sd_core import FcConfig
 import reference_scoring
+import test_identity
 from reference_scoring import noise_marks
 
 
@@ -706,19 +708,46 @@ def test_cli_gen_matches_generator(tmp_path, kind):
          for i in sorted(sd)]).encode()
 
 
-def test_cli_compare(tmp_path):
-    out_dir = str(tmp_path / "run")
+def test_sign_tests_cover_every_metric(tmp_path):
+    # run sign-tests every roster pair on every metric of per_seq.csv, in
+    # its metric order and then in roster order, with each method's
+    # values in seq order. The runs are the identity spec's run-multi
+    # and run-config; run-config sets --d 1.2 --d 3.
+    spec = dict(test_identity.SPEC)
     runner = CliRunner()
-    r = runner.invoke(cli, ["run", "--kind", "stationary-single",
-                            "--method", "ema:0.05", "--method", "box:50",
-                            "--n-seqs", "4", "--seq-len", "300",
-                            "--out", out_dir])
-    assert r.exit_code == 0, r.output
-    r = runner.invoke(cli, ["compare", "--per-seq",
-                            os.path.join(out_dir, "per_seq.csv"),
-                            "--a", "ema:0.05", "--b", "box:50"])
-    assert r.exit_code == 0, r.output
-    assert "wins" in r.output
+    got = {}
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        with open("scoring.cfg", "w") as f:
+            f.write(test_identity.CONFIG)
+        for name in ("run-multi", "run-config"):
+            r = runner.invoke(cli, spec[name] + ["--out", name])
+            assert r.exit_code == 0, r.output
+            values = {}
+            with open(os.path.join(name, "per_seq.csv"), newline="") as f:
+                for row in csv.DictReader(f):
+                    values.setdefault(row["metric"], {}).setdefault(
+                        row["method"], []).append(float(row["value"]))
+            with open(os.path.join(name, "sign_tests.csv"), newline="") as f:
+                got[name] = list(csv.reader(f))
+            want = [["metric", "method_a", "method_b", "wins_a", "wins_b",
+                     "ties", "p_value"]]
+            for metric, by in values.items():
+                for a, b in combinations(test_identity.ROSTER, 2):
+                    wa, wb, t, p = sign_test(by[a], by[b])
+                    want.append([metric, a, b, str(wa), str(wb), str(t),
+                                 repr(p)])
+            assert got[name] == want
+    assert {row[0] for row in got["run-config"][1:]} == {
+        "avg_logloss_ns", "avg_quad", "dev_rate_obs_d1.2",
+        "dev_rate_any_d1.2", "dev_rate_obs_d3", "dev_rate_any_d3"}
+    # What the removed compare command printed for these runs:
+    # "ema:0.05 vs dyal:0.01: wins 1, losses 2, ties 0, p=1", and with
+    # --metric avg_quad, "box:50 vs queues:3: wins 2, losses 1, ties 0,
+    # p=1".
+    assert ["avg_logloss_ns", "ema:0.05", "dyal:0.01", "1", "2", "0",
+            "1.0"] in got["run-multi"]
+    assert ["avg_quad", "queues:3", "box:50", "1", "2", "0",
+            "1.0"] in got["run-config"]
 
 
 def test_cli_trace(tmp_path):
@@ -814,7 +843,7 @@ def main_exit(monkeypatch, capfd):
 
 
 def test_token_file_commands_need_no_numpy(tmp_path):
-    # run --kind real-file, trace, compare and ingest-check draw no
+    # run --kind real-file, trace and ingest-check draw no
     # random number, so they never load numpy. A spec of a kind that
     # reads seed loads numpy.random when it is made, so that no scored
     # pass pays for the import.
@@ -830,9 +859,7 @@ def test_token_file_commands_need_no_numpy(tmp_path):
              ["run", "--kind", "real-file", "--input", tokens, "--out", out]
              + methods,
              ["trace", "--input", tokens, "--self-concat", "2",
-              "--track-item", "0", "--out", str(tmp_path / "trace")],
-             ["compare", "--per-seq", os.path.join(out, "per_seq.csv"),
-              "--a", "ema:0.05", "--b", "dyal:0.01"]]
+              "--track-item", "0", "--out", str(tmp_path / "trace")]]
     code = ("import sys, smatrack.cli\n"
             "for argv in %r:\n"
             "    smatrack.cli.cli.main(argv, standalone_mode=False)\n"
@@ -845,7 +872,9 @@ def test_token_file_commands_need_no_numpy(tmp_path):
                        text=True)
     assert r.returncode == 0, r.stderr
     assert r.stdout.startswith("200 observations, 3 unique items\n")
-    assert "ema:0.05 vs dyal:0.01: wins " in r.stdout
+    with open(os.path.join(out, "sign_tests.csv")) as f:
+        assert f.readline() == \
+            "metric,method_a,method_b,wins_a,wins_b,ties,p_value\n"
     assert os.path.exists(tmp_path / "trace" / "estimate_trace.csv")
 
 
@@ -865,23 +894,18 @@ def test_cli_exit_codes(tmp_path, main_exit):
     # given, in --help order, is named. The three cases after those ran
     # with an option their kind does not read (the base --seq-len 500
     # for real-file), so they moved to a kind that reads it and still
-    # fail for their own reason. Then a --config file and a compare
-    # --per-seq file that are not UTF-8 are named, and compare names a
-    # missing column, the line of a value that does not parse and of a
-    # second row for one sequence and method, refuses one method given
-    # twice, names a --metric that no row holds, and tells methods that
-    # share no sequence apart from that. A directory is refused as
-    # --per-seq and as --config, and so are --config files with a value
-    # of the wrong type, a misspelt key, a key given twice, and a p_min
-    # that is in range but below the default p_ns. A token file with no
-    # tokens, empty or blank lines only, is refused by run, trace and
-    # ingest-check (run used to score a perfect 0.0, and trace to write a
-    # header-only trace). trace refuses a self-concat below 1, a method
-    # that is not dyal, a bad dyal parameter, and a tracked id outside
-    # the file's ids (0 and 1 here). Last, a token file that is not UTF-8
-    # is a runtime error (exit 1) in run, trace and ingest-check. compare
-    # and ingest-check take no --out. The last three cases run python -m
-    # smatrack.cli, one for each exit code.
+    # fail for their own reason. Then a --config file that is not UTF-8
+    # is named. A directory is refused as --config, and so are --config
+    # files with a value of the wrong type, a misspelt key, a key given
+    # twice, and a p_min that is in range but below the default p_ns.
+    # A token file with no tokens, empty or blank lines only, is refused
+    # by run, trace and ingest-check (run used to score a perfect 0.0,
+    # and trace to write a header-only trace). trace refuses a
+    # self-concat below 1, a method that is not dyal, a bad dyal
+    # parameter, and a tracked id outside the file's ids (0 and 1 here).
+    # Last, a token file that is not UTF-8 is a runtime error (exit 1) in
+    # run, trace and ingest-check. ingest-check takes no --out. The last
+    # three cases run python -m smatrack.cli, one for each exit code.
     out = tmp_path / "x"
     run_ss = ["run", "--kind", "stationary-single", "--seq-len", "500"]
     ema = [*run_ss, "--method", "ema:0.1"]
@@ -903,16 +927,6 @@ def test_cli_exit_codes(tmp_path, main_exit):
                "ema:0.1"]
     trace = ["trace", "--input", tok]
     bad_cfg = write("latin1.cfg", b"p_ns=0.01\n\xff\n")
-    bad_csv = write("latin1.csv",
-                    b"seq_id,method,param,metric,value\n0,\xff,,m,1\n")
-    header = "seq_id,method,param,metric,value\n"
-    twice = write("twice.csv", header + "0,a,,avg_logloss_ns,0.5\n"
-                  "0,b,,avg_logloss_ns,0.6\n0,a,,avg_logloss_ns,0.7\n")
-    apart = write("apart.csv", header + "0,a,,avg_logloss_ns,0.5\n"
-                  "1,b,,avg_logloss_ns,0.6\n")
-    no_metric = write("no-metric.csv", "seq_id,method,value\n0,a,1.0\n")
-    oops = write("oops.csv", header + "0,a,,avg_logloss_ns,1.0\n"
-                 "0,b,,avg_logloss_ns,oops\n")
     empty, blank = write("empty.txt", ""), write("blank.txt", "\n  \n\n")
     bad = write("bad.txt", b"a\n\xff\n")
     for args, code, msg in (
@@ -990,25 +1004,6 @@ def test_cli_exit_codes(tmp_path, main_exit):
             (["gen", "--kind", "nonstat-single", "--mode", "uniform",
               "--l-min", "-1"], 2, "l_min must be an integer >= 0, got -1"),
             ([*run_tok, "--config", bad_cfg], 2, decode % (bad_cfg, 10)),
-            (["compare", "--per-seq", bad_csv, "--a", "a", "--b", "b"], 2,
-             decode % (bad_csv, 35)),
-            (["compare", "--per-seq", no_metric, "--a", "a", "--b", "b"], 2,
-             "%s has no 'metric' column" % no_metric),
-            (["compare", "--per-seq", oops, "--a", "a", "--b", "b"], 2,
-             "%s line 3: seq_id '0', value 'oops': need an integer and a "
-             "number" % oops),
-            (["compare", "--per-seq", twice, "--a", "a", "--b", "b"], 2,
-             "%s line 4: a second avg_logloss_ns row for seq 0, method a"
-             % twice),
-            (["compare", "--per-seq", twice, "--a", "a", "--b", "a"], 2,
-             "--a and --b are both 'a'"),
-            (["compare", "--per-seq", twice, "--a", "a", "--b", "b",
-              "--metric", "avg_quad"], 2, "%s has no avg_quad rows" % twice),
-            (["compare", "--per-seq", apart, "--a", "a", "--b", "b"], 2,
-             "no common sequences for those methods"),
-            (["compare", "--per-seq", str(tmp_path), "--a", "a", "--b", "b"],
-             2, "Invalid value for '--per-seq': File '%s' is a directory."
-             % tmp_path),
             ([*run_tok, "--config", str(tmp_path)], 2,
              "Invalid value for '--config': File '%s' is a directory."
              % tmp_path),

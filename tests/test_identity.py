@@ -41,7 +41,7 @@ CONFIG = "# scoring defaults\np_min=0.05\n\np_ns=0.001\nc_ns=3\n" \
 # every file it writes under the directory <name>.
 SPEC = [("help", ["--help"])] + [
     ("help-" + sub, [sub, "--help"])
-    for sub in ("gen", "run", "compare", "trace", "ingest-check")] + [
+    for sub in ("gen", "run", "trace", "ingest-check")] + [
     ("gen-binary", ["gen", "--kind", "stationary-single", "--seq-len", "500",
                     "--tp", "0.3", "--seed", "1"]),
     ("gen-nonstat", ["gen", "--kind", "nonstat-single", "--seq-len", "500",
@@ -73,11 +73,6 @@ SPEC = [("help", ["--help"])] + [
     ("trace", ["trace", "--input", "tokens.txt", "--self-concat", "2"]),
     ("trace-item", ["trace", "--input", "tokens.txt", "--method",
                     "dyal:0.05", "--track-item", "1"]),
-    ("compare", ["compare", "--per-seq", "run-multi/per_seq.csv",
-                 "--a", "ema:0.05", "--b", "dyal:0.01"]),
-    ("compare-quad", ["compare", "--per-seq", "run-config/per_seq.csv",
-                      "--a", "box:50", "--b", "queues:3", "--metric",
-                      "avg_quad"]),
     ("ingest-check", ["ingest-check", "tokens.txt"]),
 ]
 
