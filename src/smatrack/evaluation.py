@@ -112,10 +112,10 @@ def dev_ratio(p_hat, tp):
         raise ValueError("tp must be positive")
     if p_hat == 0.0:
         return math.inf
-    # max() spelled out, as in multidev
-    r = tp / p_hat
-    up = p_hat / tp
-    return up if up > r else r
+    # One division: the ratio on p_hat's side of tp is the larger, since
+    # rounding is monotone and keeps each ratio on its side of 1.0. As
+    # in multidev.
+    return p_hat / tp if p_hat >= tp else tp / p_hat
 
 
 def multidev(o, q, p, p_min=0.01):
@@ -128,18 +128,14 @@ def multidev(o, q, p, p_min=0.01):
     worst = 0.0
     obs = math.inf if q.get(o, 0.0) >= p_min else 0.0
     for i, tp in p.items():
-        # dev_ratio inlined, with max() spelled out: this runs over the
-        # support on every step.
+        # dev_ratio inlined: this runs over the support on every step.
         if tp <= 0.0:
             raise ValueError("tp must be positive")
         est = q.get(i, 0.0)
         if est == 0.0:
             r = math.inf
         else:
-            r = tp / est
-            up = est / tp
-            if up > r:
-                r = up
+            r = est / tp if est >= tp else tp / est
         if r > worst:
             worst = r
         if i == o:

@@ -50,8 +50,8 @@ def binomial_significance(ema_pr, q_pr, q_count):
 
 
 # Dyal calls binomial_significance(e, q, n) only where n * KL(q || e)
-# can reach the threshold, both for o's own test in Dyal.update and for
-# every other edge in Dyal.weaken_edges: KL(q || e) <= ln(1 + chi2) <=
+# can reach the threshold, both for o's own test and for every other
+# edge in Dyal.weaken_edges: KL(q || e) <= ln(1 + chi2) <=
 # chi2 = (e - q)**2 / (e (1 - e)), so the call is skipped when
 # n * (chi2 + CHI2_SLACK) < sig. The slack covers rounding where the two
 # nearly meet, chi2 near 0: there a computed KL, a sum of logs of ratios
@@ -275,35 +275,32 @@ class Dyal:
         return self.ema_map.copy()
 
     def update(self, o):
-        q_pr, q_count = self.queues.pr_count(o)  # before the queue update
-        for i in self.queues.update(o):
+        """Reads o's queue entry once, before the queue update
+        (Queues.pr_count inlined), updates the queue, drops the ids its
+        prune dropped, and makes one weaken_edges call, which walks the
+        other edges and then takes o's own step."""
+        queues = self.queues
+        q = queues.q_map.get(o)
+        if q is None:
+            o_pr, o_count = 0.0, 0  # no queue, or one stamp: queue only
+        else:
+            n, oldest = q
+            o_count = queues.clock - oldest + 1
+            o_pr = n / (o_count - 1)
+        for i in queues.update(o):
             self.ema_map.pop(i, None)
             self.rate_map.pop(i, None)
-        free = self.weaken_edges(o)
-        if q_pr == 0.0:
-            return  # o is currently noise-level; queue only
-        ema_pr = self.ema_map.get(o, 0.0)
-        sig = self.sig_thresh
-        # An unseen o (ema_pr 0.0) always resets: the score is inf there.
-        # Otherwise the chi-squared screen (see CHI2_SLACK) comes first.
-        if q_pr > ema_pr and (not ema_pr or q_count * (
-                (d := q_pr - ema_pr) * d / (ema_pr * (1.0 - ema_pr))
-                + CHI2_SLACK) >= sig) and binomial_significance(
-                ema_pr, q_pr, q_count) >= sig:
-            self.rate_map[o] = max(1.0 / q_count, self.beta_min)
-            delta = min(q_pr - ema_pr, free)
-        else:
-            beta = self.rate_map[o]
-            delta = min((1.0 - ema_pr) * beta, free)
-            if beta != self.beta_min:
-                self.rate_map[o] = decay_rate(beta, self.beta_min)
-        self.ema_map[o] = ema_pr + delta
+        self.weaken_edges(o, o_pr, o_count)
 
-    def weaken_edges(self, o):
+    def weaken_edges(self, o, o_pr=0.0, o_count=0):
         """Weaken every edge except o's, possibly resetting an edge from
         its queue, and drop edges that have sunk below p_min or to 0.0.
-        Returns the free mass 1 - (surviving weight, including o's
-        untouched weight).
+        Then, when o_pr > 0.0, take o's own step from its queue's
+        (PR, count) as read before the queue update: a reset when the
+        queue's PR is significantly above o's weight (always for an
+        unseen o), else a plain EMA step, either capped at the free mass.
+        Returns the free mass from before o's step: 1 - (surviving
+        weight, including o's untouched weight).
 
         One loop, since it visits every edge on every update:
         Queues.pr_count and the significance test are inlined, the
@@ -314,17 +311,19 @@ class Dyal:
         So a reset sets a PR above 0 and a rate of at most 1, and an edge
         is dropped only below p_min or at 0.0. The walk runs over ema_map
         itself, reading a rate only for a plain step; it sets only the
-        visited edge and deletes the dropped edges after it."""
+        visited edge and deletes the dropped edges after it. o's step
+        runs in the same frame, so update costs one call."""
         ema_map = self.ema_map
         rate_map = self.rate_map
         q_map = self.queues.q_map
         clock = self.queues.clock
         p_min = self.p_min
         beta_min = self.beta_min
+        keep = 1.0 - beta_min
         sig = self.sig_thresh
         slack = CHI2_SLACK
         used = 0.0
-        drops = []
+        drops = ()
         for i, e in ema_map.items():
             if i == o:
                 used += e
@@ -340,22 +339,48 @@ class Dyal:
                                      + slack) >= sig) and (
                     binomial_significance(e, q_pr, span + 1) >= sig):
                 e = q_pr
-                rate_map[i] = max(1.0 / (span + 1), beta_min)
+                r = 1.0 / (span + 1)
+                rate_map[i] = beta_min if beta_min > r else r
             else:
                 beta = rate_map[i]
-                e *= (1.0 - beta)
-                if beta != beta_min:
+                if beta == beta_min:
+                    e *= keep
+                else:
+                    e *= (1.0 - beta)
                     rate_map[i] = decay_rate(beta, beta_min)
             if e:
                 ema_map[i] = e
                 used += e
-            else:  # below p_min, or weakened to 0.0 (a rate of 1, underflow)
+            # below p_min, or weakened to 0.0 (a rate of 1, or underflow);
+            # the list is made only when an edge drops
+            elif drops:
                 drops.append(i)
+            else:
+                drops = [i]
         for i in drops:
             del ema_map[i]
             del rate_map[i]
         free = 1.0 - used
-        return free if free > 0.0 else 0.0
+        if free < 0.0:
+            free = 0.0
+        if o_pr > 0.0:
+            ema_pr = ema_map.get(o, 0.0)
+            # An unseen o (ema_pr 0.0) always resets: the score is inf
+            # there. Otherwise the chi-squared screen comes first.
+            if o_pr > ema_pr and (not ema_pr or o_count * (
+                    (d := o_pr - ema_pr) * d / (ema_pr * (1.0 - ema_pr))
+                    + slack) >= sig) and binomial_significance(
+                    ema_pr, o_pr, o_count) >= sig:
+                r = 1.0 / o_count
+                rate_map[o] = beta_min if beta_min > r else r
+                delta = o_pr - ema_pr
+            else:
+                beta = rate_map[o]
+                delta = (1.0 - ema_pr) * beta
+                if beta != beta_min:
+                    rate_map[o] = decay_rate(beta, beta_min)
+            ema_map[o] = ema_pr + (free if free < delta else delta)
+        return free
 
     def max_rate(self):
         return max(self.rate_map.values(), default=0.0)

@@ -1,10 +1,12 @@
 """Reference Dyal for smatrack.predictors.Dyal.
 
-This is Dyal as first written: the per-edge pass reads each queue
-through Queues.pr_count, tests for a significantly low weight in its own
-method, and decays every rate through decay_rate. The Dyal in src/ walks
-the edges in one inlined loop; it must match this one bit for bit (maps,
-key order, rates and free mass), so the tests drive both side by side.
+This is Dyal as first written: update and the per-edge pass read each
+queue through Queues.pr_count, the pass tests for a significantly low
+weight in its own method, and every rate decays through decay_rate. The
+Dyal in src/ reads pr_count inline, in update for o and in the walk for
+every other edge, and walks the edges and takes o's own step in one
+inlined loop; it must match this one bit for bit (maps, key order, rates
+and free mass), so the tests drive both side by side.
 """
 
 import statistics

@@ -374,6 +374,22 @@ def test_dev_ratio_zero_estimate_is_inf():
     assert multidev(1, {}, {1: 0.1}) == (math.inf, math.inf)
 
 
+def test_dev_ratio_takes_the_larger_ratio():
+    # one division, on p_hat's side of tp, gives max() of the two ratios
+    # bit for bit, in dev_ratio and in multidev's inlined copy: subnormals,
+    # neighbours 1 ulp apart, equal values and ratios that overflow
+    base = [5e-324, 1e-320, 2.2250738585072014e-308, 1e-300, 1e-10, 0.01,
+            1 / 3, 0.5, 0.7, 1.0, 1.5, 1e10, 1e300, 1.7976931348623157e308]
+    grid = {y for x in base for y in (
+        x, math.nextafter(x, 0.0), math.nextafter(x, math.inf))}
+    grid -= {0.0, math.inf}
+    for tp in grid:
+        for p in grid:
+            want = max(tp / p, p / tp)
+            assert dev_ratio(p, tp) == want, (p, tp)
+            assert multidev(1, {1: p}, {1: tp}) == (want, want), (p, tp)
+
+
 def test_multidev_any_missing_item():
     p = {1: 0.5, 2: 0.3}
     worst, obs = multidev(1, {1: 0.5}, p)

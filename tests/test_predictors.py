@@ -695,7 +695,8 @@ def test_chi2_screen_passes_every_score_that_reaches_sig():
 
 
 def test_dyal_update_screens_its_own_test(monkeypatch):
-    # Dyal.update calls binomial_significance on o's own high-side test
+    # o's own step, taken in weaken_edges from o's (PR, count), calls
+    # binomial_significance on o's own high-side test
     # exactly where the screen passes, and so on every score that
     # reaches sig; an unseen o (weight 0) always calls and resets
     import smatrack.predictors as predictors
@@ -711,10 +712,9 @@ def test_dyal_update_screens_its_own_test(monkeypatch):
         for n in SCREEN_COUNTS:
             for sig in SCREEN_SIGS + (math.inf,):
                 d = Dyal(beta_min=0.0, sig_thresh=sig, p_min=0.0)
-                d.queues.pr_count = lambda i: (q, n)
                 d.ema_map, d.rate_map = ({7: e}, {7: 0.5}) if e else ({}, {})
                 calls.clear()
-                d.update(7)
+                d.weaken_edges(7, q, n)
                 if e == 0.0:
                     assert calls == [(e, q, n)], (q, n, sig)
                     assert d.ema_map[7] == q and d.rate_map[7] == 1.0 / n
@@ -842,8 +842,8 @@ def _drifting_stream(rng, n):
 def _recording_free(d, frees):
     inner = d.weaken_edges
 
-    def weaken_edges(o):
-        free = inner(o)
+    def weaken_edges(o, *args):
+        free = inner(o, *args)
         frees.append(free)
         return free
     d.weaken_edges = weaken_edges
@@ -890,6 +890,32 @@ def test_dyal_matches_reference(beta_min, qcap, sig_thresh):
             assert frees[-1] == ref_frees[-1]
             assert (d.max_rate(), d.median_rate(), len(d.ema_map)) == \
                 (ref.max_rate(), ref.median_rate(), len(ref.ema_map))
+
+
+def test_dyal_update_reads_o_queue_before_the_update():
+    # update passes weaken_edges o's (PR, count) as pr_count gave them
+    # before the queue update, pruning on; a one-stamp queue's count is
+    # read by neither, so only a PR above 0 pins the count
+    rng = np.random.default_rng(23)
+    seen = []
+    for _ in range(6):
+        d = Dyal(beta_min=0.01, s1=int(rng.integers(2, 6)),
+                 s2=int(rng.integers(10, 60)),
+                 prune_every=int(rng.integers(3, 15)))
+        inner = d.weaken_edges
+
+        def weaken_edges(o, o_pr, o_count):
+            seen.append((o_pr, o_count))
+            return inner(o, o_pr, o_count)
+        d.weaken_edges = weaken_edges
+        for o in _drifting_stream(rng, 800):
+            pr, count = d.queues.pr_count(o)
+            seen.clear()
+            d.update(o)
+            [(o_pr, o_count)] = seen
+            assert o_pr == pr, (o, pr, o_pr)
+            if pr > 0.0:
+                assert o_count == count, (o, count, o_count)
 
 
 def test_dyal_weaken_edges_drops_match_reference():
