@@ -696,9 +696,9 @@ def test_chi2_screen_passes_every_score_that_reaches_sig():
 
 def test_dyal_update_screens_its_own_test(monkeypatch):
     # o's own step, taken in weaken_edges from o's (PR, count), calls
-    # binomial_significance on o's own high-side test
-    # exactly where the screen passes, and so on every score that
-    # reaches sig; an unseen o (weight 0) always calls and resets
+    # binomial_significance on o's own high-side test exactly where the
+    # screen passes, and so on every score that reaches sig; an unseen o
+    # (weight 0) always calls and resets
     import smatrack.predictors as predictors
     calls = []
 
