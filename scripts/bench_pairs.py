@@ -1,13 +1,9 @@
 """Compare two checkouts on one workload in alternating pairs of runs.
 
     python3 scripts/bench_pairs.py --parent DIR --change DIR --workload W --pairs N
-    python3 scripts/bench_pairs.py --aa DIR --workload W --pairs N
 
-With --aa, it clones DIR's committed tree twice into a temporary
-directory, runs the two clones as parent and change, and removes them
-afterwards: an A/A run, whose changes show the noise floor of a pair
-claim. Before pair 1 it compiles each checkout's bytecode, so that no
-timed run pays for writing it; a fresh clone has none.
+Before pair 1 it compiles each checkout's bytecode, so that no timed
+run pays for writing it; a fresh clone has none.
 
 Pair k runs perfbench on both checkouts at seed k, --trace 0, with the
 settings of scripts/bench_file.py; the parent goes first in odd pairs
@@ -34,43 +30,21 @@ import os
 import statistics
 import subprocess
 import sys
-import tempfile
 
 from bench_file import perfbench
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--parent", help="the checkout before")
-    ap.add_argument("--change", help="the checkout after")
-    ap.add_argument("--aa", metavar="DIR",
-                    help="run two clones of this git checkout as parent "
-                    "and change")
+    ap.add_argument("--parent", required=True, help="the checkout before")
+    ap.add_argument("--change", required=True, help="the checkout after")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, default=10)
     args = ap.parse_args()
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
-    if args.aa is not None:
-        if args.parent is not None or args.change is not None:
-            ap.error("--aa cannot be combined with --parent or --change")
-        with tempfile.TemporaryDirectory() as tmp:
-            roots = {}
-            for side in ("parent", "change"):
-                roots[side] = os.path.join(tmp, side)
-                subprocess.run(["git", "clone", "--quiet",
-                                os.path.abspath(args.aa), roots[side]],
-                               check=True)
-            run_pairs(roots, args.workload, args.pairs)
-    elif args.parent is None or args.change is None:
-        ap.error("need --parent and --change, or --aa")
-    else:
-        run_pairs({"parent": os.path.abspath(args.parent),
-                   "change": os.path.abspath(args.change)},
-                  args.workload, args.pairs)
-
-
-def run_pairs(roots, workload, pairs):
+    roots = {"parent": os.path.abspath(args.parent),
+             "change": os.path.abspath(args.change)}
     for root in roots.values():
         subprocess.run([sys.executable, "-m", "compileall", "-q", "src",
                         "perfbench"], cwd=root, check=True)
@@ -80,10 +54,10 @@ def run_pairs(roots, workload, pairs):
     better = {m["name"]: m["better"] for m in metrics}
     bound = {m["name"]: m["bound"] for m in metrics}
     values = {side: {m: [] for m in better} for side in roots}
-    for k in range(1, pairs + 1):
+    for k in range(1, args.pairs + 1):
         order = ("parent", "change") if k % 2 else ("change", "parent")
         for side in order:
-            metrics = perfbench(roots[side], workload, k, 0)[
+            metrics = perfbench(roots[side], args.workload, k, 0)[
                 "result"]["metrics"]
             for m in better:
                 values[side][m].append(metrics[m]["value"])

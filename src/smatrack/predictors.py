@@ -292,13 +292,15 @@ class Dyal:
             self.rate_map.pop(i, None)
         self.weaken_edges(o, o_pr, o_count)
 
-    def weaken_edges(self, o, o_pr=0.0, o_count=0):
+    def weaken_edges(self, o, o_pr, o_count):
         """Weaken every edge except o's, possibly resetting an edge from
         its queue, and drop edges that have sunk below p_min or to 0.0.
         Then, when o_pr > 0.0, take o's own step from its queue's
         (PR, count) as read before the queue update: a reset when the
         queue's PR is significantly above o's weight (always for an
         unseen o), else a plain EMA step, either capped at the free mass.
+        o_pr is 0.0 when o's queue had no entry or one stamp; then o
+        takes no step, and o_count is not read.
         Returns the free mass from before o's step: 1 - (surviving
         weight, including o's untouched weight).
 

@@ -636,7 +636,7 @@ def test_chi2_pretest_never_skips_a_significant_edge(monkeypatch):
             d.queues.clock = c
             d.queues.q_map = {1: (n - 1, 1)}  # n stamps, the oldest 1
             calls.clear()
-            d.weaken_edges(0)
+            d.weaken_edges(0, 0.0, 0)
             cases += 1
             if score >= sig:
                 assert calls == [(e, q_pr, c)], (e, n, c, score, sig)
@@ -650,9 +650,9 @@ def test_chi2_pretest_never_skips_a_significant_edge(monkeypatch):
 
 
 def _chi2_screen(e, q, n, sig):
-    """The chi-squared screen, as Dyal.update (q > e) and
-    Dyal.weaken_edges (e > q) spell it: False where they skip the call
-    binomial_significance(e, q, n)."""
+    """The chi-squared screen, as Dyal.weaken_edges spells it for o's
+    own step (q > e) and for the other edges (e > q): False where it
+    skips the call binomial_significance(e, q, n)."""
     d = q - e
     return n * (d * d / (e * (1.0 - e)) + CHI2_SLACK) >= sig
 
@@ -766,7 +766,7 @@ def test_dyal_weaken_edges_example():
     d.ema_map = {1: 0.5}
     d.rate_map = {1: 0.1}
     d.queues = _queues_with(5, {1: [5, 3, 1]})  # q_pr 2/4 = ema: no reset
-    free = d.weaken_edges(2)
+    free = d.weaken_edges(2, 0.0, 0)
     assert close(d.ema_map[1], 0.45)
     assert close(d.rate_map[1], 1 / 11)
     assert close(free, 0.55)
@@ -774,7 +774,7 @@ def test_dyal_weaken_edges_example():
 
 def test_dyal_weaken_edges_empty():
     d = Dyal()
-    assert d.weaken_edges(1) == 1.0
+    assert d.weaken_edges(1, 0.0, 0) == 1.0
 
 
 def test_dyal_weaken_snaps_down_on_significance():
@@ -783,7 +783,7 @@ def test_dyal_weaken_snaps_down_on_significance():
     d.rate_map = {1: 0.1}
     d.queues = _queues_with(41, {1: [22, 21, 1]}, qcap=40)  # cells [20, 1, 20]
     assert d.queues.pr_count(1) == (2 / 40, 41)
-    free = d.weaken_edges(2)
+    free = d.weaken_edges(2, 0.0, 0)
     assert close(d.ema_map[1], 0.05)
     assert close(d.rate_map[1], 1 / 41)
     assert close(free, 0.95)
@@ -937,7 +937,7 @@ def test_dyal_weaken_edges_drops_match_reference():
             ref.queues.q_map = {i: list(q) for i, q in stamps.items()}
             assert d.queues.pr_count(5)[0] < d.p_min
             _dropping_zero_edges(ref)
-            free = d.weaken_edges(o)
+            free = d.weaken_edges(o, 0.0, 0)
             assert free == ref.weaken_edges(o)
             assert list(d.ema_map.items()) == list(ref.ema_map.items())
             assert list(d.rate_map.items()) == list(ref.rate_map.items())
