@@ -325,7 +325,7 @@ class Dyal:
         sig = self.sig_thresh
         slack = CHI2_SLACK
         used = 0.0
-        drops = ()
+        drops = []
         for i, e in ema_map.items():
             if i == o:
                 used += e
@@ -353,12 +353,8 @@ class Dyal:
             if e:
                 ema_map[i] = e
                 used += e
-            # below p_min, or weakened to 0.0 (a rate of 1, or underflow);
-            # the list is made only when an edge drops
-            elif drops:
+            else:  # below p_min, or weakened to 0.0 (a rate of 1, underflow)
                 drops.append(i)
-            else:
-                drops = [i]
         for i in drops:
             del ema_map[i]
             del rate_map[i]
