@@ -4,12 +4,13 @@
 
 For each workload in the checkout's BENCHMARK.json, it runs
 perfbench/run.py at 5 seeds with --seconds 20 --trace 0, and takes the
-median of each end-to-end metric over them. Then it runs perfbench once
-with --trace 1 for the per-layer metrics. Each run keeps its "# manifest"
-line, whose git_commit names the tree measured, and its JSON result. The
-file also holds the wall times of three tier-1 runs and their median,
-with pytest's summary line, and the line count of src/. Run it with
-nothing else running on the machine.
+median of each end-to-end metric over them. Then it runs perfbench at 3
+seeds with --trace 1, and takes the median of each per-layer metric over
+those. Each run keeps its "# manifest" line, whose git_commit names the
+tree measured, and its JSON result. The file also holds the wall times
+of three tier-1 runs and their median, with pytest's summary line, and
+the line count of src/. Run it with nothing else running on the
+machine.
 
 It writes no file, and exits 1 naming the run, when a perfbench run is
 not correct or has a failed operation, or when the tier-1 tests fail.
@@ -25,7 +26,9 @@ import sys
 import time
 
 SEEDS = (1, 2, 3, 4, 5)
-TRACE_SEED = 1
+# One traced run's per-layer figures move by 10 % or more with the
+# machine; the median of a few runs moves less.
+TRACE_SEEDS = (1, 2, 3)
 SECONDS = 20
 # One tier-1 wall time moves with the machine's speed; the median of a
 # few runs moves less.
@@ -75,6 +78,14 @@ def perfbench(root, workload, seed, trace):
     return {"manifest": manifest, "result": result}
 
 
+def medians(runs):
+    """The runs, and the median of each of their metrics over them."""
+    return {"runs": runs,
+            "median": {m: statistics.median(
+                r["result"]["metrics"][m]["value"] for r in runs)
+                for m in runs[0]["result"]["metrics"]}}
+
+
 def tier1(root):
     src = os.path.join(root, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -108,13 +119,8 @@ def main():
     workloads = {}
     for name in names:
         runs = [perfbench(root, name, seed, 0) for seed in SEEDS]
-        metrics = runs[0]["result"]["metrics"]
-        workloads[name] = {
-            "runs": runs,
-            "median": {m: statistics.median(
-                r["result"]["metrics"][m]["value"] for r in runs)
-                for m in metrics},
-            "traced": perfbench(root, name, TRACE_SEED, 1)}
+        traced = [perfbench(root, name, seed, 1) for seed in TRACE_SEEDS]
+        workloads[name] = dict(medians(runs), traced=medians(traced))
         print("%s: median obs_per_s %.0f" % (
             name, workloads[name]["median"]["obs_per_s"]), file=sys.stderr)
     src_lines = 0
@@ -124,7 +130,8 @@ def main():
             src_lines += sum(1 for _ in f)
     bench = {
         "tag": args.tag,
-        "spec": {"seeds": SEEDS, "seconds": SECONDS, "trace_seed": TRACE_SEED,
+        "spec": {"seeds": SEEDS, "seconds": SECONDS,
+                 "trace_seeds": TRACE_SEEDS,
                  "command": "python3 perfbench/run.py --workload W --seed S "
                  "--seconds %d --trace T" % SECONDS},
         "tier1": tier1(root),

@@ -24,44 +24,6 @@ def _parse_method(text):
     return text, kind, param
 
 
-# --config keys and their types; flags of the same names win.
-_CONFIG_KEYS = {"p_min": float, "p_ns": float, "c_ns": int,
-                "referee_window": int}
-
-
-def _load_config(ctx, param, path):
-    """--config's callback: the file's key=value lines become the defaults
-    of the run options of those names, so a flag given still wins. Blank
-    lines and # comments are ignored. ConfigError for a file that is not
-    UTF-8, a key not in _CONFIG_KEYS or a value of the wrong type."""
-    if path is None:
-        return
-    try:
-        with open(path, encoding="utf-8") as f:
-            lines = f.readlines()
-    except UnicodeDecodeError as e:
-        raise ConfigError("cannot read %s: %s" % (path, e))
-    out = {}
-    for line in lines:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise click.UsageError("bad config line: %r" % (line,))
-        k, v = (x.strip() for x in line.split("=", 1))
-        if k not in _CONFIG_KEYS:
-            raise ConfigError("config key %r: must be one of %s"
-                              % (k, ", ".join(_CONFIG_KEYS)))
-        if k in out:
-            raise ConfigError("config key %r appears twice" % (k,))
-        try:
-            out[k] = _CONFIG_KEYS[k](v)
-        except ValueError:
-            raise ConfigError("config %s=%s: not a valid %s"
-                              % (k, v, _CONFIG_KEYS[k].__name__))
-    ctx.default_map = out
-
-
 # Each option's default is its dataclass field's.
 _DEFAULT = {f.name: f.default for c in (ExperimentSpec, synth.GenConfig,
                                         EvalConfig) for f in fields(c)}
@@ -128,10 +90,6 @@ def gen(out, **stream):
 @click.option("--n-seqs", type=int, default=_DEFAULT["n_seqs"])
 @_stream_options
 @click.option("--input", "input_path", type=click.Path())
-@click.option("--config", metavar="PATH",
-              type=click.Path(exists=True, dir_okay=False), is_eager=True,
-              expose_value=False, callback=_load_config,
-              help="key=value defaults file; flags win.")
 @click.option("--p-min", type=float, default=_DEFAULT["p_min"])
 @click.option("--p-ns", type=float, default=_DEFAULT["p_ns"])
 @click.option("--c-ns", type=int, default=_DEFAULT["c_ns"])

@@ -648,8 +648,8 @@ def test_cli_gen_and_run_share_stream_options():
                 if n not in leave_out]
 
     assert stream_params("gen") == stream_params(
-        "run", {"methods", "n_seqs", "input_path", "config", "p_min", "p_ns",
-                "c_ns", "referee_window", "dev"})
+        "run", {"methods", "n_seqs", "input_path", "p_min", "p_ns", "c_ns",
+                "referee_window", "dev"})
     kinds = {c: cli.commands[c].params[0] for c in ("gen", "run")}
     assert kinds["gen"].name == kinds["run"].name == "kind"
     assert list(kinds["gen"].type.choices) == [
@@ -717,8 +717,6 @@ def test_sign_tests_cover_every_metric(tmp_path):
     runner = CliRunner()
     got = {}
     with runner.isolated_filesystem(temp_dir=tmp_path):
-        with open("scoring.cfg", "w") as f:
-            f.write(test_identity.CONFIG)
         for name in ("run-multi", "run-config"):
             r = runner.invoke(cli, spec[name] + ["--out", name])
             assert r.exit_code == 0, r.output
@@ -894,10 +892,8 @@ def test_cli_exit_codes(tmp_path, main_exit):
     # given, in --help order, is named. The three cases after those ran
     # with an option their kind does not read (the base --seq-len 500
     # for real-file), so they moved to a kind that reads it and still
-    # fail for their own reason. Then a --config file that is not UTF-8
-    # is named. A directory is refused as --config, and so are --config
-    # files with a value of the wrong type, a misspelt key, a key given
-    # twice, and a p_min that is in range but below the default p_ns.
+    # fail for their own reason. Then run refuses --config, which it no
+    # longer takes: scoring options are flags only.
     # A token file with no tokens, empty or blank lines only, is refused
     # by run, trace and ingest-check (run used to score a perfect 0.0,
     # and trace to write a header-only trace). trace refuses a
@@ -926,7 +922,6 @@ def test_cli_exit_codes(tmp_path, main_exit):
     run_tok = ["run", "--kind", "real-file", "--input", tok, "--method",
                "ema:0.1"]
     trace = ["trace", "--input", tok]
-    bad_cfg = write("latin1.cfg", b"p_ns=0.01\n\xff\n")
     empty, blank = write("empty.txt", ""), write("blank.txt", "\n  \n\n")
     bad = write("bad.txt", b"a\n\xff\n")
     for args, code, msg in (
@@ -1003,22 +998,7 @@ def test_cli_exit_codes(tmp_path, main_exit):
              "kind 'real-file' needs an input_path"),
             (["gen", "--kind", "nonstat-single", "--mode", "uniform",
               "--l-min", "-1"], 2, "l_min must be an integer >= 0, got -1"),
-            ([*run_tok, "--config", bad_cfg], 2, decode % (bad_cfg, 10)),
-            ([*run_tok, "--config", str(tmp_path)], 2,
-             "Invalid value for '--config': File '%s' is a directory."
-             % tmp_path),
-            ([*run_tok, "--config", write("abc.cfg", "p_ns=abc\n")], 2,
-             "config p_ns=abc: not a valid float"),
-            ([*run_tok, "--config", write("frac.cfg", "c_ns=2.5\n")], 2,
-             "config c_ns=2.5: not a valid int"),
-            ([*run_tok, "--config", write("key.cfg", "pns=0.5\n")], 2,
-             "config key 'pns': must be one of p_min, p_ns, c_ns, "
-             "referee_window"),
-            ([*run_tok, "--config", write("again.cfg",
-                                          "p_min=0.05\np_min=0.02\n")], 2,
-             "config key 'p_min' appears twice"),
-            ([*run_tok, "--config", write("low.cfg", "p_min=0.005\n")], 2,
-             thresholds + "p_ns=0.01, p_min=0.005"),
+            ([*run_tok, "--config", "x"], 2, "No such option '--config'."),
             ([*run_tok[:4], empty, *run_tok[5:]], 2,
              "%s holds no tokens" % empty),
             (["trace", "--input", empty], 2, "%s holds no tokens" % empty),
@@ -1070,40 +1050,28 @@ def test_cli_exit_codes(tmp_path, main_exit):
     assert r.returncode == 0
 
 
-def test_cli_config_file_defaults(tmp_path):
-    cfg = tmp_path / "cfg.txt"
-    cfg.write_text("# defaults\np_ns=0.001\nc_ns=2\n")
-    out_dir = str(tmp_path / "run")
-    runner = CliRunner()
-    r = runner.invoke(cli, ["run", "--kind", "stationary-single",
-                            "--method", "ema:0.05", "--n-seqs", "2",
-                            "--seq-len", "200", "--config", str(cfg),
-                            "--out", out_dir])
-    assert r.exit_code == 0, r.output
-
-
-def test_eval_config_file_then_flags(tmp_path):
-    # run --config: the file's values replace EvalConfig's defaults, and
-    # the flags given replace the file's; either way, run writes what the
-    # same values given as flags write
-    cfg = tmp_path / "cfg.txt"
-    cfg.write_text("p_ns=0.001\nc_ns=1\nreferee_window=50\n")
-    base = ["run", "--kind", "stationary-single", "--tp", "0.05",
-            "--n-seqs", "2", "--seq-len", "400", "--method", "ema:0.05",
-            "--method", "dyal:0.01"]
+def test_run_scoring_flags_reach_eval_config(tmp_path):
+    # run's scoring flags build the EvalConfig of its spec: per_seq.csv
+    # is what run_experiment writes for the same spec with that
+    # EvalConfig, and not what run writes with no scoring flags
+    stream = ["--kind", "stationary-single", "--tp", "0.05", "--n-seqs",
+              "2", "--seq-len", "400", "--method", "ema:0.05", "--method",
+              "dyal:0.01"]
     outs = []
 
     def per_seq(*args):
         outs.append(tmp_path / ("run%d" % len(outs)))
-        r = CliRunner().invoke(cli, [*base, *args, "--out", str(outs[-1])])
+        r = CliRunner().invoke(cli, ["run", *stream, *args,
+                                     "--out", str(outs[-1])])
         assert r.exit_code == 0, r.output
         return (outs[-1] / "per_seq.csv").read_bytes()
 
-    from_file = per_seq("--config", str(cfg))
-    assert from_file != per_seq()
-    assert from_file == per_seq("--p-ns", "0.001", "--c-ns", "1",
-                                "--referee-window", "50")
-    assert per_seq("--config", str(cfg), "--p-min", "0.05", "--p-ns",
-                   "0.02", "--c-ns", "3", "--d", "1.2") == \
-        per_seq("--p-min", "0.05", "--p-ns", "0.02", "--c-ns", "3",
-                "--referee-window", "50", "--d", "1.2")
+    flags = per_seq("--p-min", "0.05", "--p-ns", "0.02", "--c-ns", "3",
+                    "--referee-window", "50", "--d", "1.2")
+    run_experiment(ExperimentSpec(
+        kind="stationary-single", tp=0.05, n_seqs=2, seq_len=400,
+        roster=[("ema:0.05", "ema", "0.05"), ("dyal:0.01", "dyal", "0.01")],
+        eval_cfg=EvalConfig(0.05, 0.02, 3, 50, (1.2,)),
+        out_dir=str(tmp_path / "spec")))
+    assert flags == (tmp_path / "spec" / "per_seq.csv").read_bytes()
+    assert flags != per_seq()

@@ -33,9 +33,6 @@ TOKENS = "".join("w%d\n" % (i % 7 if i < 300 else 3 + i % 5)
 # Three steps, so that one step's loss moves the run's averages: a
 # first sight, a second one, and with --c-ns 0 a miss not marked noise.
 SHORT = "a\nb\na\n"
-# Every key a --config file may set; the flags of run-config win.
-CONFIG = "# scoring defaults\np_min=0.05\n\np_ns=0.001\nc_ns=3\n" \
-         "referee_window=9\n"
 
 # (name, argv): each run's stdout is recorded as <name>/stdout, and
 # every file it writes under the directory <name>.
@@ -65,9 +62,9 @@ SPEC = [("help", ["--help"])] + [
                   *METHODS]),
     ("run-config", ["run", "--kind", "multi-item", "--o-min", "5",
                     "--n-seqs", "3", "--seq-len", "1000", "--seed", "7",
-                    "--config", "scoring.cfg", "--p-min", "0.02",
-                    "--p-ns", "0.005", "--c-ns", "1", "--referee-window",
-                    "50", "--d", "1.2", "--d", "3", *METHODS]),
+                    "--p-min", "0.02", "--p-ns", "0.005", "--c-ns", "1",
+                    "--referee-window", "50", "--d", "1.2", "--d", "3",
+                    *METHODS]),
     ("run-short", ["run", "--kind", "real-file", "--input", "short.txt",
                    "--c-ns", "0", *METHODS]),
     ("trace", ["trace", "--input", "tokens.txt", "--self-concat", "2"]),
@@ -87,8 +84,7 @@ def spec_digests():
     runner = CliRunner()
     out = {}
     with runner.isolated_filesystem():
-        for path, text in (("tokens.txt", TOKENS), ("short.txt", SHORT),
-                           ("scoring.cfg", CONFIG)):
+        for path, text in (("tokens.txt", TOKENS), ("short.txt", SHORT)):
             with open(path, "w") as f:
                 f.write(text)
         for name, argv in SPEC:
