@@ -892,8 +892,8 @@ def test_cli_exit_codes(tmp_path, main_exit):
     # given, in --help order, is named. The three cases after those ran
     # with an option their kind does not read (the base --seq-len 500
     # for real-file), so they moved to a kind that reads it and still
-    # fail for their own reason. Then run refuses --config, which it no
-    # longer takes: scoring options are flags only.
+    # fail for their own reason. Then run refuses --config: its scoring
+    # options are flags only.
     # A token file with no tokens, empty or blank lines only, is refused
     # by run, trace and ingest-check (run used to score a perfect 0.0,
     # and trace to write a header-only trace). trace refuses a
