@@ -182,7 +182,10 @@ def optimal_logloss(obs, truth):
         if o in p:
             total += -math.log(p[o])
         else:
-            total += -math.log(1.0 - sum(p.values()))
+            u = 0.0
+            for v in p.values():  # in order: 3.12's sum() compensates
+                u += v
+            total += -math.log(1.0 - u)
     return total / len(obs)
 
 

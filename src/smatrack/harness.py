@@ -301,9 +301,11 @@ def _aggregate(rows):
     out = []
     for (method, param, metric), vals in sorted(by_key.items(),
                                                 key=lambda kv: repr(kv[0])):
-        mu = sum(vals) / len(vals)
+        total = 0
+        for v in vals:  # in order: 3.12's sum() compensates
+            total += v
         sd = statistics.stdev(vals) if len(vals) > 1 else 0.0
-        out.append((method, param, metric, mu, sd))
+        out.append((method, param, metric, total / len(vals), sd))
     return out
 
 

@@ -174,9 +174,13 @@ class Queues:
 
     def predict(self):
         # pr_count's PR for every item past its grace period, inlined:
-        # this runs over q_map on every step.
+        # this runs over q_map on every step. A plain loop, as in
+        # Ema.predict: on a few entries a comprehension's set-up costs more.
         c = self.clock
-        return {i: n / (c - s) for i, (n, s) in self.q_map.items()}
+        out = {}
+        for i, (n, s) in self.q_map.items():
+            out[i] = n / (c - s)
+        return out
 
     def update(self, o):
         """Returns the ids a heartbeat prune dropped, or () when none

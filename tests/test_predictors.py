@@ -487,7 +487,9 @@ def test_timestamp_equals_plain_queues():
 def test_queues_match_reference_on_open_streams():
     # the one-map Queues as it was before the two-tier split, pruning on
     # with a small s1 so that the cut runs over both maps: the same (PR,
-    # count) for every item, the same predictions and the same prune sets
+    # count) for every item, the same predictions and the same prune sets;
+    # predict() keeps q_map's order, since evaluation.score sums in map
+    # order and dict == ignores it
     rng = np.random.default_rng(18)
     for _ in range(60):
         kw = dict(qcap=int(rng.integers(2, 6)), s1=int(rng.integers(1, 6)),
@@ -505,6 +507,8 @@ def test_queues_match_reference_on_open_streams():
             for i in list(ref.q_map) + [-1, 1000 + t + 1]:
                 assert s.pr_count(i) == ref.pr_count(i)
             assert s.predict() == ref.predict()
+            assert list(s.predict().items()) == [(i, s.pr_count(i)[0])
+                                                 for i in s.q_map]
             if t % 7 == 0:
                 assert s.prune() == ref.prune()
 
