@@ -25,7 +25,9 @@ With --trace 1 every run is perfbench's --trace 1 and the metrics are
 BENCHMARK.json's per-layer ones; each line then ends after the count of
 better pairs, with no verdict, since per-layer metrics have no bound.
 Per-layer figures drift with the machine from session to session, so
-compare them only within one such run.
+compare them only within one such run; and perfbench scales each traced
+job as a whole, so read a changed layer against the same pair's
+unchanged layers, which move with it.
 
 It writes no file, and exits 1 naming the run when a perfbench run is
 not correct or has a failed operation.

@@ -10,13 +10,7 @@ import math
 
 from smatrack.evaluation import optimal_logloss
 from smatrack.harness import _aggregate
-
-
-def in_order_sum(xs):
-    s = 0.0
-    for x in xs:
-        s += x
-    return s
+from reference_scoring import in_order_sum
 
 
 def test_aggregate_mean_sums_in_order():
@@ -25,14 +19,15 @@ def test_aggregate_mean_sums_in_order():
     rows = [(k, "ema:0.05", "0.05", "avg_logloss_ns", v)
             for k, v in enumerate(vals)]
     [(_m, _p, _k, mu, _sd)] = _aggregate(rows)
-    assert mu == in_order_sum(vals) / 10 == 0.09999999999999999
+    assert mu == in_order_sum(dict(enumerate(vals))) / 10 \
+        == 0.09999999999999999
 
 
 def test_optimal_logloss_noise_mass_sums_in_order():
     # 1 - sum([0.1] * 9) is 0.10000000000000009 on 3.11 and
     # 0.09999999999999998 on 3.12
     sd = {i: 0.1 for i in range(9)}
-    u = 1.0 - in_order_sum(sd.values())
+    u = 1.0 - in_order_sum(sd)
     assert u == 0.10000000000000009
     assert optimal_logloss(["noise"], [sd]) == -math.log(u)
 
