@@ -49,13 +49,13 @@ MISREPORTED = {
     "cli.import_ms.scipy": "reads 0: the program no longer imports scipy",
     "trace.unattributed_share": "reads about 1e-5: each job runs inside "
     "one layer, whose self time takes all time that no inner layer claims",
-    "sd_core.filter_cap.us_per_call": "reads 0: a scored pass no longer "
-    "calls filter_cap, since evaluation.score filters, caps and scores the "
-    "raw map itself; that time lands in harness.prequential.self_us_per_obs",
-    "sd_core.filter_cap.kept_ratio": "reads 0: a scored pass no longer "
-    "calls filter_cap",
-    "sd_core.filter_cap.entries_in_per_call": "reads 0: a scored pass no "
-    "longer calls filter_cap",
+    "sd_core.filter_cap.us_per_call": "reads 0: sd_core.filter_cap no "
+    "longer exists; evaluation.score filters, caps and scores the raw map "
+    "itself, and that time lands in harness.prequential.self_us_per_obs",
+    "sd_core.filter_cap.kept_ratio": "reads 0: sd_core.filter_cap no "
+    "longer exists; evaluation.score applies the filter-and-cap",
+    "sd_core.filter_cap.entries_in_per_call": "reads 0: sd_core.filter_cap "
+    "no longer exists; evaluation.score applies the filter-and-cap",
     "binary_oscillate evaluation.dev.us_per_step": "reads 0: the layer "
     "wraps multidev only, and a single-item pass calls dev_ratio; that "
     "time lands in harness.prequential.self_us_per_obs",

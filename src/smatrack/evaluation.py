@@ -7,7 +7,7 @@ import numbers
 from collections import deque
 from math import log  # for score, which logs on every step
 
-from .sd_core import SUM_SLACK, ConfigError, FcConfig
+from .sd_core import SUM_SLACK, ConfigError
 
 
 class Referee:
@@ -48,12 +48,14 @@ class Referee:
 
 def score(o, q, marked_ns, cfg, neg_log_pns):
     """Bounded log-loss and quadratic loss of the raw map q against the
-    outcome o, as (loss, quad), on q's filter_cap form under cfg, which
-    it does not build: one walk over q, and a second over the scaled
-    weights only when the cap scales. A hit scores -ln of its capped
-    weight, which is at least p_min >= p_ns; a miss scores neg_log_pns
-    (-ln p_ns), or, if the referee marked it as noise, -ln of the
-    unallocated mass clamped at neg_log_pns. The loss lies in
+    outcome o, as (loss, quad). This is the one filter-and-cap: q scores
+    as if its entries below p_min were dropped, the rest scaled down to
+    sum to 1 - p_ns when they sum to more, and the scaled entries below
+    p_min dropped. No capped map is built: one walk over q, and a second
+    over the scaled weights only when the cap scales. A hit scores -ln of
+    its capped weight, which is at least p_min >= p_ns; a miss scores
+    neg_log_pns (-ln p_ns), or, if the referee marked it as noise, -ln of
+    the unallocated mass clamped at neg_log_pns. The loss lies in
     [0, -ln p_ns]. The quadratic (Brier-style) loss is the squared
     distance to the one-hot outcome, in [0, 2]."""
     p_min = cfg.p_min
@@ -94,13 +96,13 @@ def score(o, q, marked_ns, cfg, neg_log_pns):
     return loss, quad
 
 
-def logloss_rule_ns(o, q, marked_ns, cfg=FcConfig()):
+def logloss_rule_ns(o, q, marked_ns, cfg):
     """Bounded log-loss of the raw map q, in [0, -ln p_ns]: `score`'s
     loss."""
     return score(o, q, marked_ns, cfg, -math.log(cfg.p_ns))[0]
 
 
-def quad_rule(q, o, cfg=FcConfig()):
+def quad_rule(q, o, cfg):
     """Quadratic loss of the raw map q, in [0, 2]: `score`'s quad."""
     return score(o, q, False, cfg, -math.log(cfg.p_ns))[1]
 

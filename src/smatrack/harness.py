@@ -14,7 +14,7 @@ from itertools import combinations, repeat
 from . import predictors, synth
 from .evaluation import (Referee, dev_ratio, multidev, optimal_logloss,
                          score, sign_test)
-from .sd_core import ConfigError, FcConfig
+from .sd_core import ConfigError
 
 
 # kind -> (parameter type, constructor); the constructor checks the
@@ -37,10 +37,14 @@ def make_predictor(kind, param):
     if kind not in _PREDICTORS:
         raise ConfigError("unknown predictor kind: %r" % (kind,))
     parse, make = _PREDICTORS[kind]
-    try:
-        value = parse(param)
-    except (TypeError, ValueError):
-        value = math.nan  # outside every domain, so make names it
+    # Text is parsed; a number goes to make as it is (int() would
+    # truncate 10.7), and anything else is outside every domain.
+    value = param if isinstance(param, numbers.Real) else math.nan
+    if isinstance(param, str):
+        try:
+            value = parse(param)
+        except ValueError:
+            pass  # nan, which make names
     try:
         return make(value)
     except ValueError as e:
@@ -48,15 +52,21 @@ def make_predictor(kind, param):
 
 
 @dataclass(frozen=True)
-class EvalConfig(FcConfig):
-    """The scoring thresholds, the noise referee's c_ns and window, and
-    the deviation thresholds d."""
+class EvalConfig:
+    """The scoring thresholds, in 0 < p_ns <= p_min < 1 so that the
+    bounded log-loss lies in [0, -ln p_ns], the noise referee's c_ns and
+    window, and the deviation thresholds d."""
+    p_min: float = 0.01  # filter threshold: entries below this are dropped
+    p_ns: float = 0.01   # mass reserved for not-seen/noise items
     c_ns: int = 2
     window: int = None
     dev_ds: tuple = (1.5, 2.0)
 
     def __post_init__(self):
-        super().__post_init__()
+        if not 0.0 < self.p_ns <= self.p_min < 1.0:
+            raise ConfigError("scoring thresholds need 0 < p_ns <= p_min "
+                              "< 1, got p_ns=%r, p_min=%r"
+                              % (self.p_ns, self.p_min))
         Referee(self.c_ns, self.window)
         for d in self.dev_ds:
             if not 1.0 <= d < math.inf:
@@ -182,6 +192,12 @@ class ExperimentSpec:
         if self.mode not in ("oscillate", "uniform"):
             raise ConfigError("mode must be 'oscillate' or 'uniform', got %r"
                               % (self.mode,))
+        # seq_len sets every generated length: gen.desired_len repeats it
+        if self.gen.desired_len not in (synth.GenConfig.desired_len,
+                                        self.seq_len):
+            raise ConfigError("gen.desired_len %r differs from seq_len %r, "
+                              "which sets the length"
+                              % (self.gen.desired_len, self.seq_len))
         if self.kind == "real-file" and not self.input_path:
             raise ConfigError("kind 'real-file' needs an input_path")
         if "seed" in _EXPERIMENTS[self.kind][1]:

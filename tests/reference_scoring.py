@@ -1,21 +1,23 @@
-"""Step-at-a-time references for smatrack's fused scoring.
+"""Step-at-a-time oracles for smatrack's fused scoring.
 
-These are the earlier forms of the scoring code: `filter_cap` as a
-filter pass then a scaling pass through `scale_drop`, `multidev` as one
-`deviates` call per support item, per threshold and per mode, and the
-bounded log-loss and quadratic loss as two separate rules that each cap
-the raw map. The code in `sd_core` and `evaluation` must match them
-exactly, so the tests compare with `==`. The one change from the
-earlier code is the clamp of a noise-marked miss at -ln p_ns: the cap
-lets the sum reach 1 - p_ns + SUM_SLACK, so -ln of the unallocated mass
-could pass the bound or, for p_ns below SUM_SLACK, fail on -ln 0.
+These are the earlier forms of the scoring code: filter-and-cap as
+`filter_cap`, a filter pass then a scaling pass through `scale_drop`
+that builds the capped map; `multidev` as one `deviates` call per
+support item, per threshold and per mode; and the bounded log-loss and
+quadratic loss as two separate rules that each cap the raw map.
+`evaluation.score`, the library's one filter-and-cap, scores in one walk
+and builds no map, and the tests compare it with these with `==`. The
+one change from the earlier code is the clamp of a noise-marked miss at
+-ln p_ns: the cap lets the sum reach 1 - p_ns + SUM_SLACK, so -ln of
+the unallocated mass could pass the bound or, for p_ns below SUM_SLACK,
+fail on -ln 0.
 """
 
 import bisect
 import math
 
 from smatrack.evaluation import Referee
-from smatrack.sd_core import SUM_SLACK, FcConfig
+from smatrack.sd_core import SUM_SLACK
 
 
 def scale_drop(m, alpha, p_min):
@@ -29,8 +31,8 @@ def scale_drop(m, alpha, p_min):
 
 def in_order_sum(m):
     """The sum of m's values, added left to right in map order. Python
-    3.12's sum() compensates its rounding, which the code in sd_core and
-    evaluation does not; before 3.12 the two are the same."""
+    3.12's sum() compensates its rounding, which the code in evaluation
+    does not; before 3.12 the two are the same."""
     s = 0.0
     for v in m.values():
         s += v
@@ -45,7 +47,7 @@ def filter_cap(m, cfg):
     return scale_drop(q, (1.0 - cfg.p_ns) / s, cfg.p_min)
 
 
-def logloss_rule_ns(o, q, marked_ns, cfg=FcConfig()):
+def logloss_rule_ns(o, q, marked_ns, cfg):
     qp = filter_cap(q, cfg)
     prob = qp.get(o, 0.0)
     if prob >= cfg.p_min and prob > 0.0:
@@ -57,7 +59,7 @@ def logloss_rule_ns(o, q, marked_ns, cfg=FcConfig()):
         else -math.log(cfg.p_ns)
 
 
-def quad_rule(q, o, cfg=FcConfig()):
+def quad_rule(q, o, cfg):
     qp = filter_cap(q, cfg)
     loss = (1.0 - qp.get(o, 0.0)) ** 2
     for i, v in qp.items():

@@ -7,13 +7,14 @@ import conftest
 import numpy as np
 import pytest
 
-from smatrack.evaluation import dev_ratio, logloss_rule_ns, sign_test
+from smatrack.evaluation import dev_ratio, logloss_rule_ns, score, sign_test
 from smatrack.harness import EvalConfig, ExperimentSpec, run_experiment
 from count_cell_queues import CountCellQueues, matches
 from single_cell_mle import SingleCellMle
 from smatrack.predictors import Box, Dyal, Ema, Queues
-from smatrack.sd_core import FcConfig, distortion_threshold, filter_cap
+from smatrack.sd_core import distortion_threshold
 from smatrack.synth import GenConfig
+import reference_scoring
 
 
 def report(tag, ok, detail):
@@ -247,17 +248,26 @@ def test_c8_exactness():
                     any(not 0.0 < v <= 1.0 for v in w.values()):
                 ok_sd = False
 
-    # FC postconditions on random maps
+    # FC postconditions on random maps, capped by the two-pass oracle;
+    # evaluation.score, which caps as it scores, gives the oracle's loss
+    # and quad for each item of the map and one absent item
     ok_fc = True
-    cfg = FcConfig(0.01, 0.01)
+    cfg = EvalConfig(0.01, 0.01)
+    neg_log_pns = -math.log(cfg.p_ns)
     for _ in range(5000):
         k = int(rng.integers(0, 12))
         m = {int(i): float(v) for i, v in enumerate(rng.random(k) * 0.4)}
-        out = filter_cap(m, cfg)
+        out = reference_scoring.filter_cap(m, cfg)
         if any(v < cfg.p_min for v in out.values()) or \
                 sum(out.values()) > 1.0 - cfg.p_ns + 1e-12 or \
-                filter_cap(out, cfg) != out:
+                reference_scoring.filter_cap(out, cfg) != out:
             ok_fc = False
+        for o in list(m) + [-1]:
+            for ns in (False, True):
+                if score(o, m, ns, cfg, neg_log_pns) != (
+                        reference_scoring.logloss_rule_ns(o, m, ns, cfg),
+                        reference_scoring.quad_rule(m, o, cfg)):
+                    ok_fc = False
 
     ok = ok_h and ok_ts and ok_box and ok_sd and ok_fc
     report("C8", ok, "harmonic=avg %s; ts=plain %s; box=brute %s; "
@@ -277,7 +287,7 @@ def test_c9_boundary_math():
     ok_p0 = all(abs(got[p] - v) <= tol for p, (v, tol) in vals.items())
 
     rng = np.random.default_rng(99)
-    cfg = FcConfig(0.01, 0.01)
+    cfg = EvalConfig(0.01, 0.01)
     hi = -math.log(cfg.p_ns)
     ok_bound = True
     for _ in range(20000):

@@ -13,16 +13,15 @@ from smatrack.evaluation import (Referee, Schedule, dev_ratio,
                                  logloss_rule_ns, multidev, optimal_logloss,
                                  quad_rule, sign_test)
 from smatrack.harness import EvalConfig, run_prequential
-from smatrack.sd_core import (SUM_SLACK, ConfigError, FcConfig,
-                              distortion_threshold, filter_cap)
+from smatrack.sd_core import SUM_SLACK, ConfigError, distortion_threshold
 import reference_scoring
 from reference_scoring import schedule_at
 
-CFG = FcConfig(0.01, 0.01)
+CFG = EvalConfig(0.01, 0.01)
 
-# FcConfig's whole domain, 0 < p_ns <= p_min < 1.
+# The scoring thresholds' whole domain, 0 < p_ns <= p_min < 1.
 fc_configs = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).flatmap(
-    lambda p_min: st.builds(FcConfig, st.just(p_min),
+    lambda p_min: st.builds(EvalConfig, st.just(p_min),
                             st.floats(0.0, p_min, exclude_min=True)))
 
 
@@ -137,13 +136,13 @@ def test_logloss_bounded_fuzz():
 
 
 def test_logloss_noise_miss_clamped():
-    # filter_cap keeps a sum up to SUM_SLACK past 1 - p_ns, so the
+    # the cap keeps a sum up to SUM_SLACK past 1 - p_ns, so the
     # unallocated mass can fall below p_ns (here to 0, which made -ln
     # fail); a noise-marked miss still scores at most -ln p_ns
-    tiny = FcConfig(0.01, 1e-13)
+    tiny = EvalConfig(0.01, 1e-13)
     assert logloss_rule_ns(2, {1: 1.0}, True, tiny) == -math.log(1e-13)
     q = {1: 1.0 - CFG.p_ns + SUM_SLACK / 2}
-    assert filter_cap(q, CFG) == q
+    assert reference_scoring.filter_cap(q, CFG) == q
     assert logloss_rule_ns(2, q, True, CFG) == -math.log(CFG.p_ns)
 
 
@@ -167,11 +166,11 @@ def test_fc_config_domain():
                         (0.005, 0.01), (0.01, 0.5), (1.0, 0.01), (1.0, 1.0),
                         (-0.01, -0.02), (nan, 0.01), (0.01, nan)):
         with pytest.raises(ConfigError, match="0 < p_ns <= p_min < 1"):
-            FcConfig(p_min, p_ns)
+            EvalConfig(p_min, p_ns)
     # domain edges
     for p_min, p_ns in ((0.01, 0.01), (5e-324, 5e-324), (0.999, 0.999),
                         (0.999, 5e-324)):
-        FcConfig(p_min, p_ns)
+        EvalConfig(p_min, p_ns)
     # one exception class, which the CLI turns into exit code 2
     assert synth.ConfigError is harness.ConfigError is ConfigError
     assert issubclass(ConfigError, ValueError)
@@ -200,7 +199,7 @@ def test_rules_match_reference():
 
     # maps with entries at and around p_min, some summing above 1
     rng = np.random.default_rng(3)
-    for cfg in (CFG, FcConfig(5e-324, 5e-324), FcConfig(0.2, 0.2)):
+    for cfg in (CFG, EvalConfig(5e-324, 5e-324), EvalConfig(0.2, 0.2)):
         levels = [cfg.p_min, 0.005, 0.3, 0.6, 1.0]
         for _ in range(2000):
             q = {}
@@ -213,7 +212,7 @@ def test_rules_match_reference():
     # maps of up to 150 entries, most below p_min, as multi_roster's
     # predictors make, summing to up to 3, as Queues' maps can; o is a
     # salient entry, one near p_min, or no entry
-    for cfg in (CFG, FcConfig(0.05, 0.001)):
+    for cfg in (CFG, EvalConfig(0.05, 0.001)):
         for _ in range(300):
             k = int(rng.integers(0, 151))
             w = rng.exponential(size=k) ** 3
@@ -255,7 +254,7 @@ def test_expected_logloss_worked_example():
 def test_distortion_threshold_is_where_noise_pays(p_ns):
     # below p0 an item costs less predicted as noise than at its own
     # probability; above p0 it costs more
-    cfg = FcConfig(p_ns, p_ns)
+    cfg = EvalConfig(p_ns, p_ns)
     p0 = distortion_threshold(p_ns)
     for p, keep_costs_more in ((p0 * (1 - 1e-3), True),
                                (p0 * (1 + 1e-3), False)):
@@ -321,7 +320,7 @@ def test_quad_equals_distance_to_kronecker():
     rng = np.random.default_rng(2)
     p = {1: 0.5, 2: 0.3, 3: 0.2}
     q = {1: 0.4, 2: 0.35, 3: 0.1}
-    qp = filter_cap(q, CFG)
+    qp = reference_scoring.filter_cap(q, CFG)
     items = list(p)
     probs = [p[i] for i in items]
     draws = rng.choice(items, p=probs, size=200000)

@@ -18,7 +18,6 @@ from smatrack.harness import (ConfigError, EvalConfig, ExperimentSpec,
                               ingest_sequence, make_predictor,
                               run_experiment, run_prequential, self_concat)
 from smatrack.predictors import Box, Dyal, Ema, Queues
-from smatrack.sd_core import FcConfig
 import reference_scoring
 import test_identity
 from reference_scoring import noise_marks
@@ -125,16 +124,16 @@ def test_prequential_agrees_with_reference_scorer():
     # same rules, same summation order
     rng = np.random.default_rng(0)
     obs = rng.integers(0, 5, size=300).tolist()
+    ecfg = EvalConfig()
     pred_a = Ema(beta=0.05)
-    res = run_prequential(pred_a, obs, EvalConfig(),
-                          noise_marks(obs, EvalConfig()))
+    res = run_prequential(pred_a, obs, ecfg, noise_marks(obs, ecfg))
     pred_b = Ema(beta=0.05)
     ref = Referee(c_ns=2)
     loss = quad = 0.0
     for o in obs:
         q = pred_b.predict()
-        loss += reference_scoring.logloss_rule_ns(o, q, ref.is_ns(o))
-        quad += reference_scoring.quad_rule(q, o)
+        loss += reference_scoring.logloss_rule_ns(o, q, ref.is_ns(o), ecfg)
+        quad += reference_scoring.quad_rule(q, o, ecfg)
         pred_b.update(o)
     assert res["avg_logloss_ns"] == loss / len(obs)
     assert res["avg_quad"] == quad / len(obs)
@@ -240,8 +239,7 @@ def test_eval_config_rejects_out_of_domain():
     ecfg = EvalConfig(p_min=0.05, p_ns=0.02)
     assert ecfg.fc() is ecfg.fc()
     assert (ecfg.fc().p_min, ecfg.fc().p_ns) == (0.05, 0.02)
-    # an EvalConfig is its own FcConfig; its fields keep their order
-    assert isinstance(ecfg, FcConfig)
+    # the scoring thresholds lead, and the fields keep their order
     assert EvalConfig(0.05, 0.02, 3, 7, (1.2,)) == EvalConfig(
         p_min=0.05, p_ns=0.02, c_ns=3, window=7, dev_ds=(1.2,))
 
@@ -266,7 +264,10 @@ def test_make_predictor_kinds():
             ("queues", "3", Queues, {"qcap": 3}),
             ("ts-queues", "4", Queues, {"qcap": 4}),
             ("box", "100", Box, {"k": 100}),
-            ("dyal", "0.02", Dyal, {"beta_min": 0.02})]:
+            ("dyal", "0.02", Dyal, {"beta_min": 0.02}),
+            # a number goes to the constructor as it is
+            ("queues", 10, Queues, {"qcap": 10}),
+            ("ema", 0.25, Ema, {"beta": 0.25, "beta_min": 0.25})]:
         p = make_predictor(kind, param)
         assert type(p) is cls
         assert {a: getattr(p, a) for a in attrs} == attrs, kind
@@ -299,6 +300,18 @@ def test_make_predictor_unknown():
             ("dyal:abc", "method dyal:abc: need beta_min in [0, 1]")]:
         with pytest.raises(ConfigError) as e:
             make_predictor(*method.split(":", 1))
+        assert str(e.value) == message
+    # only text is parsed: int() truncated 10.7 to 10 and 2.9 to 2
+    for kind, param, message in [
+            ("queues", 2.5, "method queues:2.5: need integer qcap >= 2"),
+            ("queues", 10.7, "method queues:10.7: need integer qcap >= 2"),
+            ("ts-queues", 3.0, "method ts-queues:3.0: need integer qcap "
+             ">= 2"),
+            ("box", 2.9, "method box:2.9: need integer k >= 1"),
+            ("ema", None, "method ema:None: need beta in (0, 1]"),
+            ("dyal", [0.01], "method dyal:[0.01]: need beta_min in [0, 1]")]:
+        with pytest.raises(ConfigError) as e:
+            make_predictor(kind, param)
         assert str(e.value) == message
 
 
@@ -413,7 +426,7 @@ def test_experiment_multi_item_has_optimal():
                           roster=[("ema:0.05", "ema", "0.05"),
                                   ("queues:3", "queues", "3")],
                           n_seqs=2, seq_len=500, seed=7,
-                          gen=synth.GenConfig(o_min=10, desired_len=1000))
+                          gen=synth.GenConfig(o_min=10))
     res = run_experiment(spec)
     assert any(m == "optimal" for _s, m, _p, _k, _v in res["rows"])
 
@@ -539,7 +552,7 @@ def test_experiment_rejects_bad_inputs(tmp_path):
     # TypeError, a negative or fractional seed or n_seqs and a
     # fractional seq_len in numpy or a slice, and a mode other than
     # oscillate and uniform at run time; a field the kind does not read
-    # was ignored
+    # was ignored, and so was a gen.desired_len other than seq_len
     for kw, msg in (({"kind": "real-file"},
                      "kind 'real-file' needs an input_path"),
                     ({"kind": "real-file", "input_path": ""},
@@ -566,7 +579,14 @@ def test_experiment_rejects_bad_inputs(tmp_path):
                       "gen": synth.GenConfig(l_min=2000)},
                      "kind 'nonstat-single' does not read l_min"),
                     ({"kind": "multi-item"},
-                     "kind 'multi-item' does not read tp")):
+                     "kind 'multi-item' does not read tp"),
+                    ({"gen": synth.GenConfig(desired_len=1000)},
+                     "gen.desired_len 1000 differs from seq_len 500, which "
+                     "sets the length"),
+                    ({"kind": "multi-item", "tp": 0.1,
+                      "gen": synth.GenConfig(desired_len=499)},
+                     "gen.desired_len 499 differs from seq_len 500, which "
+                     "sets the length")):
         with pytest.raises(ConfigError) as e:
             _small_spec(tmp_path, **kw)
         assert str(e.value) == msg

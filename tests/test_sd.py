@@ -1,58 +1,69 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from smatrack.sd_core import FcConfig, distortion_threshold, filter_cap
+from smatrack.evaluation import score
+from smatrack.harness import EvalConfig
+from smatrack.sd_core import distortion_threshold
 import reference_scoring
 
-CFG = FcConfig(0.01, 0.01)
+CFG = EvalConfig(0.01, 0.01)
 
 
 def close(a, b, tol=1e-9):
     return abs(a - b) <= tol
 
 
-# --- filter_cap -------------------------------------------------------------
+def sc(o, m, marked_ns=False, cfg=CFG):
+    return score(o, m, marked_ns, cfg, -math.log(cfg.p_ns))
+
+
+# --- filter-and-cap, as evaluation.score applies it --------------------------
 
 def test_filter_cap_filter_only():
-    # an entry at exactly p_min is kept
-    out = filter_cap({1: 0.6, 2: 0.005, 3: 0.01}, CFG)
-    assert out == {1: 0.6, 3: 0.01}
+    # an entry at exactly p_min is kept; one below it scores as a miss
+    m = {1: 0.6, 2: 0.005, 3: 0.01}
+    assert sc(3, m)[0] == -math.log(0.01)
+    assert sc(2, m)[0] == -math.log(CFG.p_ns)
 
 
 def test_filter_cap_empty():
-    assert filter_cap({}, CFG) == {}
+    assert sc(1, {}) == (-math.log(CFG.p_ns), 1.0)
+    assert sc(1, {}, True) == (0.0, 1.0)  # all the mass is unallocated
 
 
 def test_filter_cap_drops_scaled_entry_below_p_min():
-    # filtered sum 1.0001 > 0.99; 0.0101 scales to about 0.009998
-    out = filter_cap({1: 0.99, 2: 0.0101}, CFG)
-    assert list(out) == [1]
-    assert out[1] == 0.99 * (0.99 / (0.99 + 0.0101))
-
-
-def test_filter_cap_keeps_insertion_order():
-    m = {5: 0.3, 1: 0.2, 9: 0.001, 3: 0.6}
-    assert list(filter_cap(m, CFG)) == [5, 1, 3]       # scaled
-    assert list(filter_cap({5: 0.3, 1: 0.2, 9: 0.001}, CFG)) == [5, 1]
+    # filtered sum 1.0001 > 0.99; 0.0101 scales to about 0.009998, a miss
+    m = {1: 0.99, 2: 0.0101}
+    assert sc(2, m)[0] == -math.log(CFG.p_ns)
+    assert sc(1, m)[0] == -math.log(0.99 * (0.99 / (0.99 + 0.0101)))
 
 
 def test_filter_cap_already_capped():
-    assert filter_cap({1: 0.5, 2: 0.2}, CFG) == {1: 0.5, 2: 0.2}
+    m = {1: 0.5, 2: 0.2}
+    assert sc(1, m) == (-math.log(0.5), 0.5 ** 2 + 0.2 ** 2)
+    assert sc(3, m, True)[0] == -math.log(1.0 - (0.5 + 0.2))
 
 
 def test_filter_cap_scales_down():
-    # filtered sum 1.1, alpha = 0.99/1.1 = 0.9
-    out = filter_cap({1: 0.6, 2: 0.5, 3: 0.005}, CFG)
-    assert set(out) == {1, 2}
-    assert close(out[1], 0.54) and close(out[2], 0.45)
+    # filtered sum 1.1, alpha = 0.99/1.1 = 0.9; 0.005 is dropped
+    m = {1: 0.6, 2: 0.5, 3: 0.005}
+    loss, quad = sc(1, m)
+    assert close(loss, -math.log(0.54))
+    assert close(quad, 0.46 ** 2 + 0.45 ** 2)
+    assert sc(3, m)[0] == -math.log(CFG.p_ns)
 
 
 def test_filter_cap_point_mass():
-    out = filter_cap({1: 1.0}, CFG)
-    assert close(out[1], 0.99)
+    assert close(sc(1, {1: 1.0})[0], -math.log(0.99))
+
+
+def test_filter_cap_equality_is_already_capped():
+    # filtered sum exactly 1 - p_ns: no rescaling happens
+    m = {1: 0.5, 2: 0.49}
+    assert sc(1, m) == (-math.log(0.5), 0.5 ** 2 + 0.49 ** 2)
 
 
 pr_maps = st.dictionaries(st.integers(min_value=0, max_value=50),
@@ -64,34 +75,42 @@ pr_maps = st.dictionaries(st.integers(min_value=0, max_value=50),
 @settings(max_examples=500, deadline=None)
 @given(pr_maps)
 def test_filter_cap_postconditions(m):
-    out = filter_cap(m, CFG)
+    # the oracle's capped map, which score must equal
+    out = reference_scoring.filter_cap(m, CFG)
     assert all(v >= CFG.p_min for v in out.values())
     assert sum(out.values()) <= 1.0 - CFG.p_ns + 1e-12
 
 
 # p_min at the smallest positive float filters out only zeros; p_ns = 0.2
-# scales most maps down.
+# scales most maps down. The examples are the worked cases above, and a
+# scaling that halves 0.5 to exactly p_min = 0.25.
 @settings(max_examples=500, deadline=None)
-@given(pr_maps, st.sampled_from([FcConfig(0.01, 0.01),
-                                 FcConfig(5e-324, 5e-324),
-                                 FcConfig(0.2, 0.2), FcConfig(0.05, 0.001)]))
-def test_filter_cap_matches_two_pass_reference(m, cfg):
-    out = filter_cap(m, cfg)
-    want = reference_scoring.filter_cap(m, cfg)
-    assert out == want and list(out) == list(want)
+@given(pr_maps, st.sampled_from([EvalConfig(0.01, 0.01),
+                                 EvalConfig(5e-324, 5e-324),
+                                 EvalConfig(0.2, 0.2),
+                                 EvalConfig(0.05, 0.001)]))
+@example({1: 0.6, 2: 0.005, 3: 0.01}, CFG)
+@example({1: 0.5, 2: 0.49}, CFG)
+@example({1: 0.99, 2: 0.0101}, CFG)
+@example({1: 0.6, 2: 0.5, 3: 0.005}, CFG)
+@example({}, CFG)
+@example({1: 1.0, 2: 0.5}, EvalConfig(0.25, 0.25))
+def test_score_matches_two_pass_reference(m, cfg):
+    for o in list(m) + [-1]:
+        for ns in (False, True):
+            assert sc(o, m, ns, cfg) == (
+                reference_scoring.logloss_rule_ns(o, m, ns, cfg),
+                reference_scoring.quad_rule(m, o, cfg))
 
 
 @settings(max_examples=300, deadline=None)
 @given(pr_maps)
 def test_filter_cap_idempotent(m):
-    once = filter_cap(m, CFG)
-    assert filter_cap(once, CFG) == once
-
-
-def test_filter_cap_equality_is_already_capped():
-    # filtered sum exactly 1 - p_ns: no rescaling happens
-    m = {1: 0.5, 2: 0.49}
-    assert filter_cap(m, CFG) == m
+    # scoring the capped map charges what scoring the raw map does
+    once = reference_scoring.filter_cap(m, CFG)
+    for o in list(m) + [-1]:
+        for ns in (False, True):
+            assert sc(o, once, ns) == sc(o, m, ns)
 
 
 # --- distortion threshold ---------------------------------------------------
