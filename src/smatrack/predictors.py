@@ -51,7 +51,7 @@ def binomial_significance(ema_pr, q_pr, q_count):
 
 # Dyal calls binomial_significance(e, q, n) only where n * KL(q || e)
 # can reach the threshold, both for o's own test and for every other
-# edge in Dyal.weaken_edges: KL(q || e) <= ln(1 + chi2) <=
+# edge in Dyal.update: KL(q || e) <= ln(1 + chi2) <=
 # chi2 = (e - q)**2 / (e (1 - e)), so the call is skipped when
 # n * (chi2 + CHI2_SLACK) < sig. The slack covers rounding where the two
 # nearly meet, chi2 near 0: there a computed KL, a sum of logs of ratios
@@ -279,36 +279,17 @@ class Dyal:
         return self.ema_map.copy()
 
     def update(self, o):
-        """Reads o's queue entry once, before the queue update
-        (Queues.pr_count inlined), updates the queue, drops the ids its
-        prune dropped, and makes one weaken_edges call, which walks the
-        other edges and then takes o's own step."""
-        queues = self.queues
-        q = queues.q_map.get(o)
-        if q is None:
-            o_pr, o_count = 0.0, 0  # no queue, or one stamp: queue only
-        else:
-            n, oldest = q
-            o_count = queues.clock - oldest + 1
-            o_pr = n / (o_count - 1)
-        for i in queues.update(o):
-            self.ema_map.pop(i, None)
-            self.rate_map.pop(i, None)
-        self.weaken_edges(o, o_pr, o_count)
-
-    def weaken_edges(self, o, o_pr, o_count):
-        """Weaken every edge except o's, possibly resetting an edge from
-        its queue, and drop edges that have sunk below p_min or to 0.0.
-        Then, when o_pr > 0.0, take o's own step from its queue's
-        (PR, count) as read before the queue update: a reset when the
-        queue's PR is significantly above o's weight (always for an
-        unseen o), else a plain EMA step, either capped at the free mass.
-        o_pr is 0.0 when o's queue had no entry or one stamp; then o
-        takes no step, and o_count is not read.
-        Returns the free mass from before o's step: 1 - (surviving
+        """Take one observation in one step. Read o's queue's (PR, count)
+        before the queue update, update the queue and drop the ids its
+        prune dropped. Then weaken every edge except o's, possibly
+        resetting an edge from its queue, and drop edges that have sunk
+        below p_min or to 0.0. Last, o takes its own step, unless its
+        queue had no entry or one stamp: a reset when the queue's PR is
+        significantly above o's weight (always for an unseen o), else a
+        plain EMA step, either capped at the free mass, 1 - (surviving
         weight, including o's untouched weight).
 
-        One loop, since it visits every edge on every update:
+        One frame, since it visits every edge on every update:
         Queues.pr_count and the significance test are inlined, the
         chi-squared bound skips binomial_significance where it cannot
         reach sig_thresh, and a rate at its floor skips decay_rate. Each
@@ -317,12 +298,22 @@ class Dyal:
         So a reset sets a PR above 0 and a rate of at most 1, and an edge
         is dropped only below p_min or at 0.0. The walk runs over ema_map
         itself, reading a rate only for a plain step; it sets only the
-        visited edge and deletes the dropped edges after it. o's step
-        runs in the same frame, so update costs one call."""
+        visited edge and deletes the dropped edges after it."""
+        queues = self.queues
+        q_map = queues.q_map
+        q = q_map.get(o)
+        if q is None:
+            o_pr = 0.0  # no queue, or one stamp: queue only
+        else:
+            n, oldest = q
+            o_count = queues.clock - oldest + 1
+            o_pr = n / (o_count - 1)
         ema_map = self.ema_map
         rate_map = self.rate_map
-        q_map = self.queues.q_map
-        clock = self.queues.clock
+        for i in queues.update(o):
+            ema_map.pop(i, None)
+            rate_map.pop(i, None)
+        clock = queues.clock
         p_min = self.p_min
         beta_min = self.beta_min
         keep = 1.0 - beta_min
@@ -362,10 +353,10 @@ class Dyal:
         for i in drops:
             del ema_map[i]
             del rate_map[i]
-        free = 1.0 - used
-        if free < 0.0:
-            free = 0.0
         if o_pr > 0.0:
+            free = 1.0 - used
+            if free < 0.0:
+                free = 0.0
             ema_pr = ema_map.get(o, 0.0)
             # An unseen o (ema_pr 0.0) always resets: the score is inf
             # there. Otherwise the chi-squared screen comes first.
@@ -382,7 +373,6 @@ class Dyal:
                 if beta != beta_min:
                     rate_map[o] = decay_rate(beta, beta_min)
             ema_map[o] = ema_pr + (free if free < delta else delta)
-        return free
 
     def max_rate(self):
         return max(self.rate_map.values(), default=0.0)

@@ -3,10 +3,11 @@
 This is Dyal as first written: update and the per-edge pass read each
 queue through Queues.pr_count, the pass tests for a significantly low
 weight in its own method, and every rate decays through decay_rate. The
-Dyal in src/ reads pr_count inline, in update for o and in the walk for
-every other edge, and walks the edges and takes o's own step in one
-inlined loop; it must match this one bit for bit (maps, key order, rates
-and free mass), so the tests drive both side by side.
+Dyal in src/ takes the whole step in update, in one frame: it reads
+pr_count inline, for o before the queue update and in the walk for every
+other edge, walks the edges and then takes o's own step. It must match
+this one bit for bit (maps, key order and rates), so the tests drive
+both side by side, with dropping_zero_edges applied to the reference.
 """
 
 import statistics
@@ -110,3 +111,18 @@ class ReferenceDyal:
         if not self.rate_map:
             return 0.0
         return statistics.median(self.rate_map.values())
+
+
+def dropping_zero_edges(ref):
+    """The one change since Dyal as first written: an edge that weakens
+    to 0.0 (at a rate of 1, or by underflow) is dropped. Applied to the
+    reference's weaken_edges, before o's step, as Dyal's walk drops it."""
+    inner = ref.weaken_edges
+
+    def weaken_edges(o):
+        free = inner(o)
+        for i in [i for i in ref.rate_map if i != o and not ref.ema_map[i]]:
+            del ref.ema_map[i]
+            del ref.rate_map[i]
+        return free
+    ref.weaken_edges = weaken_edges

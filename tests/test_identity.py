@@ -18,21 +18,13 @@ from importlib.metadata import version
 import pytest
 from click.testing import CliRunner
 
+from identity_inputs import ROSTER, SHORT, TOKENS
 from smatrack.cli import cli
 
 DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                        "identity_digests.json")
 
-ROSTER = ["ema:0.05", "harmonic-ema:0.01", "queues:3", "ts-queues:5",
-          "box:50", "dyal:0.01"]
 METHODS = [a for m in ROSTER for a in ("--method", m)]
-
-# A token file whose 7 words w0-w6 give way to w3-w7 halfway.
-TOKENS = "".join("w%d\n" % (i % 7 if i < 300 else 3 + i % 5)
-                 for i in range(600))
-# Three steps, so that one step's loss moves the run's averages: a
-# first sight, a second one, and with --c-ns 0 a miss not marked noise.
-SHORT = "a\nb\na\n"
 
 # (name, argv): each run's stdout is recorded as <name>/stdout, and
 # every file it writes under the directory <name>.

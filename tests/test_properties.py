@@ -249,7 +249,7 @@ def test_q_map_follows_stamps(kind, qcap, s1, s2, prune_every, stream):
        st.integers(1, 12), streams)
 def test_dyal_maps_in_lockstep(beta_min, qcap, sig_thresh, p_min, s1, s2,
                                prune_every, stream):
-    # Dyal.weaken_edges walks ema_map and reads each edge's rate from
+    # Dyal.update walks ema_map and reads each edge's rate from
     # rate_map, so every edge needs its rate. The two maps gain and lose
     # keys together, so they also keep one order. Both hold after every
     # update: through new edges, resets, drops after the walk and the
