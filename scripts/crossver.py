@@ -27,7 +27,7 @@ import sys
 import tempfile
 
 import reference_scoring
-from count_cell_queues import CountCellQueues, matches
+from count_cell_queues import CountCellQueues, matches, pr_count
 from identity_inputs import ROSTER, SHORT, TOKENS
 from reference_dyal import ReferenceDyal, dropping_zero_edges
 from reference_ema import ReferenceEma
@@ -146,7 +146,7 @@ def check_queues(rng):
                 x.update(o)
             if not (matches(s, cells) and s.predict() == ref.predict()
                     and s.stamps.keys() == ref.q_map.keys()
-                    and all(s.pr_count(i) == ref.pr_count(i)
+                    and all(pr_count(s, i) == ref.pr_count(i)
                             for i in list(ref.q_map) + [-1])):
                 return "%r, step %d" % (kw, t + 1)
     return None

@@ -3,11 +3,10 @@ quadratic loss, deviation rates, the optimal-loss oracle, and paired
 sign tests."""
 
 import math
-import numbers
 from collections import deque
 from math import log  # for score, which logs on every step
 
-from .sd_core import SUM_SLACK, ConfigError
+from .sd_core import SUM_SLACK, need_int
 
 
 class Referee:
@@ -17,13 +16,9 @@ class Referee:
     to evict the oldest."""
 
     def __init__(self, c_ns=2, window=None):
-        if not (isinstance(c_ns, numbers.Integral) and c_ns >= 0):
-            raise ConfigError("c_ns must be an integer >= 0, got %r"
-                              % (c_ns,))
-        if not (window is None or isinstance(window, numbers.Integral)
-                and window >= 1):
-            raise ConfigError("referee window must be an integer >= 1, "
-                              "got %r" % (window,))
+        need_int("c_ns", c_ns, 0)
+        if window is not None:
+            need_int("referee window", window, 1)
         self.c_ns = c_ns
         self.window = window
         self.recent_freq = {}

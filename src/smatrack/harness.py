@@ -14,7 +14,7 @@ from itertools import combinations, repeat
 from . import predictors, synth
 from .evaluation import (Referee, dev_ratio, multidev, optimal_logloss,
                          score, sign_test)
-from .sd_core import ConfigError
+from .sd_core import ConfigError, need_int
 
 
 # kind -> (parameter type, constructor); the constructor checks the
@@ -38,8 +38,10 @@ def make_predictor(kind, param):
         raise ConfigError("unknown predictor kind: %r" % (kind,))
     parse, make = _PREDICTORS[kind]
     # Text is parsed; a number goes to make as it is (int() would
-    # truncate 10.7), and anything else is outside every domain.
-    value = param if isinstance(param, numbers.Real) else math.nan
+    # truncate 10.7), and anything else, a bool among them, is outside
+    # every domain.
+    real = isinstance(param, numbers.Real) and not isinstance(param, bool)
+    value = param if real else math.nan
     if isinstance(param, str):
         try:
             value = parse(param)
@@ -185,10 +187,7 @@ class ExperimentSpec:
         if self.kind not in EXPERIMENT_KINDS:
             raise ConfigError("unknown experiment kind: %r" % (self.kind,))
         for name, low in (("n_seqs", 1), ("seq_len", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < low:
-                raise ConfigError("%s must be an integer >= %d, got %r"
-                                  % (name, low, value))
+            need_int(name, getattr(self, name), low)
         if self.mode not in ("oscillate", "uniform"):
             raise ConfigError("mode must be 'oscillate' or 'uniform', got %r"
                               % (self.mode,))

@@ -158,24 +158,10 @@ class Queues:
         self.q_map = {}
         self.clock = 0
 
-    def pr_count(self, i):
-        """(PR, count) for item i, or (0.0, 0) if it has no queue. The
-        count is the steps since the oldest stamp, inclusive; PR is 0.0
-        while the queue holds a single stamp (grace period)."""
-        q = self.q_map.get(i)
-        if q is not None:
-            n, oldest = q
-            count = self.clock - oldest + 1
-            return n / (count - 1), count
-        q = self.stamps.get(i)
-        if q is None:
-            return 0.0, 0
-        return 0.0, self.clock - q[0] + 1
-
     def predict(self):
-        # pr_count's PR for every item past its grace period, inlined:
-        # this runs over q_map on every step. A plain loop, as in
-        # Ema.predict: on a few entries a comprehension's set-up costs more.
+        # The PR of every item past its grace period, read from q_map:
+        # this runs on every step. A plain loop, as in Ema.predict: on a
+        # few entries a comprehension's set-up costs more.
         c = self.clock
         out = {}
         for i, (n, s) in self.q_map.items():
@@ -279,19 +265,20 @@ class Dyal:
         return self.ema_map.copy()
 
     def update(self, o):
-        """Take one observation in one step. Read o's queue's (PR, count)
-        before the queue update, update the queue and drop the ids its
-        prune dropped. Then weaken every edge except o's, possibly
-        resetting an edge from its queue, and drop edges that have sunk
-        below p_min or to 0.0. Last, o takes its own step, unless its
-        queue had no entry or one stamp: a reset when the queue's PR is
-        significantly above o's weight (always for an unseen o), else a
-        plain EMA step, either capped at the free mass, 1 - (surviving
-        weight, including o's untouched weight).
+        """Take one observation in one step. Read o's queue's PR and
+        count (the steps since its oldest stamp, inclusive) before the
+        queue update, update the queue and drop the ids its prune
+        dropped. Then weaken every edge except o's, possibly resetting an
+        edge from its queue, and drop edges that have sunk below p_min or
+        to 0.0. Last, o takes its own step, unless its queue had no entry
+        or one stamp: a reset when the queue's PR is significantly above
+        o's weight (always for an unseen o), else a plain EMA step, either
+        capped at the free mass, 1 - (surviving weight, including o's
+        untouched weight).
 
-        One frame, since it visits every edge on every update:
-        Queues.pr_count and the significance test are inlined, the
-        chi-squared bound skips binomial_significance where it cannot
+        One frame, since it visits every edge on every update: PR and
+        count are read from q_map and the significance test is inlined,
+        the chi-squared bound skips binomial_significance where it cannot
         reach sig_thresh, and a rate at its floor skips decay_rate. Each
         edge Dyal makes has its (stamps - 1, oldest stamp) in q_map: it
         is made only for a queue of 2 or more stamps, and pruned with it.

@@ -8,11 +8,10 @@ tests can tell the two apart cheaply.
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 
 from .evaluation import Schedule
-from .sd_core import ConfigError
+from .sd_core import ConfigError, need_int
 
 NOISE_BASE = 2 ** 32
 # gen_sd's floor on each salient probability, and the mass it leaves
@@ -37,10 +36,7 @@ class GenConfig:
         # ignores l_min) would append empty periods forever, as would a
         # count that is NaN or infinite.
         for name, low in (("o_min", 1), ("l_min", 0), ("desired_len", 1)):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < low:
-                raise ConfigError("%s must be an integer >= %d, got %r"
-                                  % (name, low, value))
+            need_int(name, getattr(self, name), low)
 
 
 @dataclass
@@ -88,7 +84,7 @@ def gen_single_nonstationary(mode, cfg, n, rng):
             obs.append(o)
             plen += 1
             seen += o
-    return GeneratedStream(obs[:n], Schedule(entries))
+    return GeneratedStream(obs, Schedule(entries))
 
 
 def gen_sd(cfg, rng, fresh):

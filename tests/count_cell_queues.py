@@ -1,4 +1,5 @@
-"""Count-cell reference for smatrack.predictors.Queues.
+"""Count-cell reference for smatrack.predictors.Queues, and pr_count, a
+reading of a Queues' (PR, count) from its stamps alone.
 
 This is the paper's queue layout: per item, a list of count cells,
 newest (cell0) first, where each cell holds one positive plus the
@@ -59,10 +60,25 @@ class CountCellQueues:
         return dropped
 
 
+def pr_count(queues, i):
+    """(PR, count) for item i of a stamp-based Queues, or (0.0, 0) if it
+    has no queue, read from its stamps and clock alone, never from q_map.
+    The count is the steps since the oldest stamp, inclusive: the total
+    of the item's count cells. PR is 0.0 while the queue holds a single
+    stamp (grace period)."""
+    q = queues.stamps.get(i)
+    if q is None:
+        return 0.0, 0
+    count = queues.clock - q[-1] + 1
+    if len(q) <= 1:
+        return 0.0, count
+    return (len(q) - 1) / (count - 1), count
+
+
 def matches(queues, cells):
     """True if a stamp-based Queues and a CountCellQueues hold the same
     items with the same (PR, count) and the same prediction."""
     return (queues.stamps.keys() == set(cells.cells)
-            and all(queues.pr_count(i) == cells.pr_count(i)
+            and all(pr_count(queues, i) == cells.pr_count(i)
                     for i in cells.cells)
             and queues.predict() == cells.predict())

@@ -1,11 +1,12 @@
 """Reference Dyal for smatrack.predictors.Dyal.
 
 This is Dyal as first written: update and the per-edge pass read each
-queue through Queues.pr_count, the pass tests for a significantly low
-weight in its own method, and every rate decays through decay_rate. The
-Dyal in src/ takes the whole step in update, in one frame: it reads
-pr_count inline, for o before the queue update and in the walk for every
-other edge, walks the edges and then takes o's own step. It must match
+queue's (PR, count) through ReferenceQueues.pr_count, the pass tests for
+a significantly low weight in its own method, and every rate decays
+through decay_rate. The Dyal in src/ takes the whole step in update, in
+one frame: it reads each (PR, count) from its Queues' q_map inline, for
+o before the queue update and in the walk for every other edge, walks
+the edges and then takes o's own step. It must match
 this one bit for bit (maps, key order and rates), so the tests drive
 both side by side, with dropping_zero_edges applied to the reference.
 """

@@ -11,6 +11,11 @@ one change from the earlier code is the clamp of a noise-marked miss at
 -ln p_ns: the cap lets the sum reach 1 - p_ns + SUM_SLACK, so -ln of
 the unallocated mass could pass the bound or, for p_ns below SUM_SLACK,
 fail on -ln 0.
+
+It also holds `distortion_threshold`, the paper's p0: the probability
+below which the bounded log-loss pays a predictor to shift an item's
+mass to noise. C9 reproduces the paper's values of p0, and the tests
+check its bracket and its equation; the library does not use it.
 """
 
 import bisect
@@ -133,3 +138,26 @@ def prequential(pred, obs, ecfg, schedule=None, track_item=None):
     out = {"avg_logloss_ns": loss / n, "avg_quad": quad / n}
     out.update({key: count / n for key, count in dev.items()})
     return out
+
+
+def distortion_threshold(p_ns):
+    """The probability level p0 solving p_ns = p0 * (1-p0)^((1-p0)/p0),
+    found by bisection to 1e-10. Below p0 an item's mass can be shifted
+    to noise profitably under the bounded scoring; p0 is between 2*p_ns
+    and e*p_ns for small p_ns."""
+    if not (0.0 < p_ns < 0.5):
+        raise ValueError("p_ns must be in (0, 0.5)")
+
+    def f(p):
+        return p * (1.0 - p) ** ((1.0 - p) / p) - p_ns
+
+    lo, hi = p_ns, 1.0 - 1e-12
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if hi - lo < 1e-10:
+            break
+        if f(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

@@ -12,9 +12,9 @@ from smatrack.harness import EvalConfig, ExperimentSpec, run_experiment
 from count_cell_queues import CountCellQueues, matches
 from single_cell_mle import SingleCellMle
 from smatrack.predictors import Box, Dyal, Ema, Queues
-from smatrack.sd_core import distortion_threshold
 from smatrack.synth import GenConfig
 import reference_scoring
+from reference_scoring import distortion_threshold
 
 
 def report(tag, ok, detail):

@@ -13,9 +13,9 @@ from smatrack.evaluation import (Referee, Schedule, dev_ratio,
                                  logloss_rule_ns, multidev, optimal_logloss,
                                  quad_rule, sign_test)
 from smatrack.harness import EvalConfig, run_prequential
-from smatrack.sd_core import SUM_SLACK, ConfigError, distortion_threshold
+from smatrack.sd_core import SUM_SLACK, ConfigError
 import reference_scoring
-from reference_scoring import schedule_at
+from reference_scoring import distortion_threshold, schedule_at
 
 CFG = EvalConfig(0.01, 0.01)
 
@@ -72,7 +72,7 @@ def test_referee_window_matches_brute_force(w, c_ns):
 def test_referee_rejects_window_below_one():
     # the window counts observations, so a fractional one is out of its
     # domain
-    for w in (0, -1, 2.5):
+    for w in (0, -1, 2.5, True):
         with pytest.raises(ConfigError) as e:
             Referee(window=w)
         assert str(e.value) == ("referee window must be an integer >= 1, "
@@ -84,12 +84,13 @@ def test_referee_rejects_window_below_one():
 def test_referee_rejects_negative_c_ns():
     # c_ns = -1 would mark nothing as noise, and inf every observation;
     # c_ns counts occurrences, so it is an integer. EvalConfig's check is
-    # this one, with the message the CLI prints
-    for c_ns in (-1, math.nan, 2.5, math.inf):
+    # this one, with the message the CLI prints. A bool, which passed as
+    # 1 or 0, is refused
+    for c_ns in (-1, math.nan, 2.5, math.inf, True, False):
         with pytest.raises(ConfigError) as e:
             Referee(c_ns=c_ns)
         assert str(e.value) == "c_ns must be an integer >= 0, got %r" % c_ns
-    for c_ns in (-1, 2.5, math.inf):
+    for c_ns in (-1, 2.5, math.inf, True):
         with pytest.raises(ConfigError) as e:
             EvalConfig(c_ns=c_ns)
         assert str(e.value) == "c_ns must be an integer >= 0, got %r" % c_ns

@@ -309,7 +309,13 @@ def test_make_predictor_unknown():
              ">= 2"),
             ("box", 2.9, "method box:2.9: need integer k >= 1"),
             ("ema", None, "method ema:None: need beta in (0, 1]"),
-            ("dyal", [0.01], "method dyal:[0.01]: need beta_min in [0, 1]")]:
+            ("dyal", [0.01], "method dyal:[0.01]: need beta_min in [0, 1]"),
+            # a bool is no number: True ran as box:1, False as dyal:0
+            ("box", True, "method box:True: need integer k >= 1"),
+            ("ema", True, "method ema:True: need beta in (0, 1]"),
+            ("harmonic-ema", False,
+             "method harmonic-ema:False: need beta_min in [0, 1]"),
+            ("dyal", False, "method dyal:False: need beta_min in [0, 1]")]:
         with pytest.raises(ConfigError) as e:
             make_predictor(kind, param)
         assert str(e.value) == message
@@ -567,6 +573,17 @@ def test_experiment_rejects_bad_inputs(tmp_path):
                     ({"seed": 3.0}, "seed must be an integer >= 0, got 3.0"),
                     ({"n_seqs": np.float64(3.0)}, "n_seqs must be an "
                      "integer >= 1, got %r" % (np.float64(3.0),)),
+                    # nor is a bool, which passed as 1 or 0
+                    ({"n_seqs": True},
+                     "n_seqs must be an integer >= 1, got True"),
+                    ({"seq_len": True},
+                     "seq_len must be an integer >= 1, got True"),
+                    ({"seed": False},
+                     "seed must be an integer >= 0, got False"),
+                    ({"roster": [("b", "box", True)]},
+                     "method box:True: need integer k >= 1"),
+                    ({"roster": [("d", "dyal", False)]},
+                     "method dyal:False: need beta_min in [0, 1]"),
                     ({"kind": "nonstat-single", "tp": 0.1, "seq_len": 50.5},
                      "seq_len must be an integer >= 1, got 50.5"),
                     ({"kind": "nonstat-single", "tp": 0.1,

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from count_cell_queues import CountCellQueues, matches
+from count_cell_queues import CountCellQueues, matches, pr_count
 from reference_dyal import ReferenceDyal, dropping_zero_edges
 from reference_queues import ReferenceQueues
 from reference_ema import ReferenceEma
@@ -238,7 +238,7 @@ def test_queue_positive_update_shifts():
     for o in [1, 0, 1]:
         s.update(o)
     assert s.stamps[1] == [3, 1] and s.q_map[1] == (1, 1)  # cells [1, 2]
-    assert s.pr_count(1) == (1 / 2, 3)
+    assert pr_count(s, 1) == (1 / 2, 3)
 
 
 def test_queue_positive_update_at_capacity():
@@ -247,14 +247,14 @@ def test_queue_positive_update_at_capacity():
         s.update(o)
     assert s.stamps[1] == [4, 3, 2]  # cells [1, 1, 1]
     assert s.q_map[1] == (2, 2)
-    assert s.pr_count(1) == (1.0, 3)
+    assert pr_count(s, 1) == (1.0, 3)
 
 
 def test_queue_fresh_positive():
     s = Queues(qcap=3)
     s.update(1)
     assert s.stamps == {1: [1]} and s.q_map == {}  # cells [1]
-    assert s.pr_count(1) == (0.0, 1)
+    assert pr_count(s, 1) == (0.0, 1)
 
 
 def test_queue_negative_update():
@@ -262,14 +262,14 @@ def test_queue_negative_update():
     s.update(1)
     s.update(0)
     assert s.stamps == {1: [1], 0: [2]} and s.q_map == {}  # cells [2], [1]
-    assert s.pr_count(1) == (0.0, 2)
+    assert pr_count(s, 1) == (0.0, 2)
     s = Queues(qcap=3)
     for o in [1, 1, 1, 0, 0, 0, 0]:
         s.update(o)
-    assert s.pr_count(1) == (2 / 6, 7)  # cells [5, 1, 1]
+    assert pr_count(s, 1) == (2 / 6, 7)  # cells [5, 1, 1]
     s.update(0)
     assert s.stamps[1] == [3, 2, 1] and s.q_map[1] == (2, 1)  # stay put
-    assert s.pr_count(1) == (2 / 7, 8)  # cells [6, 1, 1]
+    assert pr_count(s, 1) == (2 / 7, 8)  # cells [6, 1, 1]
 
 
 def test_queue_negative_update_no_cells():
@@ -277,13 +277,13 @@ def test_queue_negative_update_no_cells():
     s.update(0)
     s.update(0)
     assert 1 not in s.stamps and 1 not in s.q_map
-    assert s.pr_count(1) == (0.0, 0)
+    assert pr_count(s, 1) == (0.0, 0)
 
 
 def test_queue_get_pr():
-    assert close(_queues_with(3, {1: [2, 1]}).pr_count(1)[0], 1 / 2)
-    assert close(_queues_with(7, {1: [3, 2, 1]}).pr_count(1)[0], 2 / 6)
-    assert _queues_with(3, {1: [1]}).pr_count(1) == (0.0, 3)
+    assert close(pr_count(_queues_with(3, {1: [2, 1]}), 1)[0], 1 / 2)
+    assert close(pr_count(_queues_with(7, {1: [3, 2, 1]}), 1)[0], 2 / 6)
+    assert pr_count(_queues_with(3, {1: [1]}), 1) == (0.0, 3)
 
 
 # --- Queues predictor -------------------------------------------------------
@@ -296,8 +296,8 @@ def test_queues_update_allocates():
     assert s.stamps == {1: [1]} and s.q_map == {}
     s.update(2)
     assert s.stamps == {1: [1], 2: [2]} and s.q_map == {}
-    assert s.pr_count(1) == (0.0, 2)  # cells [2]
-    assert s.pr_count(2) == (0.0, 1)  # cells [1]
+    assert pr_count(s, 1) == (0.0, 2)  # cells [2]
+    assert pr_count(s, 2) == (0.0, 1)  # cells [1]
     assert s.predict() == {}
     s.update(1)
     assert s.stamps == {1: [3, 1], 2: [2]} and s.q_map == {1: (1, 1)}
@@ -367,13 +367,13 @@ def test_queue_pr_monotone_on_updates():
     for _ in range(300):
         s = Queues(qcap=int(rng.integers(2, 6)), prune_every=10 ** 6)
         for _ in range(200):
-            before = s.pr_count(1)[0]
+            before = pr_count(s, 1)[0]
             if rng.random() < 0.3:
                 s.update(1)
-                assert s.pr_count(1)[0] >= before - 1e-12
+                assert pr_count(s, 1)[0] >= before - 1e-12
             else:
                 s.update(0)
-                after = s.pr_count(1)[0]
+                after = pr_count(s, 1)[0]
                 assert after < before or (after == 0.0 and before == 0.0)
 
 
@@ -465,7 +465,7 @@ def test_timestamp_basic():
     s.update(1)
     s.update(0)
     # item 1 at clocks 1 and 3, queried at clock 4: (2-1)/(4-1)
-    assert close(s.pr_count(1)[0], 1 / 3)
+    assert close(pr_count(s, 1)[0], 1 / 3)
 
 
 def test_timestamp_equals_plain_queues():
@@ -505,9 +505,9 @@ def test_queues_match_reference_on_open_streams():
                                for i, q in s.stamps.items() if len(q) > 1}
             assert set(s.stamps) == set(ref.q_map)
             for i in list(ref.q_map) + [-1, 1000 + t + 1]:
-                assert s.pr_count(i) == ref.pr_count(i)
+                assert pr_count(s, i) == ref.pr_count(i)
             assert s.predict() == ref.predict()
-            assert list(s.predict().items()) == [(i, s.pr_count(i)[0])
+            assert list(s.predict().items()) == [(i, pr_count(s, i)[0])
                                                  for i in s.q_map]
             if t % 7 == 0:
                 assert s.prune() == ref.prune()
@@ -802,7 +802,7 @@ def test_dyal_plain_step_when_not_significant():
     d.rate_map = {1: 0.1}
     d.queues = _queues_with(6, {1: [5, 3, 1]})  # cells [2, 2, 2]
     # q_pr 2/5 <= ema: not significantly high
-    assert d.queues.pr_count(1) == (2 / 5, 6)
+    assert pr_count(d.queues, 1) == (2 / 5, 6)
     d.update(1)
     # delta = (1 - 0.5) * 0.1, rate decays to 1/11
     assert close(d.ema_map[1], 0.55)
@@ -837,9 +837,9 @@ def test_dyal_update_snaps_down_on_significance():
     d.rate_map = {1: 0.1}
     # cells [20, 1, 20] once the clock is 41
     d.queues = _queues_with(40, {1: [22, 21, 1]}, qcap=40)
-    assert d.queues.pr_count(1) == (2 / 39, 40)
+    assert pr_count(d.queues, 1) == (2 / 39, 40)
     d.update(2)
-    assert d.queues.pr_count(1) == (2 / 40, 41)
+    assert pr_count(d.queues, 1) == (2 / 40, 41)
     assert close(d.ema_map[1], 0.05)
     assert close(d.rate_map[1], 1 / 41)
 
@@ -963,7 +963,7 @@ def test_dyal_update_drops_match_reference():
             dropping_zero_edges(ref)
             d.update(o)
             ref.update(o)
-            assert d.queues.pr_count(5)[0] < d.p_min
+            assert pr_count(d.queues, 5)[0] < d.p_min
             assert list(d.ema_map.items()) == list(ref.ema_map.items())
             assert list(d.rate_map.items()) == list(ref.rate_map.items())
             assert 5 in d.ema_map and 2 not in d.ema_map

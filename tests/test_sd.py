@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from smatrack.evaluation import score
 from smatrack.harness import EvalConfig
-from smatrack.sd_core import distortion_threshold
 import reference_scoring
+from reference_scoring import distortion_threshold
 
 CFG = EvalConfig(0.01, 0.01)
 

@@ -102,6 +102,21 @@ def test_nonstat_rejects_bad_mode():
                                  np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("n", [1, 399, 400, 401, 5000])
+def test_single_item_generators_return_n_observations(n):
+    # with o_min=10 the shortest oscillate period is 400 steps, so n = 399,
+    # 400 and 401 cut the stream just before, at and just past the end of
+    # a first period that is that short; no period starts past n
+    cfg = GenConfig(o_min=10)
+    for seed in range(3):
+        for s in (gen_binary_stationary(0.1, n, np.random.default_rng(seed)),
+                  *(gen_single_nonstationary(mode, cfg, n,
+                                             np.random.default_rng(seed))
+                    for mode in ("oscillate", "uniform"))):
+            assert len(s.observations) == n
+            assert all(t <= n for t, _ in s.schedule.entries)
+
+
 # --- gen_sd -----------------------------------------------------------------
 
 def test_gen_sd_mass_and_min():
@@ -162,18 +177,22 @@ def test_gen_config_rejects_empty_periods():
     # o_min = 0 lets a period end before it starts, so the generators
     # would append empty periods forever; l_min cannot be negative. A
     # count that is NaN or infinite would loop forever too, so each count
-    # must be an integer; numpy integers pass.
+    # must be an integer; numpy integers pass, and a bool, which passed as
+    # 1 or 0, does not.
     for kw in ({"o_min": 0}, {"o_min": -3}, {"o_min": 0, "l_min": 100},
                {"l_min": -1}):
         with pytest.raises(ConfigError):
             GenConfig(**kw)
     for name, low in (("o_min", 1), ("l_min", 0), ("desired_len", 1)):
-        for bad in (math.nan, math.inf, -math.inf, 1.5, 2.0):
+        for bad in (math.nan, math.inf, -math.inf, 1.5, 2.0, True):
             with pytest.raises(ConfigError) as e:
                 GenConfig(**{name: bad})
             assert str(e.value) == "%s must be an integer >= %d, got %r" \
                 % (name, low, bad)
         assert getattr(GenConfig(**{name: np.int64(3)}), name) == 3
+    with pytest.raises(ConfigError) as e:
+        GenConfig(l_min=False)
+    assert str(e.value) == "l_min must be an integer >= 0, got False"
     # domain edges
     cfg = GenConfig(o_min=1, l_min=0, desired_len=50)
     rng = np.random.default_rng(0)
