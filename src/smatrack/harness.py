@@ -38,10 +38,9 @@ def make_predictor(kind, param):
         raise ConfigError("unknown predictor kind: %r" % (kind,))
     parse, make = _PREDICTORS[kind]
     # Text is parsed; a number goes to make as it is (int() would
-    # truncate 10.7), and anything else, a bool among them, is outside
-    # every domain.
-    real = isinstance(param, numbers.Real) and not isinstance(param, bool)
-    value = param if real else math.nan
+    # truncate 10.7), and anything else is outside every domain. Every
+    # constructor refuses a bool.
+    value = param if isinstance(param, numbers.Real) else math.nan
     if isinstance(param, str):
         try:
             value = parse(param)
@@ -71,7 +70,7 @@ class EvalConfig:
                               % (self.p_ns, self.p_min))
         Referee(self.c_ns, self.window)
         for d in self.dev_ds:
-            if not 1.0 <= d < math.inf:
+            if isinstance(d, bool) or not 1.0 <= d < math.inf:
                 raise ConfigError("deviation threshold d must be finite "
                                   "and >= 1, got %r" % (d,))
         # Metric names show d as %g; two thresholds with one name would

@@ -4,7 +4,7 @@ All predictors follow the same prequential contract: predict() returns
 the current item -> probability map (without mutating state), then
 update(o) consumes the observation. predict() at time t never depends
 on the observation at t. Each constructor raises ValueError("need
-<domain>") for an argument outside its domain.
+<domain>") for an argument outside its domain, a bool among them.
 """
 
 import math
@@ -13,13 +13,14 @@ import statistics
 from collections import deque
 
 
-def _need(ok, domain):
-    if not ok:
+def _need(ok, domain, value):
+    # A bool is refused: True would pass as 1.
+    if not ok or isinstance(value, bool):
         raise ValueError("need " + domain)
 
 
-def _is_count(v):
-    return isinstance(v, numbers.Integral) and v >= 1
+def _is_count(v, low=1):
+    return isinstance(v, numbers.Integral) and v >= low
 
 
 def decay_rate(beta, beta_min):
@@ -82,13 +83,14 @@ class Ema:
     weights below EMA_FLOOR and resets the scale to 1."""
 
     def __init__(self, beta=0.01, beta_min=None):
-        _need(0.0 < beta <= 1.0, "beta in (0, 1]")
+        _need(0.0 < beta <= 1.0, "beta in (0, 1]", beta)
         if beta_min is None:
             beta_min = beta
-        _need(0.0 <= beta_min <= beta, "beta_min in [0, %g]" % beta)
+        _need(0.0 <= beta_min <= beta, "beta_min in [0, %g]" % beta,
+              beta_min)
         # decay_rate(beta, 0.0) is 0.0 once 1/beta overflows
         _need(beta_min > 0.0 or 1.0 / beta < math.inf,
-              "beta_min > 0 when 1/beta overflows")
+              "beta_min > 0 when 1/beta overflows", beta_min)
         self.beta_min = beta_min
         self.beta = beta
         self.weights = {}
@@ -145,11 +147,11 @@ class Queues:
     predict() walks only q_map."""
 
     def __init__(self, qcap=3, s1=100, s2=100000, prune_every=1000):
-        _need(isinstance(qcap, numbers.Integral) and qcap >= 2,
-              "integer qcap >= 2")
-        _need(_is_count(s1), "integer s1 >= 1")
-        _need(_is_count(s2), "integer s2 >= 1")
-        _need(_is_count(prune_every), "integer prune_every >= 1")
+        _need(_is_count(qcap, 2), "integer qcap >= 2", qcap)
+        _need(_is_count(s1), "integer s1 >= 1", s1)
+        _need(_is_count(s2), "integer s2 >= 1", s2)
+        _need(_is_count(prune_every), "integer prune_every >= 1",
+              prune_every)
         self.qcap = qcap
         self.s1 = s1
         self.s2 = s2
@@ -207,7 +209,7 @@ class Box:
     rewrites at most two PRs and predict() is a copy."""
 
     def __init__(self, k=100):
-        _need(_is_count(k), "integer k >= 1")
+        _need(_is_count(k), "integer k >= 1", k)
         self.k = k
         self.window = deque()
         self.counts = {}
@@ -250,9 +252,9 @@ class Dyal:
 
     def __init__(self, beta_min=0.01, qcap=3, sig_thresh=5.0, p_min=0.01,
                  s1=100, s2=100000, prune_every=1000):
-        _need(0.0 <= beta_min <= 1.0, "beta_min in [0, 1]")
-        _need(sig_thresh >= 0.0, "sig_thresh >= 0")
-        _need(0.0 <= p_min <= 1.0, "p_min in [0, 1]")
+        _need(0.0 <= beta_min <= 1.0, "beta_min in [0, 1]", beta_min)
+        _need(sig_thresh >= 0.0, "sig_thresh >= 0", sig_thresh)
+        _need(0.0 <= p_min <= 1.0, "p_min in [0, 1]", p_min)
         self.beta_min = beta_min
         self.sig_thresh = sig_thresh
         self.p_min = p_min

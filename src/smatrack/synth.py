@@ -29,7 +29,8 @@ class GenConfig:
     desired_len: int = 10000
 
     def __post_init__(self):
-        if not (SALIENT_MIN < self.p_max <= 1.0):
+        if isinstance(self.p_max, bool) or not (
+                SALIENT_MIN < self.p_max <= 1.0):
             raise ConfigError("p_max must be in (%g, 1], got %r"
                               % (SALIENT_MIN, self.p_max))
         # With no occurrences asked of a period, oscillate mode (which
@@ -47,7 +48,7 @@ class GeneratedStream:
 
 def gen_binary_stationary(tp, n, rng):
     """n iid draws of item 1 with probability tp, else item 0."""
-    if not (0.0 < tp <= 1.0):
+    if isinstance(tp, bool) or not (0.0 < tp <= 1.0):
         raise ConfigError("tp must be in (0, 1], got %r" % (tp,))
     obs = (rng.random(n) < tp).astype(int).tolist()
     sd = {1: tp}

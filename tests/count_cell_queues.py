@@ -1,11 +1,13 @@
 """Count-cell reference for smatrack.predictors.Queues, and pr_count, a
 reading of a Queues' (PR, count) from its stamps alone.
 
-This is the paper's queue layout: per item, a list of count cells,
-newest (cell0) first, where each cell holds one positive plus the
-negatives observed while it was the newest cell. Every update touches
-every queue. The stamp-based Queues must match it exactly, prune
-included, so the tests compare the two step by step.
+This is the paper's queue layout, and the one queue oracle: per item, a
+list of count cells, newest (cell0) first, where each cell holds one
+positive plus the negatives observed while it was the newest cell.
+Every update touches every queue. The stamp-based Queues must match it
+exactly, prune included: scripts/crossver.py and C8 compare the two step
+by step, and ReferenceDyal reads its queues from it. A queue of stamps
+s0 > s1 > ... at clock c has the cells c - s0 + 1, s0 - s1, s1 - s2, ...
 """
 
 
@@ -16,7 +18,7 @@ class CountCellQueues:
         self.s2 = s2
         self.prune_every = prune_every
         self.cells = {}
-        self.t = 0
+        self.clock = 0
 
     def pr_count(self, i):
         cells = self.cells.get(i)
@@ -42,8 +44,8 @@ class CountCellQueues:
         cells = self.cells.setdefault(o, [])
         cells.insert(0, 1)  # positive update
         del cells[self.qcap:]
-        self.t += 1
-        if self.prune_every and self.t % self.prune_every == 0:
+        self.clock += 1
+        if self.prune_every and self.clock % self.prune_every == 0:
             self.prune()
 
     def prune(self):

@@ -1,19 +1,22 @@
 """Reference Dyal for smatrack.predictors.Dyal.
 
 This is Dyal as first written: update and the per-edge pass read each
-queue's (PR, count) through ReferenceQueues.pr_count, the pass tests for
-a significantly low weight in its own method, and every rate decays
-through decay_rate. The Dyal in src/ takes the whole step in update, in
-one frame: it reads each (PR, count) from its Queues' q_map inline, for
-o before the queue update and in the walk for every other edge, walks
-the edges and then takes o's own step. It must match
-this one bit for bit (maps, key order and rates), so the tests drive
-both side by side, with dropping_zero_edges applied to the reference.
+queue's (PR, count) from the paper's count cells, CountCellQueues, the
+one queue oracle, whose counts are the integers the stamps give; the
+pass tests for a significantly low weight in its own method, and every
+rate decays through decay_rate. The Dyal in src/ takes the whole step
+in update, in one frame: it reads each (PR, count) from its Queues'
+q_map inline, for o before the queue update and in the walk for every
+other edge, walks the edges and then takes o's own step. It must match
+this one bit for bit (maps, key order and rates), so
+scripts/crossver.py drives both side by side on generated streams, and
+tests/test_predictors.py on hand-set states, with dropping_zero_edges
+applied to the reference.
 """
 
 import statistics
 
-from reference_queues import ReferenceQueues as Queues
+from count_cell_queues import CountCellQueues as Queues
 from smatrack.predictors import binomial_significance, decay_rate
 
 

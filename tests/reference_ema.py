@@ -4,9 +4,17 @@ This is Ema as first written: every update weakens every stored weight
 and no weight is ever dropped. The Ema in src/ keeps its weights on
 forward decay and drops those below EMA_FLOOR when it folds; the tests
 drive both side by side and bound how far the two may drift apart.
+EMA_CASES lists the Ema arguments they run, each with the ReferenceEma
+keywords it must match.
 """
 
 from smatrack.predictors import decay_rate
+
+# Ema arguments -> the ReferenceEma keywords it must match: a fixed
+# rate beta, and harmonic EMA, which starts at 1 and decays to beta_min
+EMA_CASES = ([((b,), dict(beta=b)) for b in (0.001, 0.01, 0.05, 0.2, 0.5)] +
+             [((1.0, m), dict(harmonic=True, beta_min=m))
+              for m in (0.0, 0.001, 0.01, 0.1)])
 
 
 class ReferenceEma:

@@ -177,64 +177,6 @@ def test_fc_config_domain():
     assert issubclass(ConfigError, ValueError)
 
 
-def test_rules_match_reference():
-    # the raw-map rules are evaluation.score, which filters, caps and
-    # scores the raw map in one walk, or two when the cap scales; they
-    # must equal the earlier two-rule code exactly
-    seen = {"scaled": 0, "scaled below p_min": 0, "scaled noise miss": 0,
-            "absent": 0, "empty": 0}
-
-    def check(o, q, ns, cfg):
-        assert logloss_rule_ns(o, q, ns, cfg) == \
-            reference_scoring.logloss_rule_ns(o, q, ns, cfg)
-        assert quad_rule(q, o, cfg) == \
-            reference_scoring.quad_rule(q, o, cfg)
-        salient = reference_scoring.scale_drop(q, 1.0, cfg.p_min)
-        scaled = sum(salient.values()) > 1.0 - cfg.p_ns + SUM_SLACK
-        capped = reference_scoring.filter_cap(q, cfg)
-        seen["scaled"] += scaled
-        seen["scaled below p_min"] += o in salient and o not in capped
-        seen["scaled noise miss"] += scaled and ns and o not in capped
-        seen["absent"] += o not in q
-        seen["empty"] += not q
-
-    # maps with entries at and around p_min, some summing above 1
-    rng = np.random.default_rng(3)
-    for cfg in (CFG, EvalConfig(5e-324, 5e-324), EvalConfig(0.2, 0.2)):
-        levels = [cfg.p_min, 0.005, 0.3, 0.6, 1.0]
-        for _ in range(2000):
-            q = {}
-            for i in rng.permutation(8)[:int(rng.integers(0, 6))]:
-                v = levels[int(rng.integers(0, len(levels)))] \
-                    if rng.random() < 0.5 else float(rng.random())
-                if v > 0.0:
-                    q[int(i)] = v
-            check(int(rng.integers(0, 8)), q, bool(rng.random() < 0.5), cfg)
-    # maps of up to 150 entries, most below p_min, as multi_roster's
-    # predictors make, summing to up to 3, as Queues' maps can; o is a
-    # salient entry, one near p_min, or no entry
-    for cfg in (CFG, EvalConfig(0.05, 0.001)):
-        for _ in range(300):
-            k = int(rng.integers(0, 151))
-            w = rng.exponential(size=k) ** 3
-            w *= float(rng.uniform(0.2, 3.0)) / max(w.sum(), 1e-300)
-            q = {int(i): float(v) for i, v in
-                 zip(rng.permutation(400)[:k], w) if v > 0.0}
-            near = [i for i, v in q.items() if cfg.p_min <= v < 2 * cfg.p_min]
-            for o in [max(q, key=q.get, default=-1), -1] + near[:2]:
-                for ns in (False, True):
-                    check(o, q, ns, cfg)
-    # the scale pushes o below p_min: a miss, noise-marked or not
-    for ns in (False, True):
-        check(2, {1: 2.0, 2: 0.011, 3: 0.5}, ns, CFG)
-        check(4, {1: 2.0, 2: 0.011, 3: 0.5}, ns, CFG)
-        check(1, {}, ns, CFG)
-    assert logloss_rule_ns(2, {1: 2.0, 2: 0.011}, False, CFG) == \
-        -math.log(CFG.p_ns)
-    assert all(seen.values()), seen
-
-
-
 def expected_logloss(p, q, cfg):
     """Mean of logloss_rule_ns for predicting q when the SD p draws the
     outcome: a hit on each salient i, not marked as noise, with weight

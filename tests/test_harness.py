@@ -232,6 +232,12 @@ def test_eval_config_rejects_out_of_domain():
                {"dev_ds": (1.5, 1.5000001)}):
         with pytest.raises(ConfigError):
             EvalConfig(**kw)
+    # a bool is no number: True would pass as the threshold 1
+    for bad in (True, False):
+        with pytest.raises(ConfigError) as e:
+            EvalConfig(dev_ds=(1.5, bad))
+        assert str(e.value) == "deviation threshold d must be finite " \
+            "and >= 1, got %r" % bad
     # domain edges
     EvalConfig(p_min=0.999, p_ns=0.999, c_ns=0, window=1, dev_ds=(1.0,))
     EvalConfig(p_min=5e-324, p_ns=5e-324)

@@ -31,8 +31,11 @@ def test_binary_schedule_single_entry():
 
 
 def test_binary_rejects_bad_tp():
-    with pytest.raises(ValueError):
-        gen_binary_stationary(0.0, 10, np.random.default_rng(0))
+    # True would pass as tp = 1 and write the schedule {1: True}
+    for tp in (0.0, True, False):
+        with pytest.raises(ConfigError) as e:
+            gen_binary_stationary(tp, 10, np.random.default_rng(0))
+        assert str(e.value) == "tp must be in (0, 1], got %r" % tp
 
 
 # --- single-item non-stationary ---------------------------------------------
@@ -161,8 +164,11 @@ def test_gen_sd_new_items_are_fresh():
 
 
 def test_gen_config_validation():
-    with pytest.raises(ValueError):
-        GenConfig(p_max=0.001)
+    # a bool is no number: True would pass as p_max = 1
+    for bad in (0.001, True, False):
+        with pytest.raises(ConfigError) as e:
+            GenConfig(p_max=bad)
+        assert str(e.value) == "p_max must be in (0.01, 1], got %r" % bad
 
 
 def test_gen_config_is_frozen():
