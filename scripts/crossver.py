@@ -17,7 +17,9 @@ if any check fails. CHECKS is the table of checks:
   weights: forward decay rounds them apart from the reference's, so
   they must lie within 1e-12 of it, relatively.
 
-tests/test_crossver.py runs each check as its own tier-1 test.
+In tier 1, tests/test_crossver.py runs digests and score, and
+tests/test_predictors.py runs each Dyal case, Queues grid and Ema case
+as its own test.
 """
 
 import hashlib
@@ -105,16 +107,24 @@ def drifting_stream(rng, n):
     return out[:n]
 
 
-def check_dyal():
+# Dyal's (beta_min, qcap, sig_thresh) cases, Queues' stream grids (ids
+# 0 to 11 only, or ids 0 to 7 mixed with fresh ids) and Ema's cases
+# (EMA_CASES). Each case seeds its own generator, so that it runs alone:
+# tests/test_predictors.py runs each as its own tier-1 test.
+DYAL_CASES = tuple(itertools.product((0.0, 0.001, 0.01, 0.5, 1.0), (2, 3),
+                                     (0.0, 5.0)))
+QUEUE_GRIDS = ("closed", "open")
+
+
+def dyal_case(beta_min, qcap, sig_thresh):
     """Dyal, whose update takes the whole step in one frame, against
     Dyal as first written, which reads o's queue before its queue update,
-    pruning on. Each case runs 6 streams of 800 steps, and each stream
-    draws its p_min (which the walk's drop rule reads), s1, s2 and
-    prune_every. Both maps (values and key order), the prediction and
-    the trace row must be equal after every update."""
-    rng = random.Random(17)
-    for beta_min, qcap, sig_thresh, _ in itertools.product(
-            (0.0, 0.001, 0.01, 0.5, 1.0), (2, 3), (0.0, 5.0), range(6)):
+    pruning on: 6 streams of 800 steps, and each stream draws its p_min
+    (which the walk's drop rule reads), s1, s2 and prune_every. Both
+    maps (values and key order), the prediction and the trace row must
+    be equal after every update."""
+    rng = random.Random("dyal %r %r %r" % (beta_min, qcap, sig_thresh))
+    for _ in range(6):
         kw = dict(beta_min=beta_min, qcap=qcap, sig_thresh=sig_thresh,
                   p_min=rng.choice((0.0, 0.001, 0.01, 0.05)),
                   s1=rng.randint(2, 5), s2=rng.randint(10, 59),
@@ -132,59 +142,78 @@ def check_dyal():
     return None
 
 
-def check_queues():
+def queues_case(grid):
     """Queues against the count cells, pruning on with small s1 and s2,
-    so that both the stale drop and the size cut fire: 100 streams of
-    1,000 steps on ids 0 to 11, and 60 streams of 600 steps on ids 0 to
-    7 mixed with fresh ids. After every update both hold the same items
-    with the same (PR, count), an unseen id included, and the same
-    prediction, which lists q_map's items in order, since
-    evaluation.score sums in map order and dict == ignores it. Every 7
-    steps an extra prune() drops the same items from both."""
-    rng = random.Random(11)
-    for streams, steps, ids, open_ids in ((100, 1000, 12, False),
-                                          (60, 600, 8, True)):
-        for _ in range(streams):
-            kw = dict(qcap=rng.randint(2, 5), s1=rng.randint(1, 5),
-                      s2=rng.randint(5, 59), prune_every=rng.randint(1, 11))
-            s, cells = Queues(**kw), CountCellQueues(**kw)
-            fresh = rng.random() if open_ids else 0.0
-            for t in range(steps):
-                o = 1000 + t if rng.random() < fresh else rng.randrange(ids)
-                s.update(o)
-                cells.update(o)
-                if not (matches(s, cells)
-                        and all(pr_count(s, i) == cells.pr_count(i)
-                                for i in (-1, 1000 + t + 1))
-                        and list(s.predict().items())
-                        == [(i, pr_count(s, i)[0]) for i in s.q_map]
-                        and (t % 7 or s.prune() == cells.prune())):
-                    return "%r, step %d" % (kw, t + 1)
+    so that both the stale drop and the size cut fire: the "closed" grid
+    runs 100 streams of 1,000 steps on ids 0 to 11, the "open" one 60
+    streams of 600 steps on ids 0 to 7 mixed with fresh ids. After every
+    update both hold the same items with the same (PR, count), an unseen
+    id included, and the same prediction, which lists q_map's items in
+    order, since evaluation.score sums in map order and dict == ignores
+    it. Every 7 steps an extra prune() drops the same items from both."""
+    streams, steps, ids, open_ids = {"closed": (100, 1000, 12, False),
+                                     "open": (60, 600, 8, True)}[grid]
+    rng = random.Random("queues " + grid)
+    for _ in range(streams):
+        kw = dict(qcap=rng.randint(2, 5), s1=rng.randint(1, 5),
+                  s2=rng.randint(5, 59), prune_every=rng.randint(1, 11))
+        s, cells = Queues(**kw), CountCellQueues(**kw)
+        fresh = rng.random() if open_ids else 0.0
+        for t in range(steps):
+            o = 1000 + t if rng.random() < fresh else rng.randrange(ids)
+            s.update(o)
+            cells.update(o)
+            if not (matches(s, cells)
+                    and all(pr_count(s, i) == cells.pr_count(i)
+                            for i in (-1, 1000 + t + 1))
+                    and list(s.predict().items())
+                    == [(i, pr_count(s, i)[0]) for i in s.q_map]
+                    and (t % 7 or s.prune() == cells.prune())):
+                return "%r, step %d" % (kw, t + 1)
     return None
+
+
+def ema_case(args, kw):
+    """Ema(*args) against ReferenceEma(**kw), over four items in 1,500
+    shuffled blocks: each item recurs within 7 steps, so no weight nears
+    EMA_FLOOR and no fold drops one. After every update the reference's
+    weights are all at least EMA_FLOOR, and the two maps hold the same
+    keys in the same order, with weights within 1e-12."""
+    rng = random.Random("ema %r" % (kw,))
+    e, ref = Ema(*args), ReferenceEma(**kw)
+    block = list(range(4))
+    for t in range(1500):
+        rng.shuffle(block)
+        for o in block:
+            e.update(o)
+            ref.update(o)
+            got, want = e.predict(), ref.predict()
+            if min(want.values()) < EMA_FLOOR or list(got) != list(
+                    want) or any(abs(got[i] - v) > 1e-12 * v
+                                 for i, v in want.items()):
+                return "%r, block %d" % (kw, t + 1)
+    return None
+
+
+def first_failure(case, cases):
+    """What the first failing case reports, or None if all hold."""
+    return next((why for why in itertools.starmap(case, cases)
+                 if why is not None), None)
+
+
+def check_dyal():
+    """Every Dyal case."""
+    return first_failure(dyal_case, DYAL_CASES)
+
+
+def check_queues():
+    """Both Queues grids."""
+    return first_failure(queues_case, ((g,) for g in QUEUE_GRIDS))
 
 
 def check_ema():
-    """Ema against ReferenceEma at fixed rates and as harmonic EMA, over
-    four items in 1,500 shuffled blocks: each item recurs within 7 steps,
-    so no weight nears EMA_FLOOR and no fold drops one. After every
-    update the reference's weights are all at least EMA_FLOOR, and the
-    two maps hold the same keys in the same order, with weights within
-    1e-12."""
-    rng = random.Random(5)
-    for args, kw in EMA_CASES:
-        e, ref = Ema(*args), ReferenceEma(**kw)
-        block = list(range(4))
-        for t in range(1500):
-            rng.shuffle(block)
-            for o in block:
-                e.update(o)
-                ref.update(o)
-                got, want = e.predict(), ref.predict()
-                if min(want.values()) < EMA_FLOOR or list(got) != list(
-                        want) or any(abs(got[i] - v) > 1e-12 * v
-                                     for i, v in want.items()):
-                    return "%r, block %d" % (kw, t + 1)
-    return None
+    """Ema at each fixed rate and as harmonic EMA."""
+    return first_failure(ema_case, EMA_CASES)
 
 
 def score_cases(rng):

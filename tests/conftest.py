@@ -1,3 +1,11 @@
+import os
+import sys
+
+# scripts/crossver.py holds the stream-driven oracle checks; the tests
+# import it as crossver
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "scripts"))
+
 verdict_lines = []
 
 

@@ -1,5 +1,6 @@
 import math
 
+import crossver
 import numpy as np
 import pytest
 
@@ -136,6 +137,14 @@ def test_ema_step_size_cap():
 
 
 EMA_IDS = [repr(kw) for _, kw in EMA_CASES]
+
+
+# The exact oracle comparisons on generated streams live in
+# scripts/crossver.py; each case runs here as its own test.
+@pytest.mark.parametrize("args,kw", EMA_CASES, ids=EMA_IDS)
+def test_ema_matches_reference_above_floor(args, kw):
+    why = crossver.ema_case(args, kw)
+    assert why is None, why
 
 
 @pytest.mark.parametrize("args,kw", EMA_CASES, ids=EMA_IDS)
@@ -444,6 +453,16 @@ def test_timestamp_basic():
     s.update(0)
     # item 1 at clocks 1 and 3, queried at clock 4: (2-1)/(4-1)
     assert close(pr_count(s, 1)[0], 1 / 3)
+
+
+def test_timestamp_equals_plain_queues():
+    why = crossver.queues_case("closed")
+    assert why is None, why
+
+
+def test_queues_match_reference_on_open_streams():
+    why = crossver.queues_case("open")
+    assert why is None, why
 
 
 # --- Box --------------------------------------------------------------------
@@ -827,6 +846,14 @@ def test_dyal_converges_to_target():
         if t >= 10000:
             total += d.ema_map.get(1, 0.0)
     assert abs(total / 10000 - tp) < 0.03
+
+
+@pytest.mark.parametrize("sig_thresh", [0.0, 5.0])
+@pytest.mark.parametrize("qcap", [2, 3])
+@pytest.mark.parametrize("beta_min", [0.0, 0.001, 0.01, 0.5, 1.0])
+def test_dyal_matches_reference(beta_min, qcap, sig_thresh):
+    why = crossver.dyal_case(beta_min, qcap, sig_thresh)
+    assert why is None, why
 
 
 def test_dyal_update_drops_match_reference():
