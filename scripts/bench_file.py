@@ -43,9 +43,7 @@ MISREPORTED = {
     "layer wraps run_self_concat, which no longer exists",
     "obs_per_s.ts-queues": "measures queues a second time: ts-queues is "
     "another name for queues",
-    "cli.import_ms.numpy": "reads 0: it times only `import smatrack.cli`, "
-    "which no longer loads numpy; a seeded spec's numpy.random import "
-    "lands in setup_s",
+    "cli.import_ms.numpy": "reads 0: the program no longer imports numpy",
     "cli.import_ms.scipy": "reads 0: the program no longer imports scipy",
     "trace.unattributed_share": "reads about 1e-5: each job runs inside "
     "one layer, whose self time takes all time that no inner layer claims",

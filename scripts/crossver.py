@@ -4,11 +4,14 @@ standard library only (no numpy, click or pytest):
     PYTHONPATH=src:tests python scripts/crossver.py
 
 It prints one line per check, with the check's wall time, and exits 1
-if any check fails. CHECKS is the table of checks:
-- digests: the identity spec's numpy-free runs (run-real, run-short,
+if any check fails or raises. CHECKS is the table of checks:
+- digests: the identity spec's token-file runs (run-real, run-short,
   trace and trace-item in tests/test_identity.py), rerun through
   harness, write CSVs whose sha256 digests equal
   tests/identity_digests.json.
+- seeded: so do its seeded runs (the gen-* streams and run-stationary,
+  run-nonstat, run-multi and run-config), whose streams synth.PCG64
+  draws. Only the CLI's stdout, which needs click, is left out.
 - dyal, queues, ema and score: Dyal, Queues, Ema and evaluation.score
   equal their oracles in tests/ (ReferenceDyal, CountCellQueues,
   ReferenceEma and reference_scoring) on random.Random streams and maps.
@@ -37,7 +40,7 @@ from count_cell_queues import CountCellQueues, matches, pr_count
 from identity_inputs import ROSTER, SHORT, TOKENS
 from reference_dyal import ReferenceDyal, dropping_zero_edges
 from reference_ema import EMA_CASES, ReferenceEma
-from smatrack import harness
+from smatrack import harness, synth
 from smatrack.evaluation import logloss_rule_ns, quad_rule, score
 from smatrack.harness import EvalConfig, ExperimentSpec
 from smatrack.predictors import EMA_FLOOR, Dyal, Ema, Queues
@@ -46,21 +49,67 @@ from smatrack.sd_core import SUM_SLACK
 DIGESTS = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "tests", "identity_digests.json")
 IDENTITY_RUNS = ("run-real", "run-short", "trace", "trace-item")
+IDENTITY_ROSTER = [(m, *m.split(":", 1)) for m in ROSTER]
+# The identity spec's seeded entries as ExperimentSpec fields, with the
+# CLI's defaults for the options their argv does not give.
+SEEDED_RUNS = {
+    "gen-binary": dict(kind="stationary-single", seq_len=500, tp=0.3,
+                       seed=1),
+    "gen-nonstat": dict(kind="nonstat-single", seq_len=500, seed=2,
+                        gen=synth.GenConfig(o_min=10)),
+    "gen-nonstat-uniform": dict(kind="nonstat-single", mode="uniform",
+                                seq_len=500, seed=3,
+                                gen=synth.GenConfig(o_min=10, l_min=50)),
+    "gen-multi": dict(kind="multi-item", seq_len=500, seed=4,
+                      gen=synth.GenConfig(o_min=5)),
+    "gen-multi-recycle": dict(kind="multi-item", seq_len=500, seed=5,
+                              gen=synth.GenConfig(o_min=5, recycle=True,
+                                                  p_max=0.5)),
+    "run-stationary": dict(kind="stationary-single", tp=0.2, n_seqs=3,
+                           seq_len=1000),
+    "run-nonstat": dict(kind="nonstat-single", n_seqs=3, seq_len=1000,
+                        gen=synth.GenConfig(o_min=10)),
+    "run-multi": dict(kind="multi-item", n_seqs=3, seq_len=1000, seed=6,
+                      gen=synth.GenConfig(o_min=5)),
+    "run-config": dict(kind="multi-item", n_seqs=3, seq_len=1000, seed=7,
+                       gen=synth.GenConfig(o_min=5),
+                       eval_cfg=EvalConfig(0.02, 0.005, 1, 50, (1.2, 3.0))),
+}
+
+
+def file_digests(tmp, names):
+    """{name/file: sha256} of every file in the directories names."""
+    got = {}
+    for name in names:
+        for fname in os.listdir(os.path.join(tmp, name)):
+            with open(os.path.join(tmp, name, fname), "rb") as f:
+                got[name + "/" + fname] = hashlib.sha256(f.read()).hexdigest()
+    return got
+
+
+def moved_digests(names, got):
+    """What differs between got and the recorded digests of the runs
+    names, their stdout aside."""
+    with open(DIGESTS) as f:
+        want = {k: v for k, v in json.load(f)["digests"].items()
+                if k.split("/")[0] in names and not k.endswith("/stdout")}
+    moved = sorted(k for k in got.keys() | want.keys()
+                   if got.get(k) != want.get(k))
+    return "moved: " + ", ".join(moved) if moved else None
 
 
 def write_identity_runs(tmp):
-    """The identity spec's four numpy-free runs, written under tmp as
+    """The identity spec's four token-file runs, written under tmp as
     its CLI commands write them."""
     paths = {}
     for name, text in (("tokens.txt", TOKENS), ("short.txt", SHORT)):
         paths[name] = os.path.join(tmp, name)
         with open(paths[name], "w") as f:
             f.write(text)
-    roster = [(m, *m.split(":", 1)) for m in ROSTER]
     for name, path, ecfg in (("run-real", "tokens.txt", EvalConfig()),
                              ("run-short", "short.txt", EvalConfig(c_ns=0))):
         harness.run_experiment(ExperimentSpec(
-            "real-file", roster, out_dir=os.path.join(tmp, name),
+            "real-file", IDENTITY_ROSTER, out_dir=os.path.join(tmp, name),
             eval_cfg=ecfg, input_path=paths[path]))
     obs = harness.ingest_sequence(paths["tokens.txt"])
     for name, param, k, item in (("trace", "0.01", 2, None),
@@ -71,21 +120,25 @@ def write_identity_runs(tmp):
 
 
 def check_digests():
-    """Every CSV of the four identity runs has its recorded digest."""
-    with open(DIGESTS) as f:
-        want = {k: v for k, v in json.load(f)["digests"].items()
-                if k.split("/")[0] in IDENTITY_RUNS and k.endswith(".csv")}
-    got = {}
+    """Every CSV of the four token-file runs has its recorded digest."""
     with tempfile.TemporaryDirectory() as tmp:
         write_identity_runs(tmp)
-        for name in IDENTITY_RUNS:
-            for fname in os.listdir(os.path.join(tmp, name)):
-                with open(os.path.join(tmp, name, fname), "rb") as f:
-                    got[name + "/" + fname] = hashlib.sha256(
-                        f.read()).hexdigest()
-    moved = sorted(k for k in got.keys() | want.keys()
-                   if got.get(k) != want.get(k))
-    return "moved: " + ", ".join(moved) if moved else None
+        return moved_digests(IDENTITY_RUNS, file_digests(tmp, IDENTITY_RUNS))
+
+
+def check_seeded():
+    """Every file of the seeded runs has its recorded digest: a gen
+    entry writes sequence 0 of its spec, a run entry its three CSVs."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, kw in SEEDED_RUNS.items():
+            out = os.path.join(tmp, name)
+            if name.startswith("gen-"):
+                _, made = next(harness.streams(ExperimentSpec(roster=[], **kw)))
+                harness.write_stream(out, made)
+            else:
+                harness.run_experiment(ExperimentSpec(
+                    roster=IDENTITY_ROSTER, out_dir=out, **kw))
+        return moved_digests(SEEDED_RUNS, file_digests(tmp, SEEDED_RUNS))
 
 
 def drifting_stream(rng, n):
@@ -284,9 +337,9 @@ def check_score():
 
 
 # (name, check): each check returns None if it holds, else what differs.
-CHECKS = (("digests", check_digests), ("dyal", check_dyal),
-          ("queues", check_queues), ("ema", check_ema),
-          ("score", check_score))
+CHECKS = (("digests", check_digests), ("seeded", check_seeded),
+          ("dyal", check_dyal), ("queues", check_queues),
+          ("ema", check_ema), ("score", check_score))
 
 
 def main():
@@ -294,7 +347,10 @@ def main():
     failed = 0
     for name, check in CHECKS:
         start = time.perf_counter()
-        why = check()
+        try:
+            why = check()
+        except Exception as e:  # the later checks still run and report
+            why = "%s: %s" % (type(e).__name__, e)
         print("%s %-8s %6.2f s%s" % (
             "ok  " if why is None else "FAIL", name,
             time.perf_counter() - start, "" if why is None else " (%s)" % why))

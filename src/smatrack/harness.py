@@ -6,7 +6,6 @@ import csv
 import math
 import numbers
 import os
-import statistics
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field, fields, replace
 from itertools import combinations, repeat
@@ -198,8 +197,6 @@ class ExperimentSpec:
                               % (self.gen.desired_len, self.seq_len))
         if self.kind == "real-file" and not self.input_path:
             raise ConfigError("kind 'real-file' needs an input_path")
-        if "seed" in _EXPERIMENTS[self.kind][1]:
-            import numpy.random  # noqa: F401  (here, not in a scored pass)
         unread = unread_fields(self.kind, self.mode)
         for obj, f in ((o, f) for o in (self, self.gen) for f in fields(o)):
             if f.name in unread and getattr(obj, f.name) != f.default:
@@ -246,16 +243,14 @@ def ingest_sequence(path):
 
 def streams(spec):
     """Yield (seq_id, stream) for each of the spec's sequences, making
-    each stream only when asked. Sequence k is drawn with the rng of
-    SeedSequence(spec.seed, spawn_key=(k,)), which is
-    SeedSequence(spec.seed).spawn(n)[k] for any n > k. real-file reads
-    neither n_seqs nor seed: it yields one stream and never loads numpy."""
+    each stream only when asked. Sequence k is drawn with
+    synth.PCG64(spec.seed, (k,)), which draws what numpy's
+    default_rng(SeedSequence(spec.seed).spawn(n)[k]) draws for any
+    n > k. real-file reads neither n_seqs nor seed: it yields one stream
+    and gets no rng."""
     _, read, make = _EXPERIMENTS[spec.kind]
-    if "seed" in read:
-        from numpy.random import SeedSequence, default_rng
     for k in range(spec.n_seqs if "n_seqs" in read else 1):
-        rng = default_rng(SeedSequence(
-            spec.seed, spawn_key=(k,))) if "seed" in read else None
+        rng = synth.PCG64(spec.seed, (k,)) if "seed" in read else None
         yield k, make(spec, rng)
 
 
@@ -318,9 +313,25 @@ def _aggregate(rows):
         total = 0
         for v in vals:  # in order: 3.12's sum() compensates
             total += v
-        sd = statistics.stdev(vals) if len(vals) > 1 else 0.0
+        sd = _stdev(vals) if len(vals) > 1 else 0.0
         out.append((method, param, metric, total / len(vals), sd))
     return out
+
+
+def _stdev(vals):
+    """The sample standard deviation of two or more finite numbers,
+    correctly rounded, as statistics.stdev gives it from Python 3.11 on
+    (3.10's rounds twice). The values are integers over one power of 2,
+    so the variance is an exact n/m; its root, scaled by 2**k to 55 bits
+    or more and rounded to odd, becomes a float in one division."""
+    ratios = [v.as_integer_ratio() for v in vals]
+    d = max(q for _, q in ratios)
+    xs = [p * (d // q) for p, q in ratios]
+    c = len(xs)
+    n, m = c * sum(x * x for x in xs) - sum(xs) ** 2, c * (c - 1) * d * d
+    k = max(0, 56 - (n.bit_length() - m.bit_length()) // 2)
+    root = math.isqrt((n << 2 * k) // m)
+    return (root | (root * root * m != n << 2 * k)) / (1 << k)
 
 
 @contextmanager

@@ -883,11 +883,11 @@ def main_exit(monkeypatch, capfd):
     signal.signal(signal.SIGALRM, old)
 
 
-def test_token_file_commands_need_no_numpy(tmp_path):
-    # run --kind real-file, trace and ingest-check draw no
-    # random number, so they never load numpy. A spec of a kind that
-    # reads seed loads numpy.random when it is made, so that no scored
-    # pass pays for the import.
+def test_commands_need_no_numpy(tmp_path):
+    # Every command runs on the standard library and click: run
+    # --kind real-file, trace and ingest-check draw no random number,
+    # and gen and the seeded runs draw theirs from synth.PCG64, a
+    # recycled multi-item stream's permutation among them.
     import subprocess
     params = {"ema": "0.05", "harmonic-ema": "0.01", "queues": "3",
               "ts-queues": "3", "box": "10", "dyal": "0.01"}
@@ -900,15 +900,21 @@ def test_token_file_commands_need_no_numpy(tmp_path):
              ["run", "--kind", "real-file", "--input", tokens, "--out", out]
              + methods,
              ["trace", "--input", tokens, "--self-concat", "2",
-              "--track-item", "0", "--out", str(tmp_path / "trace")]]
+              "--track-item", "0", "--out", str(tmp_path / "trace")],
+             ["gen", "--kind", "multi-item", "--recycle", "--o-min", "5",
+              "--seq-len", "300", "--out", str(tmp_path / "gen")]] + [
+             ["run", "--kind", kind, "--n-seqs", "2", "--seq-len", "300",
+              "--o-min", "5", "--method", "dyal:0.01",
+              "--out", str(tmp_path / kind)]
+             for kind in ("nonstat-single", "multi-item")] + [
+             ["run", "--kind", "stationary-single", "--n-seqs", "2",
+              "--seq-len", "300", "--method", "dyal:0.01",
+              "--out", str(tmp_path / "stationary-single")]]
     code = ("import sys, smatrack.cli\n"
             "for argv in %r:\n"
             "    smatrack.cli.cli.main(argv, standalone_mode=False)\n"
             "assert 'numpy' not in sys.modules, 'numpy imported'\n"
-            "smatrack.cli.ExperimentSpec(kind='stationary-single', "
-            "roster=[], seed=1)\n"
-            "assert 'numpy.random' in sys.modules, 'numpy.random not "
-            "imported'\n" % (argvs,))
+            % (argvs,))
     r = subprocess.run([sys.executable, "-c", code], capture_output=True,
                        text=True)
     assert r.returncode == 0, r.stderr
@@ -917,6 +923,9 @@ def test_token_file_commands_need_no_numpy(tmp_path):
         assert f.readline() == \
             "metric,method_a,method_b,wins_a,wins_b,ties,p_value\n"
     assert os.path.exists(tmp_path / "trace" / "estimate_trace.csv")
+    assert os.path.exists(tmp_path / "gen" / "schedule.csv")
+    for kind in ("nonstat-single", "multi-item", "stationary-single"):
+        assert os.path.exists(tmp_path / kind / "aggregate.csv")
 
 
 def test_cli_exit_codes(tmp_path, main_exit):

@@ -6,10 +6,33 @@ import math
 import numpy as np
 import pytest
 
-from smatrack.synth import (NOISE_BASE, NOISE_MASS, SALIENT_MIN,
+from smatrack.synth import (NOISE_BASE, NOISE_MASS, SALIENT_MIN, PCG64,
                             ConfigError, GenConfig, draw_item,
                             gen_binary_stationary, gen_sd, gen_sequence,
                             gen_single_nonstationary, gen_subseq)
+
+
+# --- PCG64 against numpy -----------------------------------------------------
+
+def _draws(rng):
+    """Every kind of draw synth makes, interleaved, so that the 32-bit
+    half a permutation keeps carries over the floats drawn after it."""
+    out = []
+    for n in range(1, 41):
+        out += [rng.random(), *rng.random(n), rng.uniform(0.01, n / 40),
+                *rng.permutation(n)]
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3,
+                                  2 ** 130 + 12345])
+def test_pcg64_draws_what_numpy_draws(seed):
+    # Keys of one word, of two (one of them past 32 bits) and one key
+    # word past 32 bits.
+    for key in [(0,), (1,), (7,), (0, 1), (5, 2 ** 32), (2 ** 32 + 1,)]:
+        want = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence(seed, spawn_key=key)))
+        assert _draws(PCG64(seed, key)) == _draws(want), key
 
 
 # --- binary stationary ------------------------------------------------------
